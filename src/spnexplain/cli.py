@@ -7,11 +7,11 @@ import json
 import sys
 
 from . import datagen, metrics
-from .data import format_float, load_csv, save_csv
+from .data import format_float, load_csv, load_schema, save_csv
 from .errors import DataError, ModelFormatError, UsageError
 from .explain import ExplainConfig, explain
 from .learn import LearnConfig, learn_spn
-from .model import load_model, save_model
+from .model import eval_log_density, load_model, save_model
 
 
 def _add_learn_flags(p: argparse.ArgumentParser) -> None:
@@ -46,7 +46,6 @@ def _explain_config(args) -> ExplainConfig:
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-features", type=int, required=True)
     p.add_argument("--n-samples", type=int, default=GenDefaults.n_samples)
     p.add_argument("--n-outliers", type=int, default=GenDefaults.n_outliers)
     p.add_argument("--subspace-min", type=int, default=GenDefaults.subspace_min)
@@ -73,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted-subspace synthetic dataset")
+    p.add_argument("--n-features", type=int, required=True)
     _add_gen_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score rows by full-joint outlier score")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", default=None)
     p.add_argument("--contamination", type=float, default=None,
                    help="also flag rows above the (1-contamination) score quantile")
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
@@ -96,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="explain outlier rows as JSON-lines")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", default=None)
     p.add_argument("--rows", required=True,
                    help="comma-separated row indices to explain")
     _add_explain_flags(p)
@@ -115,13 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None)
     p.add_argument("--n-features", type=int, default=None,
                    help="generate a dataset of this width instead of loading one")
-    p.add_argument("--n-samples", type=int, default=GenDefaults.n_samples)
-    p.add_argument("--n-outliers", type=int, default=GenDefaults.n_outliers)
-    p.add_argument("--subspace-min", type=int, default=GenDefaults.subspace_min)
-    p.add_argument("--subspace-max", type=int, default=GenDefaults.subspace_max)
-    p.add_argument("--clusters-per-subspace", type=int,
-                   default=GenDefaults.clusters_per_subspace)
-    p.add_argument("--noise-sigma", type=float, default=GenDefaults.noise_sigma)
+    _add_gen_flags(p)
     _add_learn_flags(p)
     _add_explain_flags(p)
     p.add_argument("--seed", type=int, required=True)
@@ -139,6 +131,12 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
+def _load_data(args):
+    """The --data CSV, encoded with the --schema sidecar when one is given."""
+    schema = None if args.schema is None else load_schema(args.schema)
+    return load_csv(args.data, schema)
+
+
 def cmd_gen(args) -> None:
     labeled = datagen.generate(_gen_config(args))
     save_csv(labeled.dataset, args.out)
@@ -148,7 +146,7 @@ def cmd_gen(args) -> None:
 
 
 def cmd_train(args) -> None:
-    dataset = load_csv(args.data, args.schema)
+    dataset = _load_data(args)
     model = learn_spn(dataset, _learn_config(args))
     save_model(model, args.model)
     print(f"trained model with {len(model.nodes)} nodes -> {args.model}")
@@ -156,7 +154,7 @@ def cmd_train(args) -> None:
 
 def cmd_score(args) -> None:
     model = load_model(args.model)
-    dataset = load_csv(args.data, args.schema)
+    dataset = load_csv(args.data, model.schema)
     if args.contamination is not None:
         flagged, scores = metrics.detect(model, dataset, args.contamination)
         flags = set(flagged)
@@ -164,7 +162,7 @@ def cmd_score(args) -> None:
         lines += [f"{i}\t{format_float(s)}\t{int(i in flags)}"
                   for i, s in enumerate(scores)]
     else:
-        _, scores = metrics.detect(model, dataset, 0.5)
+        scores = -eval_log_density(model, dataset.values)
         lines = ["row\tscore"]
         lines += [f"{i}\t{format_float(s)}" for i, s in enumerate(scores)]
     _write_lines(lines, args.out)
@@ -172,7 +170,7 @@ def cmd_score(args) -> None:
 
 def cmd_explain(args) -> None:
     model = load_model(args.model)
-    dataset = load_csv(args.data, args.schema)
+    dataset = load_csv(args.data, model.schema)
     try:
         rows = sorted({int(tok) for tok in args.rows.split(",") if tok.strip()})
     except ValueError as exc:
@@ -193,7 +191,7 @@ def cmd_explain(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    dataset = load_csv(args.data, args.schema)
+    dataset = _load_data(args)
     labeled = datagen.read_labels(dataset, args.labels)
     try:
         with open(args.explanations) as fh:
@@ -204,7 +202,12 @@ def cmd_eval(args) -> None:
         raise DataError(f"{args.explanations}: invalid JSON line: {exc}") from exc
     lines = ["row\tprecision\trecall\tf1"]
     f1s = []
-    for rec in records:
+    for i, rec in enumerate(records, start=1):
+        if not (isinstance(rec, dict) and isinstance(rec.get("row"), int)
+                and isinstance(rec.get("selected"), list) and rec["selected"]
+                and all(isinstance(d, int) for d in rec["selected"])):
+            raise DataError(f"{args.explanations}: record {i} needs an integer "
+                            f"'row' and a non-empty list of integers 'selected'")
         row = rec["row"]
         if row not in labeled.ground_truth:
             raise DataError(f"explained row {row} has no ground-truth label")
@@ -220,7 +223,7 @@ def cmd_bench(args) -> None:
     if args.data is not None:
         if args.labels is None:
             raise UsageError("bench with --data also needs --labels")
-        dataset = load_csv(args.data, args.schema)
+        dataset = _load_data(args)
         labeled = datagen.read_labels(dataset, args.labels)
     elif args.n_features is not None:
         labeled = datagen.generate(_gen_config(args))

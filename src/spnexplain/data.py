@@ -99,12 +99,14 @@ def save_schema(schema: list[Column], path: str) -> None:
         fh.write("\n")
 
 
-def load_csv(path: str, schema_path: str | None = None) -> Dataset:
-    """Load a header-ed CSV; infer column kinds unless a schema is given.
+def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
+    """Load a header-ed CSV, encoded with `schema` or with inferred kinds.
 
-    Without a schema a column is real iff every cell parses as a decimal
-    number; otherwise it is categorical with categories in
-    first-appearance order.
+    With a schema the header must match its column names, real cells
+    must parse as numbers, and categorical cells must be among the
+    schema's categories, coded by their position there. Without one a
+    column is real iff every cell parses as a decimal number; otherwise
+    it is categorical with categories in first-appearance order.
     """
     if not os.path.exists(path):
         raise DataError(f"cannot read {path}: no such file")
@@ -128,57 +130,43 @@ def load_csv(path: str, schema_path: str | None = None) -> Dataset:
             rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
-
-    declared = None
-    if schema_path is not None:
-        declared = load_schema(schema_path)
-        names = [c.name for c in declared]
+    if schema is not None:
+        names = [c.name for c in schema]
         if names != header:
             raise DataError(
                 f"{path}: header {header} does not match schema columns {names}"
             )
 
-    n_cols = len(header)
-    schema: list[Column] = []
-    values = np.empty((len(rows), n_cols), dtype=np.float64)
-    for j in range(n_cols):
+    columns: list[Column] = []
+    values = np.empty((len(rows), len(header)), dtype=np.float64)
+    for j, name in enumerate(header):
         cells = [r[j] for r in rows]
-        if declared is not None:
-            col = declared[j]
-            if col.kind == "real":
-                for i, cell in enumerate(cells):
-                    v = _parse_real(cell)
-                    if v is None:
-                        raise DataError(
-                            f"{path}:{i + 2}: column {col.name!r} declared real "
-                            f"but cell {cell!r} is not numeric"
-                        )
-                    values[i, j] = v
-            else:
-                index = {c: k for k, c in enumerate(col.categories)}
-                for i, cell in enumerate(cells):
-                    if cell not in index:
-                        raise DataError(
-                            f"{path}:{i + 2}: value {cell!r} not among declared "
-                            f"categories of column {col.name!r}"
-                        )
-                    values[i, j] = index[cell]
-            schema.append(col)
+        col = schema[j] if schema is not None else None
+        parsed = ([_parse_real(c) for c in cells]
+                  if col is None or col.kind == "real" else None)
+        if col is None:
+            col = (Column(name, "real") if None not in parsed
+                   else Column(name, "categorical", tuple(dict.fromkeys(cells))))
+        if col.kind == "real":
+            if None in parsed:
+                i = parsed.index(None)
+                raise DataError(
+                    f"{path}:{i + 2}: column {name!r} declared real "
+                    f"but cell {cells[i]!r} is not numeric"
+                )
+            values[:, j] = parsed
         else:
-            parsed = [_parse_real(c) for c in cells]
-            if all(v is not None for v in parsed):
-                values[:, j] = parsed
-                schema.append(Column(header[j], "real"))
-            else:
-                cats: list[str] = []
-                index: dict[str, int] = {}
-                for i, cell in enumerate(cells):
-                    if cell not in index:
-                        index[cell] = len(cats)
-                        cats.append(cell)
-                    values[i, j] = index[cell]
-                schema.append(Column(header[j], "categorical", tuple(cats)))
-    return Dataset(schema, values)
+            index = {c: k for k, c in enumerate(col.categories)}
+            codes = [index.get(c) for c in cells]
+            if None in codes:
+                i = codes.index(None)
+                raise DataError(
+                    f"{path}:{i + 2}: value {cells[i]!r} not among declared "
+                    f"categories of column {name!r}"
+                )
+            values[:, j] = codes
+        columns.append(col)
+    return Dataset(columns, values)
 
 
 def save_csv(dataset: Dataset, path: str) -> None:

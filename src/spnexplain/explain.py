@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EvalCounter, SpnModel, eval_log_density, log_marginal_subspace
+from .model import EvalCounter, SpnModel, log_marginal
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -55,20 +55,6 @@ class ExplanationTrace:
     selection: str = "elbow"
 
 
-def outlier_score(model: SpnModel, x, subspace,
-                  counter: EvalCounter | None = None) -> float:
-    """Negative log marginal density of x projected onto the subspace."""
-    return -log_marginal_subspace(model, x, subspace, counter)
-
-
-def _score_subspaces(model: SpnModel, x: np.ndarray, subspaces: list[Subspace],
-                     counter: EvalCounter | None) -> np.ndarray:
-    q = np.full((len(subspaces), model.n_features), np.nan)
-    for i, sub in enumerate(subspaces):
-        q[i, list(sub)] = x[list(sub)]
-    return eval_log_density(model, q, counter)
-
-
 def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
                         counter: EvalCounter | None = None) -> list[SizeBest]:
     """Greedy bottom-up subspace growth keeping the beam_width most
@@ -90,7 +76,9 @@ def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
                     if d not in hyp:
                         seen.add(tuple(sorted(hyp + (d,))))
             candidates = sorted(seen)
-        logps = _score_subspaces(model, x, candidates, counter)
+        keep = np.zeros((len(candidates), n), dtype=bool)
+        np.put_along_axis(keep, np.array(candidates), True, axis=1)
+        logps = log_marginal(model, x, keep, counter)
         order = sorted(range(len(candidates)),
                        key=lambda i: (logps[i], candidates[i]))
         beam = [candidates[i] for i in order[:beam_width]]
@@ -107,15 +95,19 @@ def backward_elimination(model: SpnModel, x,
     if n < 2:
         raise ValueError("backward elimination needs at least 2 features")
     x = np.asarray(x, dtype=np.float64)
-    current = tuple(range(n))
+    keep = np.ones(n, dtype=bool)
     results: list[SizeBest] = []
     for k in range(n - 1, 0, -1):
-        reduced = [tuple(d for d in current if d != drop) for drop in current]
-        logps = _score_subspaces(model, x, reduced, counter)
+        # row i of the batch drops the i-th remaining feature
+        kept = np.flatnonzero(keep)
+        reduced = np.tile(keep, (len(kept), 1))
+        reduced[np.arange(len(kept)), kept] = False
+        logps = log_marginal(model, x, reduced, counter)
         # keep the most outlying remainder; first min = lowest dropped index
         pick = int(np.argmin(logps))
-        current = reduced[pick]
-        results.append(SizeBest(k, current, float(logps[pick])))
+        keep = reduced[pick]
+        results.append(SizeBest(k, tuple(np.flatnonzero(keep).tolist()),
+                                float(logps[pick])))
     results.reverse()
     return results
 
@@ -144,11 +136,8 @@ def subspace_score_stats(model: SpnModel, X: np.ndarray, subspace: Subspace,
                          counter: EvalCounter | None = None) -> ScoreStats:
     """Mean/std of negative log marginal densities of all training rows in
     one subspace."""
-    X = np.asarray(X, dtype=np.float64)
-    q = np.full((X.shape[0], model.n_features), np.nan)
-    cols = list(subspace)
-    q[:, cols] = X[:, cols]
-    scores = -eval_log_density(model, q, counter)
+    keep = np.isin(np.arange(model.n_features), subspace)
+    scores = -log_marginal(model, X, keep, counter)
     return ScoreStats(float(scores.mean()), float(scores.std()))
 
 
@@ -186,7 +175,7 @@ def explain(model: SpnModel, x, config: ExplainConfig,
         raise ValueError("zscore selection requires training data")
     counter = EvalCounter()
     if n == 1:
-        logp = float(eval_log_density(model, x, counter))
+        logp = float(log_marginal(model, x, np.ones(1, dtype=bool), counter))
         per_size = [SizeBest(1, (0,), logp)]
     elif config.strategy == "forward":
         depth = min(config.max_depth or n, n)

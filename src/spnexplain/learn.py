@@ -191,12 +191,13 @@ def sigma_floor_for(values: np.ndarray) -> float:
     return 1e-6 * (sd if sd > 0.0 else 1.0)
 
 
-def fit_leaf(values: np.ndarray, column: Column, sigma_floor: float) -> Node:
-    """Maximum-likelihood univariate leaf; categorical with add-one smoothing."""
+def fit_leaf(values: np.ndarray, column: Column, feature: int,
+             sigma_floor: float) -> Node:
+    """Maximum-likelihood univariate leaf on the given feature index;
+    categorical with add-one smoothing."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError(f"cannot fit a leaf on empty column {column.name!r}")
-    feature = -1  # caller rebinds; kept explicit below
     if column.kind == "real":
         mu = float(values.mean())
         sigma = max(float(values.std()), sigma_floor)
@@ -205,12 +206,6 @@ def fit_leaf(values: np.ndarray, column: Column, sigma_floor: float) -> Node:
     counts = np.bincount(values.astype(np.intp), minlength=n_cats).astype(np.float64)
     probs = (counts + 1.0) / (values.size + n_cats)
     return CategoricalLeaf(feature, tuple(float(p) for p in probs))
-
-
-def _rebind(leaf: Node, feature: int) -> Node:
-    if isinstance(leaf, GaussianLeaf):
-        return GaussianLeaf(feature, leaf.mu, leaf.sigma)
-    return CategoricalLeaf(feature, leaf.probs)
 
 
 def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
@@ -231,7 +226,7 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
         return len(nodes) - 1
 
     def leaf(rows: np.ndarray, col: int) -> int:
-        return add(_rebind(fit_leaf(X[rows, col], schema[col], floors[col]), col))
+        return add(fit_leaf(X[rows, col], schema[col], col, floors[col]))
 
     def naive(rows: np.ndarray, cols: list[int]) -> int:
         ids = [leaf(rows, c) for c in cols]

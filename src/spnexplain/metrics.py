@@ -12,7 +12,7 @@ from .data import Dataset, format_float
 from .datagen import LabeledDataset
 from .explain import ExplainConfig, ExplanationTrace, explain
 from .learn import LearnConfig, learn_spn
-from .model import EvalCounter, SpnModel, eval_log_density
+from .model import SpnModel, eval_log_density
 
 
 def f1_dims(predicted, truth) -> tuple[float, float, float]:
@@ -72,25 +72,6 @@ def trace_record(row: int, trace: ExplanationTrace) -> dict:
     }
 
 
-def _check_eval_count(trace: ExplanationTrace, n: int, config: ExplainConfig) -> None:
-    if config.selection != "elbow":
-        return  # zscore adds training-set evaluations on top of the search
-    if n == 1:
-        return
-    if config.strategy == "backward":
-        expected = n * (n + 1) // 2 - 1
-        if trace.eval_count != expected:
-            raise AssertionError(
-                f"backward elimination used {trace.eval_count} evaluations, "
-                f"expected exactly {expected}")
-    else:
-        depth = min(config.max_depth or n, n)
-        bound = config.beam_width * n * depth + n
-        if trace.eval_count > bound:
-            raise AssertionError(
-                f"forward search used {trace.eval_count} evaluations, bound {bound}")
-
-
 def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
                   explain_config: ExplainConfig,
                   explanations_path: str | None = None,
@@ -115,7 +96,6 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
     for row in labeled.outlier_rows:
         trace = explain(model, dataset.values[row], explain_config,
                         X_train=dataset.values if needs_train else None)
-        _check_eval_count(trace, dataset.n_features, explain_config)
         p, r, f1 = f1_dims(trace.selected, labeled.ground_truth[row])
         rows.append(row)
         precs.append(p)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -50,9 +50,6 @@ class CategoricalLeaf:
 
 Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
-# Per-feature optional value: None marginalizes the feature.
-Query = Sequence[Optional[float]]
-
 
 @dataclass
 class EvalCounter:
@@ -71,11 +68,6 @@ class SpnModel:
     nodes: list[Node]
     root: int
     schema: list[Column]
-    scopes: list[frozenset[int]] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self.scopes:
-            self.scopes = _compute_scopes(self.nodes)
 
     @property
     def n_features(self) -> int:
@@ -96,10 +88,6 @@ def _compute_scopes(nodes: list[Node]) -> list[frozenset[int]]:
                     sc |= scopes[c]
             scopes.append(frozenset(sc))
     return scopes
-
-
-def node_count(model: SpnModel) -> int:
-    return len(model.nodes)
 
 
 def validate(model: SpnModel) -> list[str]:
@@ -246,20 +234,22 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
     return out[0] if squeeze else out
 
 
-def query_to_row(model: SpnModel, query: Query) -> np.ndarray:
-    if len(query) != model.n_features:
-        raise ValueError(f"query has {len(query)} entries, schema has {model.n_features}")
-    row = np.full(model.n_features, np.nan)
-    for j, v in enumerate(query):
-        if v is not None:
-            row[j] = float(v)
-    return row
+def log_marginal(model: SpnModel, x, keep,
+                 counter: EvalCounter | None = None):
+    """log p(x_S) in nats, where S holds the features that `keep` marks True
+    and every other feature is marginalized.
 
-
-def log_density(model: SpnModel, query: Query,
-                counter: EvalCounter | None = None) -> float:
-    """Joint/marginal log-density of a partial assignment, in nats."""
-    return float(eval_log_density(model, query_to_row(model, query), counter))
+    `x` is one sample (n,) or a matrix of samples (m, n); `keep` is a
+    boolean mask (n,) or a stack of masks (k, n). The two broadcast
+    against each other, so k subspaces of one sample, or one subspace of
+    m samples, are one batched circuit pass. Returns a scalar for a single
+    sample and mask, else one log-density per row.
+    """
+    keep = np.asarray(keep)
+    if keep.dtype != bool:
+        raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
+    return eval_log_density(model, np.where(keep, np.asarray(x, dtype=np.float64),
+                                            np.nan), counter)
 
 
 def log_marginal_subspace(model: SpnModel, x: Sequence[float], subspace: Sequence[int],
@@ -270,10 +260,8 @@ def log_marginal_subspace(model: SpnModel, x: Sequence[float], subspace: Sequenc
         raise ValueError("subspace is empty")
     if sub[0] < 0 or sub[-1] >= model.n_features:
         raise ValueError(f"subspace {sub} outside schema of {model.n_features} features")
-    x = np.asarray(x, dtype=np.float64)
-    row = np.full(model.n_features, np.nan)
-    row[sub] = x[sub]
-    return float(eval_log_density(model, row, counter))
+    keep = np.isin(np.arange(model.n_features), sub)
+    return float(log_marginal(model, x, keep, counter))
 
 
 # --- serialization -------------------------------------------------------

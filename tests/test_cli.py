@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from spnexplain.cli import main
+from spnexplain.model import eval_log_density, load_model, log_marginal_subspace
 
 
 @pytest.fixture
@@ -94,6 +96,18 @@ class TestExitCodes:
                      "--data", workspace["data"], "--rows", "99999"]) == 3
         capsys.readouterr()
 
+    def test_malformed_explanation_records_exit_3(self, workspace, capsys):
+        row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
+        for i, rec in enumerate([{"row": row}, {"selected": [0]}, [row, [0]],
+                                 {"row": row, "selected": []},
+                                 {"row": str(row), "selected": [0]}]):
+            expl = workspace["dir"] / f"bad{i}.jsonl"
+            expl.write_text(json.dumps(rec) + "\n")
+            assert main(["eval", "--explanations", str(expl),
+                         "--data", workspace["data"],
+                         "--labels", workspace["labels"]]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_model_errors_exit_4(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad_model.json"
         doc = json.load(open(workspace["model"]))
@@ -116,3 +130,53 @@ class TestExitCodes:
         assert open(data2, "rb").read() == open(workspace["data"], "rb").read()
         assert open(labels2, "rb").read() == open(workspace["labels"], "rb").read()
         assert open(model2, "rb").read() == open(workspace["model"], "rb").read()
+
+
+class TestModelSchemaEncoding:
+    """score and explain encode their CSV with the model's schema, not with
+    codes re-inferred from the CSV being scored."""
+
+    @pytest.fixture
+    def rare_first(self, tmp_path):
+        # the rare 'y' comes first, so training codes it 0 and the common 'x' 1
+        rows = ["0.5,y"] + [f"{0.1 * (i % 7)},x" for i in range(40)] + ["0.2,y"]
+        data = tmp_path / "train.csv"
+        data.write_text("a,c\n" + "\n".join(rows) + "\n")
+        model = str(tmp_path / "model.json")
+        assert main(["train", "--data", str(data), "--seed", "0",
+                     "--model", model]) == 0
+        return tmp_path, model
+
+    def test_csv_in_other_order_scores_with_model_codes(self, rare_first):
+        tmp_path, model_path = rare_first
+        data = tmp_path / "score.csv"
+        data.write_text("a,c\n0.3,x\n0.3,y\n")
+        out = str(tmp_path / "scores.tsv")
+        assert main(["score", "--model", model_path, "--data", str(data),
+                     "--out", out]) == 0
+        scores = [float(line.split("\t")[1])
+                  for line in open(out).read().splitlines()[1:]]
+        model = load_model(model_path)
+        assert model.schema[1].categories == ("y", "x")
+        X = np.array([[0.3, 1.0], [0.3, 0.0]])
+        assert scores == list(-eval_log_density(model, X))
+        assert scores[0] < scores[1]  # the common category is less outlying
+
+        expl = str(tmp_path / "expl.jsonl")
+        assert main(["explain", "--model", model_path, "--data", str(data),
+                     "--rows", "0,1", "--out", expl]) == 0
+        for rec in map(json.loads, open(expl)):
+            for e in rec["per_size"]:
+                assert e["log_density"] == log_marginal_subspace(
+                    model, X[rec["row"]], e["features"])
+
+    def test_unseen_category_or_header_mismatch_exits_3(self, rare_first, capsys):
+        tmp_path, model_path = rare_first
+        for name, text in (("unseen.csv", "a,c\n0.3,x\n0.3,z\n"),
+                           ("renamed.csv", "a,d\n0.3,x\n")):
+            data = str(tmp_path / name)
+            open(data, "w").write(text)
+            assert main(["score", "--model", model_path, "--data", data]) == 3
+            assert main(["explain", "--model", model_path, "--data", data,
+                         "--rows", "0"]) == 3
+        assert "Traceback" not in capsys.readouterr().err

@@ -50,33 +50,24 @@ class TestLoadCsv:
 class TestSchemaSidecar:
     def test_declared_schema_overrides_inference(self, tmp_path):
         csv_path = write(tmp_path, "d.csv", "x\n1\n2\n")
-        schema = [Column("x", "categorical", ("1", "2"))]
-        schema_path = str(tmp_path / "schema.json")
-        save_schema(schema, schema_path)
-        ds = load_csv(csv_path, schema_path)
+        ds = load_csv(csv_path, [Column("x", "categorical", ("1", "2"))])
         assert ds.schema[0].kind == "categorical"
         assert ds.values[:, 0].tolist() == [0.0, 1.0]
 
     def test_header_mismatch(self, tmp_path):
         csv_path = write(tmp_path, "d.csv", "y\n1\n")
-        schema_path = str(tmp_path / "schema.json")
-        save_schema([Column("x", "real")], schema_path)
         with pytest.raises(DataError, match="does not match schema"):
-            load_csv(csv_path, schema_path)
+            load_csv(csv_path, [Column("x", "real")])
 
     def test_non_numeric_cell_in_declared_real_column(self, tmp_path):
         csv_path = write(tmp_path, "d.csv", "x\n1\noops\n")
-        schema_path = str(tmp_path / "schema.json")
-        save_schema([Column("x", "real")], schema_path)
         with pytest.raises(DataError, match=r":3: column 'x' declared real"):
-            load_csv(csv_path, schema_path)
+            load_csv(csv_path, [Column("x", "real")])
 
     def test_undeclared_category(self, tmp_path):
         csv_path = write(tmp_path, "d.csv", "c\nred\ngreen\n")
-        schema_path = str(tmp_path / "schema.json")
-        save_schema([Column("c", "categorical", ("red", "blue"))], schema_path)
-        with pytest.raises(DataError, match="not among declared categories"):
-            load_csv(csv_path, schema_path)
+        with pytest.raises(DataError, match=r":3: value 'green' not among declared"):
+            load_csv(csv_path, [Column("c", "categorical", ("red", "blue"))])
 
     def test_schema_round_trip(self, tmp_path):
         schema = [Column("x", "real"), Column("c", "categorical", ("a", "b"))]

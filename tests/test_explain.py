@@ -10,9 +10,8 @@ from conftest import random_gaussian_model
 from spnexplain.data import Column
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
                                 elbow_select, explain, forward_beam_search,
-                                outlier_score, subspace_score_stats,
-                                zscore_select)
-from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel,
+                                subspace_score_stats, zscore_select)
+from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel, log_marginal,
                               log_marginal_subspace)
 
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -53,18 +52,19 @@ def greedy_backward_oracle(model, x):
 class TestOutlierScore:
     def test_standard_normal_at_mean(self):
         m = factorized_model([(0.0, 1.0)])
-        assert outlier_score(m, [0.0], [0]) == pytest.approx(HALF_LN_2PI, abs=1e-12)
+        assert -log_marginal(m, [0.0], [True]) == pytest.approx(HALF_LN_2PI, abs=1e-12)
 
     def test_monotone_in_distance_from_mean(self):
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
-        scores = [outlier_score(m, [d, 0.0], [0]) for d in (0.0, 1.0, 2.0, 4.0)]
+        X = np.array([[d, 0.0] for d in (0.0, 1.0, 2.0, 4.0)])
+        scores = list(-log_marginal(m, X, [True, False]))
         assert scores == sorted(scores)
 
     def test_factorized_scores_add_across_features(self, rng):
         m = factorized_model([(0.0, 1.0), (2.0, 0.5), (-1.0, 3.0)])
         x = rng.normal(size=3)
-        total = outlier_score(m, x, [0, 1, 2])
-        parts = sum(outlier_score(m, x, [j]) for j in range(3))
+        total = -log_marginal(m, x, np.ones(3, dtype=bool))
+        parts = -log_marginal(m, x, np.eye(3, dtype=bool)).sum()
         assert total == pytest.approx(parts, abs=1e-12)
 
 

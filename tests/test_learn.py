@@ -135,23 +135,25 @@ class TestClusterRows:
 class TestFitLeaf:
     def test_constant_column_gets_floored_sigma(self):
         floor = sigma_floor_for(np.zeros(4))
-        leaf = fit_leaf(np.zeros(4), Column("a", "real"), floor)
+        leaf = fit_leaf(np.zeros(4), Column("a", "real"), 3, floor)
+        assert leaf.feature == 3
         assert leaf.mu == 0.0
         assert leaf.sigma == floor == 1e-6
 
     def test_two_point_population_mle(self):
-        leaf = fit_leaf(np.array([1.0, 3.0]), Column("a", "real"), 1e-9)
+        leaf = fit_leaf(np.array([1.0, 3.0]), Column("a", "real"), 0, 1e-9)
         assert leaf.mu == 2.0
         assert leaf.sigma == 1.0
 
     def test_categorical_add_one_smoothing(self):
         col = Column("c", "categorical", ("x", "y"))
-        leaf = fit_leaf(np.array([0, 0, 0, 1.0]), col, 0.0)
+        leaf = fit_leaf(np.array([0, 0, 0, 1.0]), col, 2, 0.0)
+        assert leaf.feature == 2
         assert leaf.probs == pytest.approx((4 / 6, 2 / 6))
 
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_leaf(np.array([]), Column("a", "real"), 1e-9)
+            fit_leaf(np.array([]), Column("a", "real"), 0, 1e-9)
 
 
 def _dataset(X):

@@ -98,6 +98,7 @@ class TestRunBenchmark:
                                explanations_path=exp_path, summary_path=sum_path)
         assert report.mean_f1 == pytest.approx(np.mean(report.f1), abs=1e-12)
         assert report.rows == list(labeled.outlier_rows)
+        assert report.eval_counts == [6 * 7 // 2 - 1] * len(report.rows)
 
         records = [json.loads(l) for l in open(exp_path)]
         assert [r["row"] for r in records] == report.rows

@@ -12,9 +12,10 @@ from conftest import (all_assignments, brute_force_marginal, direct_prob,
 from spnexplain.data import Column
 from spnexplain.errors import ModelFormatError
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
-                              ProductNode, SpnModel, SumNode, from_dict,
-                              load_model, log_density, log_marginal_subspace,
-                              node_count, save_model, to_dict, validate)
+                              ProductNode, SpnModel, SumNode, eval_log_density,
+                              from_dict, load_model, log_marginal,
+                              log_marginal_subspace, save_model, to_dict,
+                              validate)
 
 REAL2 = [Column("a", "real"), Column("b", "real")]
 
@@ -58,7 +59,7 @@ class TestValidate:
 
 class TestLogDensity:
     def test_standard_normal_at_mean(self):
-        lp = log_density(std_normal_leaf(), [0.0])
+        lp = eval_log_density(std_normal_leaf(), [0.0])
         assert lp == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_two_component_mixture(self):
@@ -67,7 +68,7 @@ class TestLogDensity:
         def pdf(x, mu):
             return math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2 * math.pi)
         expected = math.log(0.5 * pdf(0, 0) + 0.5 * pdf(0, 4))
-        assert log_density(m, [0.0]) == pytest.approx(expected, abs=1e-12)
+        assert eval_log_density(m, [0.0]) == pytest.approx(expected, abs=1e-12)
 
     def test_partial_categorical_matches_enumeration(self, rng):
         for _ in range(20):
@@ -75,23 +76,23 @@ class TestLogDensity:
             if m.n_features < 2:
                 continue
             partial = {0: 0}
-            query = [0 if j == 0 else None for j in range(m.n_features)]
-            got = math.exp(log_density(m, query))
+            keep = np.arange(m.n_features) == 0
+            got = math.exp(log_marginal(m, np.zeros(m.n_features), keep))
             assert got == pytest.approx(brute_force_marginal(m, partial), rel=1e-9)
 
     def test_rejects_empty_query(self):
         with pytest.raises(ValueError, match="marginalizes every feature"):
-            log_density(std_normal_leaf(), [None])
+            log_marginal(std_normal_leaf(), [0.0], [False])
 
     def test_rejects_out_of_range_category(self):
         m = SpnModel([CategoricalLeaf(0, (0.5, 0.5))], 0,
                      [Column("c", "categorical", ("x", "y"))])
         with pytest.raises(ValueError, match="out of range"):
-            log_density(m, [5])
+            eval_log_density(m, [5])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            log_density(std_normal_leaf(), [0.0, 1.0])
+            eval_log_density(std_normal_leaf(), [0.0, 1.0])
 
 
 class TestMarginalSubspace:
@@ -99,7 +100,7 @@ class TestMarginalSubspace:
         m = random_gaussian_model(rng, 3)
         x = rng.normal(size=3)
         full = log_marginal_subspace(m, x, [0, 1, 2])
-        assert full == log_density(m, list(x))
+        assert full == eval_log_density(m, list(x))
 
     def test_factorized_model_sums_per_feature(self):
         leaves = [GaussianLeaf(j, float(j), 1.0 + j) for j in range(3)]
@@ -115,7 +116,7 @@ class TestMarginalSubspace:
             m = random_gaussian_model(rng, 2)
             x = rng.uniform(-2, 2, size=2)
             def joint(y):
-                return math.exp(log_density(m, [x[0], y]))
+                return math.exp(eval_log_density(m, [x[0], y]))
             oracle, _ = quad(joint, -60, 60, limit=300, epsabs=1e-10)
             got = math.exp(log_marginal_subspace(m, x, [0]))
             assert got == pytest.approx(oracle, rel=1e-6, abs=1e-9)
@@ -125,19 +126,69 @@ class TestMarginalSubspace:
             log_marginal_subspace(std_normal_leaf(), [0.0], [])
 
 
+class TestLogMarginal:
+    def test_masks_against_one_sample_match_enumeration(self, rng):
+        for _ in range(20):
+            m = random_categorical_model(rng)
+            x = np.array([rng.integers(len(c.categories)) for c in m.schema],
+                         dtype=np.float64)
+            keep = rng.random((6, m.n_features)) < 0.5
+            keep[:, 0] = True  # no query marginalizes every feature
+            got = log_marginal(m, x, keep)
+            assert got.shape == (6,)
+            for mask, lp in zip(keep, got):
+                want = brute_force_marginal(
+                    m, {int(j): int(x[j]) for j in np.flatnonzero(mask)})
+                assert math.exp(lp) == pytest.approx(want, rel=1e-9)
+
+    def test_one_mask_against_rows_matches_enumeration(self, rng):
+        for _ in range(20):
+            m = random_categorical_model(rng)
+            X = np.column_stack([rng.integers(len(c.categories), size=5)
+                                 for c in m.schema]).astype(np.float64)
+            keep = np.arange(m.n_features) % 2 == 0
+            got = log_marginal(m, X, keep)
+            assert got.shape == (5,)
+            for row, lp in zip(X, got):
+                want = brute_force_marginal(
+                    m, {int(j): int(row[j]) for j in np.flatnonzero(keep)})
+                assert math.exp(lp) == pytest.approx(want, rel=1e-9)
+
+    def test_single_query_is_the_nan_masked_evaluation(self, rng):
+        m = random_gaussian_model(rng, 4)
+        x = rng.normal(size=4)
+        keep = np.array([True, False, True, False])
+        counter = EvalCounter()
+        got = log_marginal(m, x, keep, counter)
+        assert got == eval_log_density(m, np.where(keep, x, np.nan))
+        assert np.ndim(got) == 0
+        assert counter.queries == 1
+
+    def test_wrong_mask_shape_rejected(self, rng):
+        m = random_gaussian_model(rng, 3)
+        with pytest.raises(ValueError):
+            log_marginal(m, np.zeros(3), np.ones(4, dtype=bool))
+        with pytest.raises(ValueError):
+            log_marginal(m, np.zeros((5, 3)), np.ones((2, 3), dtype=bool))
+        with pytest.raises(ValueError):
+            log_marginal(m, np.zeros(4), np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="boolean mask"):
+            log_marginal(m, np.zeros(3), [0, 2, 1])
+
+
 class TestNodeCount:
     def test_single_leaf(self):
-        assert node_count(std_normal_leaf()) == 1
+        assert len(std_normal_leaf().nodes) == 1
 
     def test_product_of_three_leaves(self):
         leaves = [GaussianLeaf(j, 0.0, 1.0) for j in range(3)]
         m = SpnModel(leaves + [ProductNode((0, 1, 2))], 3,
                      [Column(f"f{j}", "real") for j in range(3)])
-        assert node_count(m) == 4
+        assert len(m.nodes) == 4
 
     def test_matches_serialized_length(self, rng):
         m = random_categorical_model(rng)
-        assert node_count(m) == len(to_dict(m)["nodes"])
+        assert len(m.nodes) == len(to_dict(m)["nodes"])
 
 
 class TestDistributionProperties:
@@ -145,7 +196,7 @@ class TestDistributionProperties:
     @given(seed=st.integers(0, 10**6))
     def test_total_probability_is_one(self, seed):
         m = random_categorical_model(np.random.default_rng(seed))
-        total = sum(math.exp(log_density(m, list(x))) for x in all_assignments(m))
+        total = sum(math.exp(eval_log_density(m, list(x))) for x in all_assignments(m))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=15, deadline=None)
@@ -165,19 +216,19 @@ class TestDistributionProperties:
     def test_each_node_evaluated_at_most_once(self, rng):
         m = random_gaussian_model(rng, 4)
         counter = EvalCounter()
-        log_density(m, [0.0, 0.0, 0.0, 0.0], counter)
+        eval_log_density(m, [0.0, 0.0, 0.0, 0.0], counter)
         assert counter.queries == 1
-        assert counter.node_evals <= node_count(m)
+        assert counter.node_evals <= len(m.nodes)
 
     def test_fully_instantiated_query_is_joint_bit_exact(self, rng):
         m = random_gaussian_model(rng, 3)
         x = list(rng.normal(size=3))
-        assert log_marginal_subspace(m, x, [0, 1, 2]) == log_density(m, x)
+        assert log_marginal_subspace(m, x, [0, 1, 2]) == eval_log_density(m, x)
 
     def test_no_nan_for_extreme_inputs(self, rng):
         m = random_gaussian_model(rng, 3)
         for scale in (1e3, 1e6, 1e9):
-            lp = log_density(m, [scale, -scale, scale])
+            lp = eval_log_density(m, [scale, -scale, scale])
             assert not math.isnan(lp)
 
 
@@ -189,7 +240,7 @@ class TestSerialization:
         m2 = load_model(str(path))
         queries = rng.normal(size=(1000, 4))
         for q in queries[:50]:
-            assert log_density(m2, list(q)) == log_density(m, list(q))
+            assert eval_log_density(m2, list(q)) == eval_log_density(m, list(q))
 
     def test_weights_renormalized_within_tolerance(self):
         doc = to_dict(SpnModel(
