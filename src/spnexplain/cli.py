@@ -17,16 +17,10 @@ from .model import eval_log_density, load_model, save_model
 def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=LearnConfig.alpha)
     p.add_argument("--min-slice-rows", type=int, default=LearnConfig.min_slice_rows)
-    p.add_argument("--rdc-features", type=int, default=LearnConfig.rdc_features)
-    p.add_argument("--rdc-scale", type=float, default=LearnConfig.rdc_scale)
-    p.add_argument("--gmm-max-iters", type=int, default=LearnConfig.gmm_max_iters)
-    p.add_argument("--gmm-tol", type=float, default=LearnConfig.gmm_tol)
 
 
 def _learn_config(args) -> LearnConfig:
     return LearnConfig(alpha=args.alpha, min_slice_rows=args.min_slice_rows,
-                       rdc_features=args.rdc_features, rdc_scale=args.rdc_scale,
-                       gmm_max_iters=args.gmm_max_iters, gmm_tol=args.gmm_tol,
                        seed=args.seed)
 
 
@@ -46,16 +40,14 @@ def _explain_config(args) -> ExplainConfig:
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-samples", type=int, default=GenDefaults.n_samples)
-    p.add_argument("--n-outliers", type=int, default=GenDefaults.n_outliers)
-    p.add_argument("--subspace-min", type=int, default=GenDefaults.subspace_min)
-    p.add_argument("--subspace-max", type=int, default=GenDefaults.subspace_max)
+    gen = datagen.GenConfig
+    p.add_argument("--n-samples", type=int, default=gen.n_samples)
+    p.add_argument("--n-outliers", type=int, default=gen.n_outliers)
+    p.add_argument("--subspace-min", type=int, default=gen.subspace_min)
+    p.add_argument("--subspace-max", type=int, default=gen.subspace_max)
     p.add_argument("--clusters-per-subspace", type=int,
-                   default=GenDefaults.clusters_per_subspace)
-    p.add_argument("--noise-sigma", type=float, default=GenDefaults.noise_sigma)
-
-
-GenDefaults = datagen.GenConfig(n_features=10)
+                   default=gen.clusters_per_subspace)
+    p.add_argument("--noise-sigma", type=float, default=gen.noise_sigma)
 
 
 def _gen_config(args) -> datagen.GenConfig:

@@ -69,6 +69,37 @@ def _parse_real(cell: str) -> float | None:
     return v
 
 
+def columns_to_json(schema: list[Column]) -> list[dict]:
+    """The JSON form of a schema: one {"name", "kind"[, "categories"]} per column."""
+    entries = []
+    for c in schema:
+        entry: dict = {"name": c.name, "kind": c.kind}
+        if c.kind == "categorical":
+            entry["categories"] = list(c.categories)
+        entries.append(entry)
+    return entries
+
+
+def columns_from_json(entries, where: str) -> list[Column]:
+    """Parse the JSON form of a schema; errors name `where[i]`."""
+    if not isinstance(entries, list):
+        raise DataError(f"{where}: expected a list of column objects")
+    cols = []
+    for i, c in enumerate(entries):
+        at = f"{where}[{i}]"
+        if not (isinstance(c, dict) and isinstance(c.get("name"), str)):
+            raise DataError(f"{at}: needs an object with a string 'name'")
+        categories = c.get("categories", [])
+        if not (isinstance(categories, list)
+                and all(isinstance(v, str) for v in categories)):
+            raise DataError(f"{at}: 'categories' must be a list of strings")
+        try:
+            cols.append(Column(c["name"], c.get("kind"), tuple(categories)))
+        except DataError as exc:
+            raise DataError(f"{at}: {exc}") from exc
+    return cols
+
+
 def load_schema(path: str) -> list[Column]:
     try:
         with open(path) as fh:
@@ -79,23 +110,12 @@ def load_schema(path: str) -> list[Column]:
         raise DataError(f"schema {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "columns" not in doc:
         raise DataError(f"schema {path}: expected an object with a 'columns' list")
-    cols = []
-    for i, c in enumerate(doc["columns"]):
-        if not isinstance(c, dict) or "name" not in c or "kind" not in c:
-            raise DataError(f"schema {path}: columns[{i}] needs 'name' and 'kind'")
-        cols.append(Column(c["name"], c["kind"], tuple(c.get("categories", ()))))
-    return cols
+    return columns_from_json(doc["columns"], f"schema {path}: columns")
 
 
 def save_schema(schema: list[Column], path: str) -> None:
-    doc = {"columns": []}
-    for c in schema:
-        entry: dict = {"name": c.name, "kind": c.kind}
-        if c.kind == "categorical":
-            entry["categories"] = list(c.categories)
-        doc["columns"].append(entry)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({"columns": columns_to_json(schema)}, fh, indent=2)
         fh.write("\n")
 
 

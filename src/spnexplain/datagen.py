@@ -182,15 +182,18 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"labels {path} are not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "outliers" not in doc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("outliers"), list)):
         raise DataError(f"labels {path}: expected an object with an 'outliers' list")
     rows: list[int] = []
     truth: dict[int, tuple[int, ...]] = {}
     for i, entry in enumerate(doc["outliers"]):
-        if not isinstance(entry, dict) or "row" not in entry or "subspace" not in entry:
-            raise DataError(f"labels {path}: outliers[{i}] needs 'row' and 'subspace'")
+        if not (isinstance(entry, dict) and isinstance(entry.get("row"), int)
+                and isinstance(entry.get("subspace"), list)
+                and all(isinstance(d, int) for d in entry["subspace"])):
+            raise DataError(f"labels {path}: outliers[{i}] needs an integer 'row' "
+                            f"and a list of integers 'subspace'")
         row = entry["row"]
-        sub = tuple(sorted(int(d) for d in entry["subspace"]))
+        sub = tuple(sorted(entry["subspace"]))
         if not (0 <= row < dataset.n_rows):
             raise DataError(f"labels {path}: outliers[{i}] row {row} outside "
                             f"dataset of {dataset.n_rows} rows")

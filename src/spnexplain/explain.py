@@ -141,7 +141,7 @@ def subspace_score_stats(model: SpnModel, X: np.ndarray, subspace: Subspace,
     return ScoreStats(float(scores.mean()), float(scores.std()))
 
 
-def zscore_select(model: SpnModel, x, per_size: list[SizeBest], X_train,
+def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
                   counter: EvalCounter | None = None) -> SizeBest:
     """Pick the candidate whose score is most extreme relative to the
     training-set score distribution in its subspace (ties: smallest size)."""
@@ -185,6 +185,6 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     if config.selection == "elbow":
         chosen = elbow_select(per_size, config.kappa)
     else:
-        chosen = zscore_select(model, x, per_size, X_train, counter)
+        chosen = zscore_select(model, per_size, X_train, counter)
     return ExplanationTrace(per_size, chosen.subspace, chosen.size,
                             counter.queries, config.strategy, config.selection)

@@ -23,17 +23,16 @@ from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
 
 MAX_RECURSION_DEPTH = 64
 VAR_FLOOR = 1e-6
+RDC_FEATURES = 20        # random sine features per column (k)
+RDC_SCALE = 1.0 / 6.0    # projection scale s
+GMM_MAX_ITERS = 100      # EM iterations of the 2-way row split, at most
+GMM_TOL = 1e-4           # EM stops when the mean log-likelihood moves less
 
 
 @dataclass(frozen=True)
 class LearnConfig:
     alpha: float = 0.6            # RDC dependence threshold
     min_slice_rows: int = 200     # below this, factorize naively
-    rdc_features: int = 20        # random sine features per column
-    rdc_scale: float = 1.0 / 6.0  # projection scale s
-    gmm_components: int = 2
-    gmm_max_iters: int = 100
-    gmm_tol: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class LearnConfig:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if self.min_slice_rows < 2:
             raise ValueError("min_slice_rows must be >= 2")
-        if self.rdc_features < 2:
-            raise ValueError("rdc_features must be >= 2")
 
 
 def _mask_seed(seed: int) -> int:
@@ -70,7 +67,7 @@ def _max_canonical_corr(fa: np.ndarray, fb: np.ndarray, ridge: float = 1e-9) -> 
     return float(min(max(rho, 0.0), 1.0))
 
 
-def rdc(col_a, col_b, config: LearnConfig, seed) -> float:
+def rdc(col_a, col_b, seed) -> float:
     """Randomized dependence coefficient of two numeric columns.
 
     Rank-transforms each column to empirical copula values, lifts both
@@ -86,10 +83,10 @@ def rdc(col_a, col_b, config: LearnConfig, seed) -> float:
     if n < 3:
         raise ValueError(f"rdc needs at least 3 samples, got {n}")
     rng = np.random.default_rng(seed)
-    k = config.rdc_features
+    k = RDC_FEATURES
     # frequency scale 2*sqrt(s)*k: high enough to resolve oscillatory
     # dependence on the unit copula while keeping the null coefficient low
-    w = rng.normal(0.0, 2.0 * math.sqrt(config.rdc_scale) * k, size=k)
+    w = rng.normal(0.0, 2.0 * math.sqrt(RDC_SCALE) * k, size=k)
     bias = rng.uniform(0.0, 2.0 * math.pi, size=k)
     ua = rankdata(a) / (n + 1)
     ub = rankdata(b) / (n + 1)
@@ -116,7 +113,7 @@ def split_columns(X: np.ndarray, rows: np.ndarray, cols: list[int],
         for b in cols[ia + 1:]:
             if find(a) == find(b):
                 continue
-            coeff = rdc(X[rows, a], X[rows, b], config, pair_seed(config.seed, a, b))
+            coeff = rdc(X[rows, a], X[rows, b], pair_seed(config.seed, a, b))
             if coeff >= config.alpha:
                 parent[find(b)] = find(a)
     groups: dict[int, list[int]] = {}
@@ -132,7 +129,7 @@ def _gmm_log_resp(Z, means, variances, log_weights):
     return ll + log_weights[None]
 
 
-def cluster_rows(Z: np.ndarray, config: LearnConfig,
+def cluster_rows(Z: np.ndarray,
                  rng: np.random.Generator) -> tuple[np.ndarray, tuple[float, float]]:
     """2-way row partition via diagonal-covariance GMM-EM on standardized data.
 
@@ -158,7 +155,7 @@ def cluster_rows(Z: np.ndarray, config: LearnConfig,
         variances = np.maximum(Z.var(axis=0), VAR_FLOOR)[None].repeat(2, axis=0)
         log_weights = np.log(np.array([0.5, 0.5]))
         prev_ll = -np.inf
-        for _ in range(config.gmm_max_iters):
+        for _ in range(GMM_MAX_ITERS):
             lr = _gmm_log_resp(Z, means, variances, log_weights)
             norm = logsumexp(lr, axis=1)
             resp = np.exp(lr - norm[:, None])
@@ -170,7 +167,7 @@ def cluster_rows(Z: np.ndarray, config: LearnConfig,
             means = (resp.T @ Z) / nk[:, None]
             variances = np.maximum(
                 (resp.T @ (Z ** 2)) / nk[:, None] - means ** 2, VAR_FLOOR)
-            if abs(ll - prev_ll) < config.gmm_tol:
+            if abs(ll - prev_ll) < GMM_TOL:
                 break
             prev_ll = ll
         lr = _gmm_log_resp(Z, means, variances, log_weights)
@@ -243,7 +240,7 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
                    for gi, g in enumerate(groups)]
             return add(ProductNode(tuple(ids)))
         rng = np.random.default_rng((_mask_seed(config.seed), 11, len(path)) + path)
-        assign, weights = cluster_rows(X[np.ix_(rows, cols)], config, rng)
+        assign, weights = cluster_rows(X[np.ix_(rows, cols)], rng)
         ids = [build(rows[~assign], cols, depth + 1, path + (0,)),
                build(rows[assign], cols, depth + 1, path + (1,))]
         return add(SumNode(tuple(ids), weights))

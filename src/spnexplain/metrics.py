@@ -47,8 +47,6 @@ def detect(model: SpnModel, dataset: Dataset,
 @dataclass
 class EvalReport:
     rows: list[int]
-    precision: list[float]
-    recall: list[float]
     f1: list[float]
     eval_counts: list[int]
     mean_f1: float
@@ -75,37 +73,27 @@ def trace_record(row: int, trace: ExplanationTrace) -> dict:
 def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
                   explain_config: ExplainConfig,
                   explanations_path: str | None = None,
-                  summary_path: str | None = None,
-                  model: SpnModel | None = None) -> EvalReport:
-    """Train once, explain every labeled outlier, and aggregate F1 scores.
-
-    A pre-trained model may be passed to compare strategies without
-    retraining; train_seconds is then 0.
-    """
+                  summary_path: str | None = None) -> EvalReport:
+    """Train once, explain every labeled outlier, and aggregate F1 scores."""
     dataset = labeled.dataset
-    train_s = 0.0
-    if model is None:
-        t0 = time.perf_counter()
-        model = learn_spn(dataset, learn_config)
-        train_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    model = learn_spn(dataset, learn_config)
+    train_s = time.perf_counter() - t0
 
     needs_train = explain_config.selection == "zscore"
-    rows, precs, recs, f1s, evals = [], [], [], [], []
+    f1s, evals = [], []
     lines = []
     t0 = time.perf_counter()
     for row in labeled.outlier_rows:
         trace = explain(model, dataset.values[row], explain_config,
                         X_train=dataset.values if needs_train else None)
-        p, r, f1 = f1_dims(trace.selected, labeled.ground_truth[row])
-        rows.append(row)
-        precs.append(p)
-        recs.append(r)
+        _, _, f1 = f1_dims(trace.selected, labeled.ground_truth[row])
         f1s.append(f1)
         evals.append(trace.eval_count)
         lines.append(json.dumps(trace_record(row, trace)))
     explain_s = time.perf_counter() - t0
 
-    report = EvalReport(rows, precs, recs, f1s, evals,
+    report = EvalReport(list(labeled.outlier_rows), f1s, evals,
                         float(np.mean(f1s)) if f1s else 0.0,
                         train_s, explain_s, dataset.n_features,
                         explain_config.strategy, explain_config.selection)

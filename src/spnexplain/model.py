@@ -16,8 +16,8 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Column
-from .errors import ModelFormatError
+from .data import Column, columns_from_json, columns_to_json
+from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
 LOAD_WEIGHT_TOL = 1e-6
@@ -270,12 +270,6 @@ FORMAT_VERSION = 1
 
 
 def to_dict(model: SpnModel) -> dict:
-    schema = []
-    for c in model.schema:
-        entry: dict = {"name": c.name, "kind": c.kind}
-        if c.kind == "categorical":
-            entry["categories"] = list(c.categories)
-        schema.append(entry)
     nodes = []
     for i, node in enumerate(model.nodes):
         if isinstance(node, SumNode):
@@ -291,14 +285,24 @@ def to_dict(model: SpnModel) -> dict:
         else:
             nodes.append({"id": i, "type": "categorical", "feature": int(node.feature),
                           "probs": [float(p) for p in node.probs]})
-    return {"version": FORMAT_VERSION, "schema": schema, "root": model.root,
-            "nodes": nodes}
+    return {"version": FORMAT_VERSION, "schema": columns_to_json(model.schema),
+            "root": model.root, "nodes": nodes}
 
 
-def _require(doc: dict, key: str, where: str):
+_NUMBER = (int, float)
+_TYPE_NAMES = {int: "int", _NUMBER: "number", list: "list"}
+
+
+def _require(doc: dict, key: str, where: str, kind=object, item=None):
+    """doc[key], checked to be a `kind` (a list of `item`s if `item` is given)."""
     if key not in doc:
         raise ModelFormatError(f"{where}: missing field {key!r}")
-    return doc[key]
+    value = doc[key]
+    if not isinstance(value, kind) or (
+            item is not None and not all(isinstance(v, item) for v in value)):
+        expected = _TYPE_NAMES[kind] if item is None else f"list of {_TYPE_NAMES[item]}"
+        raise ModelFormatError(f"{where}: field {key!r} must be of type {expected}")
+    return value
 
 
 def from_dict(doc: dict) -> SpnModel:
@@ -307,20 +311,12 @@ def from_dict(doc: dict) -> SpnModel:
     version = _require(doc, "version", "document")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"document: unsupported version {version!r}")
-    schema = []
-    for i, c in enumerate(_require(doc, "schema", "document")):
-        where = f"schema[{i}]"
-        if not isinstance(c, dict):
-            raise ModelFormatError(f"{where}: expected an object")
-        kind = _require(c, "kind", where)
-        if kind not in ("real", "categorical"):
-            raise ModelFormatError(f"{where}: unknown kind {kind!r}")
-        schema.append(Column(_require(c, "name", where), kind,
-                             tuple(c.get("categories", ()))))
-    root = _require(doc, "root", "document")
-    if not isinstance(root, int):
-        raise ModelFormatError("document: root must be an integer")
-    raw_nodes = _require(doc, "nodes", "document")
+    try:
+        schema = columns_from_json(_require(doc, "schema", "document"), "schema")
+    except DataError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    root = _require(doc, "root", "document", int)
+    raw_nodes = _require(doc, "nodes", "document", list)
     nodes: list[Node] = []
     for i, nd in enumerate(raw_nodes):
         where = f"nodes[{i}]"
@@ -331,8 +327,8 @@ def from_dict(doc: dict) -> SpnModel:
                                    f"arena position {i}")
         ntype = _require(nd, "type", where)
         if ntype == "sum":
-            children = tuple(_require(nd, "children", where))
-            weights = [float(w) for w in _require(nd, "weights", where)]
+            children = tuple(_require(nd, "children", where, list, int))
+            weights = [float(w) for w in _require(nd, "weights", where, list, _NUMBER)]
             total = sum(weights)
             if abs(total - 1.0) > WEIGHT_TOL:
                 # renormalize near-misses, keep already-valid weights bit-exact
@@ -343,15 +339,15 @@ def from_dict(doc: dict) -> SpnModel:
                 weights = [w / total for w in weights]
             nodes.append(SumNode(children, tuple(weights)))
         elif ntype == "product":
-            nodes.append(ProductNode(tuple(_require(nd, "children", where))))
+            nodes.append(ProductNode(tuple(_require(nd, "children", where, list, int))))
         elif ntype == "gaussian":
-            nodes.append(GaussianLeaf(_require(nd, "feature", where),
-                                      float(_require(nd, "mu", where)),
-                                      float(_require(nd, "sigma", where))))
+            nodes.append(GaussianLeaf(_require(nd, "feature", where, int),
+                                      float(_require(nd, "mu", where, _NUMBER)),
+                                      float(_require(nd, "sigma", where, _NUMBER))))
         elif ntype == "categorical":
             nodes.append(CategoricalLeaf(
-                _require(nd, "feature", where),
-                tuple(float(p) for p in _require(nd, "probs", where))))
+                _require(nd, "feature", where, int),
+                tuple(float(p) for p in _require(nd, "probs", where, list, _NUMBER))))
         else:
             raise ModelFormatError(f"{where}: unknown node type {ntype!r}")
     model = SpnModel(nodes, root, schema)

@@ -109,13 +109,26 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_model_errors_exit_4(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "bad_model.json"
         doc = json.load(open(workspace["model"]))
-        doc["version"] = 99
-        bad.write_text(json.dumps(doc))
-        assert main(["score", "--model", str(bad),
-                     "--data", workspace["data"]]) == 4
-        capsys.readouterr()
+        nodes = doc["nodes"]
+        product = next(nd for nd in nodes if nd["type"] == "product")["id"]
+        gaussian = next(nd for nd in nodes if nd["type"] == "gaussian")["id"]
+        cases = [
+            lambda d: d.__setitem__("version", 99),
+            lambda d: d["schema"].__setitem__(0, {"name": "f0", "kind": "categorical"}),
+            lambda d: d.__setitem__("schema", 5),
+            lambda d: d["nodes"][product].__setitem__("children", 5),
+            lambda d: d["nodes"][gaussian].__setitem__("feature", "a"),
+            lambda d: d["nodes"][gaussian].__setitem__("mu", "x"),
+        ]
+        for i, corrupt in enumerate(cases):
+            bad_doc = json.loads(json.dumps(doc))
+            corrupt(bad_doc)
+            bad = tmp_path / f"bad_model{i}.json"
+            bad.write_text(json.dumps(bad_doc))
+            assert main(["score", "--model", str(bad),
+                         "--data", workspace["data"]]) == 4
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_determinism_byte_identical_artifacts(self, workspace, tmp_path):
         data2 = str(tmp_path / "again.csv")

@@ -1,9 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy.stats import gaussian_kde
 
+from spnexplain.cli import main
+from spnexplain.data import save_csv
 from spnexplain.datagen import (GenConfig, LabeledDataset, generate,
                                 read_labels, write_labels)
 from spnexplain.errors import DataError
@@ -98,6 +101,29 @@ class TestLabelsSidecar:
         write_labels(bad, path)
         with pytest.raises(DataError, match="subspace"):
             read_labels(labeled.dataset, path)
+
+    def test_malformed_entries_name_the_outlier(self, tmp_path):
+        labeled = generate(PAIRS_CFG)
+        path = tmp_path / "labels.json"
+        for outliers, where in [([{"row": "3", "subspace": [0, 1]}], r"outliers\[0\]"),
+                                ([{"row": 3, "subspace": 3}], r"outliers\[0\]"),
+                                ([{"row": 3, "subspace": ["a"]}], r"outliers\[0\]"),
+                                ([{"row": 1.5, "subspace": [0, 1]}], r"outliers\[0\]"),
+                                (3, "outliers")]:
+            path.write_text(json.dumps({"outliers": outliers}))
+            with pytest.raises(DataError, match=where):
+                read_labels(labeled.dataset, str(path))
+
+    def test_malformed_sidecar_exits_3_from_eval(self, tmp_path, capsys):
+        labeled = generate(PAIRS_CFG)
+        data, labels = tmp_path / "data.csv", tmp_path / "labels.json"
+        explanations = tmp_path / "expl.jsonl"
+        save_csv(labeled.dataset, str(data))
+        labels.write_text(json.dumps({"outliers": [{"row": "3", "subspace": [0, 1]}]}))
+        explanations.write_text("")
+        assert main(["eval", "--explanations", str(explanations),
+                     "--data", str(data), "--labels", str(labels)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPlantedAnomalyQuality:

@@ -202,7 +202,7 @@ class TestZscoreSelect:
             SizeBest(1, (0,), float(log_marginal_subspace(m, x, (0,)))),
             SizeBest(2, (0, 1), float(log_marginal_subspace(m, x, (0, 1)))),
         ]
-        sel = zscore_select(m, x, per_size, X)
+        sel = zscore_select(m, per_size, X)
         zs = []
         for sb in per_size:
             st_ = subspace_score_stats(m, X, sb.subspace)
@@ -215,13 +215,13 @@ class TestZscoreSelect:
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
         X = np.zeros((10, 2))
         per_size = _per_size([-2.0, -3.0])
-        sel = zscore_select(m, np.array([1.0, 1.0]), per_size, X)
+        sel = zscore_select(m, per_size, X)
         assert sel.size == 1
 
     def test_requires_training_data(self):
         m = factorized_model([(0.0, 1.0)])
         with pytest.raises(ValueError, match="training data"):
-            zscore_select(m, np.array([0.0]), _per_size([-1.0]), np.empty((0, 1)))
+            zscore_select(m, _per_size([-1.0]), np.empty((0, 1)))
 
 
 class TestExplain:

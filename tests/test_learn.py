@@ -31,18 +31,18 @@ def cca_oracle(fa, fb, ridge=1e-9):
 class TestRdc:
     def test_identity_dependence(self, rng):
         a = rng.normal(size=500)
-        assert rdc(a, a, CFG, 1) >= 0.95
+        assert rdc(a, a, 1) >= 0.95
 
     def test_independent_uniforms_stay_low(self):
         vals = []
         for s in range(20):
             r = np.random.default_rng(1000 + s)
-            vals.append(rdc(r.uniform(size=1000), r.uniform(size=1000), CFG, s))
+            vals.append(rdc(r.uniform(size=1000), r.uniform(size=1000), s))
         assert np.median(vals) < 0.3
 
     def test_nonlinear_sine_dependence(self):
         x = np.random.default_rng(7).uniform(0, 2 * np.pi, 1000)
-        assert rdc(x, np.sin(4 * x), CFG, 0) >= 0.8
+        assert rdc(x, np.sin(4 * x), 0) >= 0.8
 
     def test_matches_cca_oracle_internals(self, rng):
         from spnexplain.learn import _max_canonical_corr
@@ -59,13 +59,13 @@ class TestRdc:
         a = r.normal(size=200)
         b = np.sin(a) + 0.3 * r.normal(size=200)
         s = pair_seed(CFG.seed, 3, 9)
-        assert rdc(a, b, CFG, s) == pytest.approx(rdc(b, a, CFG, s), abs=1e-9)
+        assert rdc(a, b, s) == pytest.approx(rdc(b, a, s), abs=1e-9)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="equal-length"):
-            rdc([1.0, 2.0, 3.0], [1.0, 2.0], CFG, 0)
+            rdc([1.0, 2.0, 3.0], [1.0, 2.0], 0)
         with pytest.raises(ValueError, match="at least 3"):
-            rdc([1.0, 2.0], [1.0, 2.0], CFG, 0)
+            rdc([1.0, 2.0], [1.0, 2.0], 0)
 
 
 def _block_data(rng, n=600):
@@ -90,7 +90,7 @@ class TestSplitColumns:
         assert groups == [[0, 1], [2]]
         # agrees with the pairwise-coefficient oracle
         for a, b in ((0, 1), (0, 2), (1, 2)):
-            coeff = rdc(X[:, a], X[:, b], CFG, pair_seed(CFG.seed, a, b))
+            coeff = rdc(X[:, a], X[:, b], pair_seed(CFG.seed, a, b))
             assert (coeff >= CFG.alpha) == ({a, b} <= {0, 1})
 
     def test_fully_dependent_columns_stay_together(self, rng):
@@ -104,7 +104,7 @@ class TestClusterRows:
     def test_recovers_separated_blobs(self):
         r = np.random.default_rng(5)
         Z = np.concatenate([r.normal(0, 0.1, 100), r.normal(10, 0.1, 100)])[:, None]
-        assign, weights = cluster_rows(Z, CFG, np.random.default_rng(9))
+        assign, weights = cluster_rows(Z, np.random.default_rng(9))
         oracle = Z[:, 0] > 5
         agree = (assign == oracle).mean()
         assert agree in (0.0, 1.0)  # labels may be swapped
@@ -112,7 +112,7 @@ class TestClusterRows:
 
     def test_identical_rows_fall_back_to_balanced_split(self):
         Z = np.ones((40, 3))
-        assign, weights = cluster_rows(Z, CFG, np.random.default_rng(1))
+        assign, weights = cluster_rows(Z, np.random.default_rng(1))
         assert assign.sum() == 20
         assert weights == pytest.approx((0.5, 0.5))
 
@@ -121,7 +121,7 @@ class TestClusterRows:
     def test_partition_and_weights_are_consistent(self, seed, n):
         r = np.random.default_rng(seed)
         Z = r.normal(size=(n, 3))
-        assign, weights = cluster_rows(Z, CFG, np.random.default_rng(seed + 1))
+        assign, weights = cluster_rows(Z, np.random.default_rng(seed + 1))
         assert assign.shape == (n,)
         assert 0 < assign.sum() < n
         assert weights[0] + weights[1] == 1.0
@@ -129,7 +129,7 @@ class TestClusterRows:
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            cluster_rows(np.ones((1, 2)), CFG, np.random.default_rng(0))
+            cluster_rows(np.ones((1, 2)), np.random.default_rng(0))
 
 
 class TestFitLeaf:

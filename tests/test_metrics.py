@@ -79,16 +79,6 @@ class TestRunBenchmark:
             run_benchmark(labeled, LearnConfig(seed=2), ExplainConfig())
             assert spy.call_count == 1
 
-    def test_pretrained_model_skips_training(self):
-        labeled = generate(GenConfig(n_features=6, n_samples=400,
-                                     n_outliers=5, seed=2))
-        model = learn_spn(labeled.dataset, LearnConfig(seed=2))
-        with mock.patch.object(metrics, "learn_spn") as spy:
-            report = run_benchmark(labeled, LearnConfig(seed=2),
-                                   ExplainConfig(), model=model)
-            assert spy.call_count == 0
-        assert report.train_seconds == 0.0
-
     def test_mean_f1_integrity_and_outputs(self, tmp_path):
         labeled = generate(GenConfig(n_features=6, n_samples=400,
                                      n_outliers=8, seed=3))
@@ -127,7 +117,7 @@ class TestRunBenchmark:
 
 class TestWriteSummary:
     def test_multiple_reports_one_line_each(self, tmp_path):
-        r = metrics.EvalReport([0], [1.0], [1.0], [1.0], [5], 1.0, 0.1, 0.2,
+        r = metrics.EvalReport([0], [1.0], [5], 1.0, 0.1, 0.2,
                                4, "backward", "elbow")
         path = str(tmp_path / "s.tsv")
         write_summary([r, r], path)

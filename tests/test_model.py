@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (all_assignments, brute_force_marginal, direct_prob,
-                      random_categorical_model, random_gaussian_model)
+                      random_categorical_model, random_gaussian_model,
+                      random_mixed_model)
 from spnexplain.data import Column
 from spnexplain.errors import ModelFormatError
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
@@ -202,7 +204,6 @@ class TestDistributionProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_marginal_consistency_all_subsets(self, seed):
-        import itertools
         m = random_categorical_model(np.random.default_rng(seed))
         n = m.n_features
         rng = np.random.default_rng(seed + 1)
@@ -212,6 +213,26 @@ class TestDistributionProperties:
                 got = math.exp(log_marginal_subspace(m, x, sub))
                 want = brute_force_marginal(m, {j: x[j] for j in sub})
                 assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_mixed_marginals_match_enumeration(self, seed):
+        # every subset that keeps all real features: the categorical ones
+        # it drops are summed out by enumeration
+        m = random_mixed_model(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        x = [float(rng.uniform(-2, 2)) if c.kind == "real"
+             else int(rng.integers(len(c.categories))) for c in m.schema]
+        cats = [j for j, c in enumerate(m.schema) if c.kind == "categorical"]
+        for size in range(len(cats) + 1):
+            for dropped in itertools.combinations(cats, size):
+                keep = ~np.isin(np.arange(m.n_features), dropped)
+                if not keep.any():
+                    continue
+                got = math.exp(log_marginal(m, x, keep))
+                want = brute_force_marginal(
+                    m, {j: x[j] for j in range(m.n_features) if keep[j]})
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_each_node_evaluated_at_most_once(self, rng):
         m = random_gaussian_model(rng, 4)
@@ -284,3 +305,23 @@ class TestSerialization:
                           "mu": 0.0, "sigma": -2.0}]}
         with pytest.raises(ModelFormatError, match="sigma"):
             from_dict(doc)
+
+    def test_malformed_fields_name_the_offending_entry(self):
+        model = SpnModel(
+            [GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+             SumNode((0, 1), (0.5, 0.5)), GaussianLeaf(1, 0.0, 1.0),
+             ProductNode((2, 3))], 4, REAL2)
+        cases = [
+            (lambda d: d["schema"].__setitem__(0, {"name": "a", "kind": "categorical"}),
+             r"schema\[0\]"),
+            (lambda d: d.__setitem__("schema", 5), "schema"),
+            (lambda d: d["nodes"][2].__setitem__("children", 5), r"nodes\[2\]"),
+            (lambda d: d["nodes"][4].__setitem__("children", 5), r"nodes\[4\]"),
+            (lambda d: d["nodes"][3].__setitem__("feature", "a"), r"nodes\[3\]"),
+            (lambda d: d["nodes"][1].__setitem__("mu", "x"), r"nodes\[1\]"),
+        ]
+        for corrupt, where in cases:
+            doc = to_dict(model)
+            corrupt(doc)
+            with pytest.raises(ModelFormatError, match=where):
+                from_dict(doc)
