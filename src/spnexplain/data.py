@@ -130,7 +130,11 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     """
     if not os.path.exists(path):
         raise DataError(f"cannot read {path}: no such file")
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -180,6 +180,8 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read labels {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"labels {path} are not valid JSON: {exc}") from exc
     if not (isinstance(doc, dict) and isinstance(doc.get("outliers"), list)):
@@ -200,6 +202,8 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
         if not sub or sub[0] < 0 or sub[-1] >= dataset.n_features:
             raise DataError(f"labels {path}: outliers[{i}] subspace {list(sub)} "
                             f"outside schema")
+        if row in truth:
+            raise DataError(f"labels {path}: outliers[{i}] repeats row {row}")
         rows.append(row)
         truth[row] = sub
     return LabeledDataset(dataset, tuple(sorted(rows)), truth)

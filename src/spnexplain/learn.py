@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, svdvals
 from scipy.special import logsumexp
-from scipy.stats import rankdata
 
 from .data import Column, Dataset
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
@@ -67,6 +66,18 @@ def _max_canonical_corr(fa: np.ndarray, fb: np.ndarray, ridge: float = 1e-9) -> 
     return float(min(max(rho, 0.0), 1.0))
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a vector, ties sharing the mean of their ranks (the
+    'average' method of scipy.stats.rankdata); half-integers are exact."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, values.size])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def rdc(col_a, col_b, seed) -> float:
     """Randomized dependence coefficient of two numeric columns.
 
@@ -88,8 +99,8 @@ def rdc(col_a, col_b, seed) -> float:
     # dependence on the unit copula while keeping the null coefficient low
     w = rng.normal(0.0, 2.0 * math.sqrt(RDC_SCALE) * k, size=k)
     bias = rng.uniform(0.0, 2.0 * math.pi, size=k)
-    ua = rankdata(a) / (n + 1)
-    ub = rankdata(b) / (n + 1)
+    ua = average_ranks(a) / (n + 1)
+    ub = average_ranks(b) / (n + 1)
     fa = np.sin(np.outer(ua, w) + bias)
     fb = np.sin(np.outer(ub, w) + bias)
     return _max_canonical_corr(fa, fb)

@@ -1,20 +1,21 @@
 """Sum-product network representation, validation, and marginal inference.
 
 Nodes live in a flat arena indexed by integer ids, children before
-parents, so one forward pass over the arena evaluates any query. All
-computation is in the log domain with log-sum-exp at sum nodes; a
-marginalized leaf contributes log(1) = 0.
+parents. For inference the arena is compiled once into level-ordered
+arrays (a node's level is one more than its deepest child's), so one
+bottom-up pass evaluates any batch of queries with a few numpy operations
+per level. All computation is in the log domain with log-sum-exp at sum
+nodes; a marginalized leaf contributes log(1) = 0.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Column, columns_from_json, columns_to_json
 from .errors import DataError, ModelFormatError
@@ -68,6 +69,10 @@ class SpnModel:
     nodes: list[Node]
     root: int
     schema: list[Column]
+    # built on the first evaluation; nothing changes `nodes` or `root` after
+    # construction
+    _circuit: _Circuit | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def n_features(self) -> int:
@@ -185,52 +190,149 @@ def _check_query_matrix(model: SpnModel, q: np.ndarray) -> None:
         )
     if np.isnan(q).all(axis=1).any():
         raise ValueError("query marginalizes every feature")
-    for j, col in enumerate(model.schema):
-        if col.kind != "categorical":
-            continue
-        vals = q[:, j]
-        obs = vals[~np.isnan(vals)]
-        if obs.size and (np.any(obs != np.floor(obs)) or np.any(obs < 0)
-                         or np.any(obs >= len(col.categories))):
+    cats = [j for j, col in enumerate(model.schema) if col.kind == "categorical"]
+    if cats:
+        vals = q[:, cats]
+        sizes = np.array([len(model.schema[j].categories) for j in cats])
+        bad = ~np.isnan(vals) & ((vals != np.floor(vals)) | (vals < 0) | (vals >= sizes))
+        if bad.any():
+            col = model.schema[cats[int(np.argmax(bad.any(axis=0)))]]
             raise ValueError(f"categorical value out of range for column {col.name!r}")
+
+
+class _Circuit:
+    """The arena compiled into level-ordered arrays.
+
+    Row r of the value matrix holds one node's log-density for every query
+    of a batch: Gaussian leaves first, then categorical leaves, then each
+    level's products followed by its sums. One extra row of zeros pads the
+    child slots, so the nodes of a level share one gather whatever their
+    arity.
+    """
+
+    def __init__(self, model: SpnModel):
+        nodes = model.nodes
+        level = [0] * len(nodes)
+        for i, node in enumerate(nodes):
+            if isinstance(node, (SumNode, ProductNode)):
+                if not all(0 <= c < i for c in node.children):
+                    raise ValueError(f"node {i}: children must precede their parent")
+                level[i] = 1 + max(level[c] for c in node.children)
+        gauss = [i for i, node in enumerate(nodes) if isinstance(node, GaussianLeaf)]
+        cats = [i for i, node in enumerate(nodes) if isinstance(node, CategoricalLeaf)]
+        inner = [([], []) for _ in range(max(level, default=0))]  # (products, sums)
+        for i, node in enumerate(nodes):
+            if isinstance(node, (SumNode, ProductNode)):
+                inner[level[i] - 1][isinstance(node, SumNode)].append(i)
+        order = gauss + cats + [i for prods, sums in inner for i in prods + sums]
+        if len(order) != len(nodes):
+            raise ValueError("model has nodes of unknown type")
+        row = {node_id: r for r, node_id in enumerate(order)}
+        self.n_rows = len(order) + 1  # the last row is the zero padding
+        self.root = row[model.root]
+
+        gauss = [nodes[i] for i in gauss]
+        self.gauss_feature = np.array([g.feature for g in gauss], dtype=np.intp)
+        self.mu = np.array([g.mu for g in gauss])[:, None]
+        self.sigma = np.array([g.sigma for g in gauss])[:, None]
+        self.log_sigma = np.array([math.log(g.sigma) for g in gauss])[:, None]
+        cats = [nodes[i] for i in cats]
+        self.cat_feature = np.array([c.feature for c in cats], dtype=np.intp)
+        self.cat_rows = np.arange(len(cats))[:, None]
+        self.cat_log_probs = np.zeros((len(cats), max((len(c.probs) for c in cats),
+                                                      default=0)))
+        for r, c in enumerate(cats):
+            self.cat_log_probs[r, :len(c.probs)] = np.log(np.asarray(c.probs))
+
+        def slots(ids: list[int]) -> np.ndarray:
+            # (arity, nodes): slot s holds each node's s-th child
+            idx = np.full((max((len(nodes[i].children) for i in ids), default=0),
+                           len(ids)), len(order), dtype=np.intp)
+            for j, i in enumerate(ids):
+                idx[:len(nodes[i].children), j] = [row[c] for c in nodes[i].children]
+            return idx
+
+        self.levels = []
+        for prods, sums in inner:
+            sum_idx = slots(sums)
+            log_w = np.full(sum_idx.shape, -np.inf)  # a padded slot adds exp(-inf) = 0
+            for j, i in enumerate(sums):
+                log_w[:len(nodes[i].weights), j] = np.log(np.asarray(nodes[i].weights))
+            self.levels.append((slots(prods), sum_idx, log_w[:, :, None]))
+
+    def log_density(self, q: np.ndarray) -> np.ndarray:
+        """Root log-density of each row of a checked (batch, n) query matrix."""
+        vals = np.empty((self.n_rows, q.shape[0]))
+        vals[-1] = 0.0
+        x = q.T[self.gauss_feature]
+        z = (x - self.mu) / self.sigma  # NaN where marginalized
+        lp = -0.5 * z * z - self.log_sigma - 0.5 * LOG_2PI
+        lo, hi = 0, len(self.gauss_feature)
+        vals[lo:hi] = np.where(np.isnan(x), 0.0, lp)
+        x = q.T[self.cat_feature]
+        obs = ~np.isnan(x)
+        lp = self.cat_log_probs[self.cat_rows, np.where(obs, x, 0.0).astype(np.intp)]
+        lo, hi = hi, hi + len(self.cat_feature)
+        vals[lo:hi] = np.where(obs, lp, 0.0)
+        for prod_idx, sum_idx, log_w in self.levels:
+            lo, hi = hi, hi + prod_idx.shape[1]
+            if lo < hi:
+                vals[lo:hi] = _add_slots(vals[prod_idx])
+            lo, hi = hi, hi + sum_idx.shape[1]
+            if lo < hi:
+                vals[lo:hi] = _logsumexp(vals[sum_idx] + log_w)
+        return vals[self.root]
+
+
+def _add_slots(stack: np.ndarray) -> np.ndarray:
+    """stack[0] + stack[1] + ... in slot order, never pairwise, so that a
+    row's sum does not depend on the rest of its batch. The stack is
+    (slots, nodes, batch) and is overwritten."""
+    if stack[0].size <= 512:
+        # one call that walks the slots of each output element in turn:
+        # quick for narrow batches, slow per element for wide ones
+        return np.add.accumulate(stack, axis=0)[-1]
+    acc = stack[0]
+    for part in stack[1:]:
+        acc += part
+    return acc
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over axis 0, computed as scipy.special.logsumexp
+    (scipy 1.17) computes it: the m terms equal to the maximum are taken out
+    of the sum, which gives log1p(s / m) + log(m) + max."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amax = a.max(axis=0)
+        top = a == amax
+        m = top.sum(axis=0, dtype=np.float64)
+        s = _add_slots(np.exp(np.where(top, -np.inf, a) - amax))
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + amax
+        bad = ~np.isfinite(out)
+        if bad.any():  # every term is -inf
+            out[bad] = np.log(_add_slots(np.exp(a)))[bad]
+    return out
 
 
 def eval_log_density(model: SpnModel, queries: np.ndarray,
                      counter: EvalCounter | None = None) -> np.ndarray:
     """Evaluate log p(x_D) for a batch of queries (NaN = marginalized).
 
-    Single forward pass over the arena: each node is computed exactly
-    once per batch.
+    One bottom-up pass over the compiled circuit: each node is computed
+    exactly once per batch, and a row's result does not depend on the
+    other rows of its batch.
     """
     q = np.asarray(queries, dtype=np.float64)
     squeeze = q.ndim == 1
     if squeeze:
         q = q[None, :]
     _check_query_matrix(model, q)
-    batch = q.shape[0]
-    vals = np.empty((len(model.nodes), batch))
-    for i, node in enumerate(model.nodes):
-        if isinstance(node, GaussianLeaf):
-            x = q[:, node.feature]
-            obs = ~np.isnan(x)
-            z = (np.where(obs, x, node.mu) - node.mu) / node.sigma
-            lp = -0.5 * z * z - math.log(node.sigma) - 0.5 * LOG_2PI
-            vals[i] = np.where(obs, lp, 0.0)
-        elif isinstance(node, CategoricalLeaf):
-            x = q[:, node.feature]
-            obs = ~np.isnan(x)
-            idx = np.where(obs, x, 0.0).astype(np.intp)
-            lp = np.log(np.asarray(node.probs))[idx]
-            vals[i] = np.where(obs, lp, 0.0)
-        elif isinstance(node, ProductNode):
-            vals[i] = vals[list(node.children)].sum(axis=0)
-        else:
-            stacked = vals[list(node.children)] + np.log(
-                np.asarray(node.weights))[:, None]
-            vals[i] = logsumexp(stacked, axis=0)
+    if model._circuit is None:
+        model._circuit = _Circuit(model)
+    out = model._circuit.log_density(q)
     if counter is not None:
-        counter.add(batch, len(model.nodes) * batch)
-    out = vals[model.root]
+        counter.add(q.shape[0], len(model.nodes) * q.shape[0])
     return out[0] if squeeze else out
 
 

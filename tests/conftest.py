@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spnexplain.data import Column
-from spnexplain.model import (CategoricalLeaf, GaussianLeaf, ProductNode,
+from spnexplain.model import (LOG_2PI, CategoricalLeaf, GaussianLeaf, ProductNode,
                               SpnModel, SumNode)
 
 
@@ -134,6 +135,38 @@ def direct_prob(model: SpnModel, node_id: int, x) -> float:
         return p
     return sum(w * direct_prob(model, c, x)
                for w, c in zip(node.weights, node.children))
+
+
+def reference_log_density(model: SpnModel, queries) -> np.ndarray:
+    """The arena walked node by node, one numpy step per node, with scipy's
+    logsumexp at sum nodes: the oracle that the compiled evaluator must
+    match bit for bit. `queries` is (batch, n), NaN = marginalized. numpy
+    sums a (k, 1) stack pairwise once k >= 8, so for a single row and a
+    node of 8 or more children this can differ from a batched pass in the
+    last ulp; compare batches of two or more rows."""
+    q = np.asarray(queries, dtype=np.float64)
+    batch = q.shape[0]
+    vals = np.empty((len(model.nodes), batch))
+    for i, node in enumerate(model.nodes):
+        if isinstance(node, GaussianLeaf):
+            x = q[:, node.feature]
+            obs = ~np.isnan(x)
+            z = (np.where(obs, x, node.mu) - node.mu) / node.sigma
+            lp = -0.5 * z * z - math.log(node.sigma) - 0.5 * LOG_2PI
+            vals[i] = np.where(obs, lp, 0.0)
+        elif isinstance(node, CategoricalLeaf):
+            x = q[:, node.feature]
+            obs = ~np.isnan(x)
+            idx = np.where(obs, x, 0.0).astype(np.intp)
+            lp = np.log(np.asarray(node.probs))[idx]
+            vals[i] = np.where(obs, lp, 0.0)
+        elif isinstance(node, ProductNode):
+            vals[i] = vals[list(node.children)].sum(axis=0)
+        else:
+            stacked = vals[list(node.children)] + np.log(
+                np.asarray(node.weights))[:, None]
+            vals[i] = logsumexp(stacked, axis=0)
+    return vals[model.root]
 
 
 def all_assignments(model: SpnModel):

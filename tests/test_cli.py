@@ -96,6 +96,18 @@ class TestExitCodes:
                      "--data", workspace["data"], "--rows", "99999"]) == 3
         capsys.readouterr()
 
+    def test_train_data_directory_exits_3(self, tmp_path, capsys):
+        assert main(["train", "--data", str(tmp_path), "--seed", "0",
+                     "--model", str(tmp_path / "m.json")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_eval_labels_directory_exits_3(self, workspace, capsys):
+        expl = workspace["dir"] / "empty.jsonl"
+        expl.write_text("")
+        assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
+                     "--labels", str(workspace["dir"])]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_malformed_explanation_records_exit_3(self, workspace, capsys):
         row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
         for i, rec in enumerate([{"row": row}, {"selected": [0]}, [row, [0]],

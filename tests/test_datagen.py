@@ -114,6 +114,17 @@ class TestLabelsSidecar:
             with pytest.raises(DataError, match=where):
                 read_labels(labeled.dataset, str(path))
 
+    def test_repeated_row_rejected(self, tmp_path):
+        labeled = generate(PAIRS_CFG)
+        path = tmp_path / "labels.json"
+        write_labels(labeled, str(path))
+        doc = json.loads(path.read_text())
+        doc["outliers"].append(dict(doc["outliers"][0]))
+        path.write_text(json.dumps(doc))
+        last = len(doc["outliers"]) - 1
+        with pytest.raises(DataError, match=rf"outliers\[{last}\] repeats row"):
+            read_labels(labeled.dataset, str(path))
+
     def test_malformed_sidecar_exits_3_from_eval(self, tmp_path, capsys):
         labeled = generate(PAIRS_CFG)
         data, labels = tmp_path / "data.csv", tmp_path / "labels.json"

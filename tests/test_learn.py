@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from spnexplain.data import Column, Dataset
-from spnexplain.learn import (LearnConfig, cluster_rows, fit_leaf, learn_spn,
-                              pair_seed, rdc, sigma_floor_for, split_columns)
+from spnexplain.learn import (LearnConfig, average_ranks, cluster_rows, fit_leaf,
+                              learn_spn, pair_seed, rdc, sigma_floor_for,
+                              split_columns)
 from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel, SumNode,
                               eval_log_density, to_dict, validate)
 
@@ -60,6 +62,16 @@ class TestRdc:
         b = np.sin(a) + 0.3 * r.normal(size=200)
         s = pair_seed(CFG.seed, 3, 9)
         assert rdc(a, b, s) == pytest.approx(rdc(b, a, s), abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10**6), levels=st.sampled_from([1, 2, 5, 50, 0]))
+    def test_average_ranks_match_scipy_rankdata(self, seed, levels):
+        # levels = 0 draws untied normals; otherwise ties among that many values
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 300))
+        v = r.normal(size=n) if levels == 0 else r.integers(0, levels, n) * 0.5
+        got, want = average_ranks(v), rankdata(v)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="equal-length"):

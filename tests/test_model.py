@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_categorical_model, random_gaussian_model,
-                      random_mixed_model)
+                      random_mixed_model, reference_log_density)
 from spnexplain.data import Column
 from spnexplain.errors import ModelFormatError
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
@@ -251,6 +251,68 @@ class TestDistributionProperties:
         for scale in (1e3, 1e6, 1e9):
             lp = eval_log_density(m, [scale, -scale, scale])
             assert not math.isnan(lp)
+
+
+def random_queries(rng, model, batch: int) -> np.ndarray:
+    """Rows of valid values with a random share marginalized (NaN); every
+    row keeps at least one feature."""
+    q = np.array([rng.normal(0.0, 3.0, batch) if c.kind == "real"
+                  else rng.integers(0, len(c.categories), batch).astype(float)
+                  for c in model.schema]).T
+    drop = rng.random(q.shape) < rng.uniform(0.0, 0.9)
+    drop[np.arange(batch), rng.integers(0, model.n_features, batch)] = False
+    return np.where(drop, np.nan, q)
+
+
+class TestCompiledCircuit:
+    """The compiled evaluator against the node-by-node reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), builder=st.sampled_from(["mixed", "gaussian"]),
+           batch=st.sampled_from([2, 7, 60, 700]))
+    def test_bit_identical_to_node_by_node_reference(self, seed, builder, batch):
+        # batches of >= 2 rows: numpy sums the reference's (k, 1) stacks
+        # of a single row pairwise, the (k, batch) stacks in child order
+        rng = np.random.default_rng(seed)
+        m = (random_mixed_model(rng) if builder == "mixed"
+             else random_gaussian_model(rng, int(rng.integers(1, 12))))
+        q = random_queries(rng, m, batch)
+        got = eval_log_density(m, q)
+        assert np.array_equal(got, reference_log_density(m, q))
+        # a row alone gets the value it gets inside the batch
+        for i in rng.choice(batch, size=min(batch, 10), replace=False):
+            assert eval_log_density(m, q[i]) == got[i]
+
+    def test_wide_product_row_alone_equals_batch(self, rng):
+        # numpy would sum a lone row's 30 children pairwise, a batch's in order
+        n = 30
+        m = SpnModel([GaussianLeaf(j, float(rng.normal()), float(rng.uniform(0.5, 2)))
+                      for j in range(n)] + [ProductNode(tuple(range(n)))], n,
+                     [Column(f"g{j}", "real") for j in range(n)])
+        q = random_queries(rng, m, 50)
+        got = eval_log_density(m, q)
+        assert np.array_equal(got, reference_log_density(m, q))
+        assert [eval_log_density(m, row) for row in q] == list(got)
+
+    def test_tied_sum_children(self, rng):
+        # two equal maximal terms take log-sum-exp's m = 2 path
+        for leaf, column in ((GaussianLeaf(0, 0.5, 1.5), Column("a", "real")),
+                             (CategoricalLeaf(0, (0.2, 0.8)),
+                              Column("c", "categorical", ("x", "y")))):
+            m = SpnModel([leaf, leaf, SumNode((0, 1), (0.5, 0.5))], 2, [column])
+            q = np.array([[0.0], [1.0]])
+            got = eval_log_density(m, q)
+            assert np.array_equal(got, reference_log_density(m, q))
+            single = eval_log_density(SpnModel([leaf], 0, [column]), q)
+            assert got == pytest.approx(single, abs=1e-15)
+
+    def test_infinite_values_match_reference(self):
+        m = random_gaussian_model(np.random.default_rng(3), 4)
+        q = np.array([[np.inf, 0.0, 1.0, -1.0], [0.0, -np.inf, np.nan, 2.0],
+                      [np.nan, np.nan, np.nan, 0.5]])
+        got = eval_log_density(m, q)
+        assert np.array_equal(got, reference_log_density(m, q))
+        assert list(np.isneginf(got)) == [True, True, False]
 
 
 class TestSerialization:
