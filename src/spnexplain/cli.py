@@ -188,7 +188,7 @@ def cmd_eval(args) -> None:
     try:
         with open(args.explanations) as fh:
             records = [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read explanations {args.explanations}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.explanations}: invalid JSON line: {exc}") from exc

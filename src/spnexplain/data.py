@@ -104,7 +104,7 @@ def load_schema(path: str) -> list[Column]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read schema {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"schema {path} is not valid JSON: {exc}") from exc
@@ -131,27 +131,23 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     if not os.path.exists(path):
         raise DataError(f"cannot read {path}: no such file")
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+    if not lines:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header, rows = lines[0], lines[1:]
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: ragged row, {len(row)} cells but {len(header)} columns"
+            )
+        for j, cell in enumerate(row):
+            if cell == "":
                 raise DataError(
-                    f"{path}:{lineno}: ragged row, {len(row)} cells but {len(header)} columns"
+                    f"{path}:{lineno}: missing value in column {header[j]!r} (index {j})"
                 )
-            for j, cell in enumerate(row):
-                if cell == "":
-                    raise DataError(
-                        f"{path}:{lineno}: missing value in column {header[j]!r} (index {j})"
-                    )
-            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     if schema is not None:

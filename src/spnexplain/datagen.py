@@ -180,7 +180,7 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read labels {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"labels {path} are not valid JSON: {exc}") from exc

@@ -13,17 +13,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, svdvals
-from scipy.special import logsumexp
 
 from .data import Column, Dataset
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
-                    SumNode, validate)
+                    SumNode, _logsumexp, validate)
 
 MAX_RECURSION_DEPTH = 64
 VAR_FLOOR = 1e-6
 RDC_FEATURES = 20        # random sine features per column (k)
 RDC_SCALE = 1.0 / 6.0    # projection scale s
+RDC_RIDGE = 1e-9         # added to each feature block's covariance
+RDC_CHUNK = 1 << 18      # float64 elements per transient RDC buffer (2 MB)
 GMM_MAX_ITERS = 100      # EM iterations of the 2-way row split, at most
 GMM_TOL = 1e-4           # EM stops when the mean log-likelihood moves less
 
@@ -37,33 +37,12 @@ class LearnConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.min_slice_rows < 2:
-            raise ValueError("min_slice_rows must be >= 2")
+        if self.min_slice_rows < 3:  # the RDC needs 3 rows
+            raise ValueError("min_slice_rows must be >= 3")
 
 
 def _mask_seed(seed: int) -> int:
     return seed % (1 << 63)
-
-
-def pair_seed(seed: int, i: int, j: int) -> tuple[int, ...]:
-    """Seed material for one unordered column pair, order-independent."""
-    a, b = (i, j) if i <= j else (j, i)
-    return (_mask_seed(seed), 7, a, b)
-
-
-def _max_canonical_corr(fa: np.ndarray, fb: np.ndarray, ridge: float = 1e-9) -> float:
-    fa = fa - fa.mean(axis=0)
-    fb = fb - fb.mean(axis=0)
-    n = fa.shape[0]
-    caa = fa.T @ fa / (n - 1) + ridge * np.eye(fa.shape[1])
-    cbb = fb.T @ fb / (n - 1) + ridge * np.eye(fb.shape[1])
-    cab = fa.T @ fb / (n - 1)
-    la = cholesky(caa, lower=True)
-    lb = cholesky(cbb, lower=True)
-    k = solve_triangular(la, cab, lower=True)
-    k = solve_triangular(lb, k.T, lower=True).T
-    rho = svdvals(k)[0]
-    return float(min(max(rho, 0.0), 1.0))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -78,6 +57,47 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _rdc_features(X: np.ndarray, seed) -> np.ndarray:
+    """Random sine features of the empirical copula of each column of X
+    (rows, columns), as blocks of shape (columns, RDC_FEATURES, rows).
+    Every column goes through the same draw of frequencies and phases."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    k = RDC_FEATURES
+    # frequency scale 2*sqrt(s)*k: high enough to resolve oscillatory
+    # dependence on the unit copula while keeping the null coefficient low
+    w = rng.normal(0.0, 2.0 * math.sqrt(RDC_SCALE) * k, size=k)
+    bias = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    u = np.stack([average_ranks(col) for col in X.T]) / (n + 1)
+    F = u[:, None, :] * w[:, None]
+    F += bias[:, None]
+    return np.sin(F, out=F)
+
+
+def _canonical_corrs(F: np.ndarray) -> np.ndarray:
+    """Largest canonical correlation of every pair of the c feature blocks
+    in F (c, k features, n samples), as a symmetric (c, c) matrix with a
+    zero diagonal. F is overwritten with the whitened blocks W_c = F_c
+    L_c^-T, L_c L_c^T being block c's covariance plus a ridge; a pair's
+    coefficient is the top singular value of W_a^T W_b / (n - 1)."""
+    c, k, n = F.shape
+    F -= F.mean(axis=2, keepdims=True)
+    cov = F @ F.transpose(0, 2, 1) / (n - 1) + RDC_RIDGE * np.eye(k)
+    chol = np.linalg.cholesky(cov)
+    step = max(1, RDC_CHUNK // (k * n))
+    for i in range(0, c, step):
+        F[i:i + step] = np.linalg.solve(chol[i:i + step], F[i:i + step])
+    W = F.reshape(c * k, n)
+    rho = np.zeros((c, c))
+    step = max(1, RDC_CHUNK // (k * k * c))
+    for i in range(0, c, step):
+        cross = W[i * k:(i + step) * k] @ W[i * k:].T / (n - 1)
+        blocks = cross.reshape(-1, k, c - i, k).transpose(0, 2, 1, 3)
+        rho[i:i + step, i:] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    rho = np.clip(np.triu(rho, 1), 0.0, 1.0)
+    return rho + rho.T
+
+
 def rdc(col_a, col_b, seed) -> float:
     """Randomized dependence coefficient of two numeric columns.
 
@@ -90,47 +110,24 @@ def rdc(col_a, col_b, seed) -> float:
     b = np.asarray(col_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"rdc needs equal-length vectors, got {a.shape} and {b.shape}")
-    n = a.size
-    if n < 3:
-        raise ValueError(f"rdc needs at least 3 samples, got {n}")
-    rng = np.random.default_rng(seed)
-    k = RDC_FEATURES
-    # frequency scale 2*sqrt(s)*k: high enough to resolve oscillatory
-    # dependence on the unit copula while keeping the null coefficient low
-    w = rng.normal(0.0, 2.0 * math.sqrt(RDC_SCALE) * k, size=k)
-    bias = rng.uniform(0.0, 2.0 * math.pi, size=k)
-    ua = average_ranks(a) / (n + 1)
-    ub = average_ranks(b) / (n + 1)
-    fa = np.sin(np.outer(ua, w) + bias)
-    fb = np.sin(np.outer(ub, w) + bias)
-    return _max_canonical_corr(fa, fb)
+    if a.size < 3:
+        raise ValueError(f"rdc needs at least 3 samples, got {a.size}")
+    return float(_canonical_corrs(_rdc_features(np.column_stack([a, b]), seed))[0, 1])
 
 
 def split_columns(X: np.ndarray, rows: np.ndarray, cols: list[int],
                   config: LearnConfig) -> list[list[int]]:
     """Partition columns into dependence groups (connected components of
-    the RDC >= alpha graph), sorted by smallest member index."""
+    the RDC >= alpha graph), sorted by smallest member index. All pairs
+    share one feature draw per learn seed."""
     if len(cols) < 2:
         raise ValueError("split_columns needs at least 2 columns")
-    parent = {c: c for c in cols}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for ia, a in enumerate(cols):
-        for b in cols[ia + 1:]:
-            if find(a) == find(b):
-                continue
-            coeff = rdc(X[rows, a], X[rows, b], pair_seed(config.seed, a, b))
-            if coeff >= config.alpha:
-                parent[find(b)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for c in cols:
-        groups.setdefault(find(c), []).append(c)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    F = _rdc_features(X[np.ix_(rows, cols)], (_mask_seed(config.seed), 7))
+    reach = (_canonical_corrs(F) >= config.alpha) | np.eye(len(cols), dtype=bool)
+    for _ in range(len(cols).bit_length()):  # t squarings join paths of 2^t edges
+        reach = reach.astype(np.float64) @ reach > 0
+    groups = {tuple(np.flatnonzero(row)) for row in reach}
+    return sorted(sorted(cols[j] for j in g) for g in groups)
 
 
 def _gmm_log_resp(Z, means, variances, log_weights):
@@ -168,7 +165,7 @@ def cluster_rows(Z: np.ndarray,
         prev_ll = -np.inf
         for _ in range(GMM_MAX_ITERS):
             lr = _gmm_log_resp(Z, means, variances, log_weights)
-            norm = logsumexp(lr, axis=1)
+            norm = _logsumexp(lr.T)
             resp = np.exp(lr - norm[:, None])
             ll = float(norm.mean())
             nk = resp.sum(axis=0)

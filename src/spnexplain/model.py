@@ -469,7 +469,7 @@ def load_model(path: str) -> SpnModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc

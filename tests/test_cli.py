@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spnexplain
 from spnexplain.cli import main
 from spnexplain.model import eval_log_density, load_model, log_marginal_subspace
 
@@ -88,6 +92,12 @@ class TestExitCodes:
                      "--out", "x", "--labels", "y"]) == 2
         capsys.readouterr()
 
+    def test_min_slice_rows_two_exits_2(self, workspace, tmp_path, capsys):
+        assert main(["train", "--data", workspace["data"], "--seed", "0",
+                     "--min-slice-rows", "2", "--model", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert "min_slice_rows must be >= 3" in err and "Traceback" not in err
+
     def test_data_errors_exit_3(self, workspace, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")
         assert main(["train", "--data", missing, "--seed", "0",
@@ -107,6 +117,23 @@ class TestExitCodes:
         assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
                      "--labels", str(workspace["dir"])]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_data_schema_labels_exit_3(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe,a\n1,2\n")
+        expl = tmp_path / "empty.jsonl"
+        expl.write_text("")
+        for argv in (["train", "--data", str(bad), "--seed", "0",
+                      "--model", str(tmp_path / "m.json")],
+                     ["train", "--data", workspace["data"], "--schema", str(bad),
+                      "--seed", "0", "--model", str(tmp_path / "m.json")],
+                     ["eval", "--explanations", str(expl), "--data", workspace["data"],
+                      "--labels", str(bad)],
+                     ["eval", "--explanations", str(bad), "--data", workspace["data"],
+                      "--labels", workspace["labels"]]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "codec can't decode" in err and "Traceback" not in err
 
     def test_malformed_explanation_records_exit_3(self, workspace, capsys):
         row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
@@ -141,6 +168,13 @@ class TestExitCodes:
             assert main(["score", "--model", str(bad),
                          "--data", workspace["data"]]) == 4
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_model_exits_4(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["score", "--model", str(bad), "--data", workspace["data"]]) == 4
+        err = capsys.readouterr().err
+        assert "codec can't decode" in err and "Traceback" not in err
 
     def test_determinism_byte_identical_artifacts(self, workspace, tmp_path):
         data2 = str(tmp_path / "again.csv")
@@ -205,3 +239,13 @@ class TestModelSchemaEncoding:
             assert main(["explain", "--model", model_path, "--data", data,
                          "--rows", "0"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the runtime needs numpy alone
+    src = os.path.dirname(os.path.dirname(spnexplain.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import spnexplain.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

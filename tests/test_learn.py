@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from spnexplain.data import Column, Dataset
-from spnexplain.learn import (LearnConfig, average_ranks, cluster_rows, fit_leaf,
-                              learn_spn, pair_seed, rdc, sigma_floor_for,
-                              split_columns)
+from spnexplain.learn import (LearnConfig, _canonical_corrs, _mask_seed,
+                              _rdc_features, average_ranks, cluster_rows, fit_leaf,
+                              learn_spn, rdc, sigma_floor_for, split_columns)
 from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel, SumNode,
                               eval_log_density, to_dict, validate)
 
@@ -47,11 +47,10 @@ class TestRdc:
         assert rdc(x, np.sin(4 * x), 0) >= 0.8
 
     def test_matches_cca_oracle_internals(self, rng):
-        from spnexplain.learn import _max_canonical_corr
         for _ in range(10):
             fa = rng.normal(size=(200, 6))
-            fb = fa @ rng.normal(size=(6, 5)) + 0.5 * rng.normal(size=(200, 5))
-            assert _max_canonical_corr(fa, fb) == pytest.approx(
+            fb = fa @ rng.normal(size=(6, 6)) + 0.5 * rng.normal(size=(200, 6))
+            assert _canonical_corrs(np.stack([fa.T, fb.T]))[0, 1] == pytest.approx(
                 cca_oracle(fa, fb), abs=1e-6)
 
     @settings(max_examples=20, deadline=None)
@@ -60,7 +59,7 @@ class TestRdc:
         r = np.random.default_rng(seed)
         a = r.normal(size=200)
         b = np.sin(a) + 0.3 * r.normal(size=200)
-        s = pair_seed(CFG.seed, 3, 9)
+        s = (CFG.seed, 7, 3, 9)
         assert rdc(a, b, s) == pytest.approx(rdc(b, a, s), abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
@@ -78,6 +77,35 @@ class TestRdc:
             rdc([1.0, 2.0, 3.0], [1.0, 2.0], 0)
         with pytest.raises(ValueError, match="at least 3"):
             rdc([1.0, 2.0], [1.0, 2.0], 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(3, 400),
+           kinds=st.lists(st.sampled_from(["real", "tied", "coded", "constant"]),
+                          min_size=2, max_size=6))
+    def test_batched_coefficients_match_pairwise_and_oracle(self, seed, n, kinds):
+        # real, tied (few values), categorical-coded and constant columns,
+        # some of them functions of the first column
+        r = np.random.default_rng(seed)
+        base = r.normal(size=n)
+        cols = []
+        for kind in kinds:
+            x = base + r.normal(0.0, r.choice([0.1, 1.0, 10.0]), size=n)
+            if kind == "tied":
+                x = np.round(x * 2.0) / 2.0
+            elif kind == "coded":
+                x = np.digitize(x, np.sort(r.normal(size=int(r.integers(1, 5))))) * 1.0
+            elif kind == "constant":
+                x = np.full(n, r.normal())
+            cols.append(x)
+        X = np.column_stack(cols)
+        feats = _rdc_features(X, seed)
+        coeffs = _canonical_corrs(feats.copy())
+        for a in range(len(cols)):
+            for b in range(a + 1, len(cols)):
+                assert coeffs[a, b] == coeffs[b, a]
+                assert coeffs[a, b] == pytest.approx(rdc(X[:, a], X[:, b], seed), abs=1e-6)
+                assert coeffs[a, b] == pytest.approx(
+                    cca_oracle(feats[a].T, feats[b].T), abs=1e-6)
 
 
 def _block_data(rng, n=600):
@@ -102,8 +130,36 @@ class TestSplitColumns:
         assert groups == [[0, 1], [2]]
         # agrees with the pairwise-coefficient oracle
         for a, b in ((0, 1), (0, 2), (1, 2)):
-            coeff = rdc(X[:, a], X[:, b], pair_seed(CFG.seed, a, b))
+            coeff = rdc(X[:, a], X[:, b], (CFG.seed, 7))
             assert (coeff >= CFG.alpha) == ({a, b} <= {0, 1})
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), alpha=st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    def test_groups_are_pairwise_union_find_components(self, seed, alpha):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(3, 300))
+        X = r.normal(size=(n, 8))
+        for j in range(1, 8):  # chain some columns to earlier ones
+            if r.uniform() < 0.5:
+                X[:, j] += np.sin(3.0 * X[:, r.integers(j)]) * r.uniform(0.5, 5.0)
+        rows = np.sort(r.choice(n, size=int(r.integers(3, n + 1)), replace=False))
+        cols = sorted(r.choice(8, size=int(r.integers(2, 9)), replace=False).tolist())
+        config = LearnConfig(alpha=alpha, seed=seed)
+        parent = {c: c for c in cols}
+
+        def find(c):
+            while parent[c] != c:
+                c = parent[c]
+            return c
+
+        for ia, a in enumerate(cols):
+            for b in cols[ia + 1:]:
+                if rdc(X[rows, a], X[rows, b], (_mask_seed(seed), 7)) >= alpha:
+                    parent[find(b)] = find(a)
+        oracle: dict[int, list[int]] = {}
+        for c in cols:
+            oracle.setdefault(find(c), []).append(c)
+        assert split_columns(X, rows, cols, config) == sorted(oracle.values())
 
     def test_fully_dependent_columns_stay_together(self, rng):
         base = rng.normal(size=500)
@@ -239,6 +295,20 @@ class TestLearnSpn:
             true_ll = eval_log_density(truth, held).mean()
             gaps.append(abs(learned_ll - true_ll))
         assert np.median(gaps) < 0.5
+
+    def test_min_slice_rows_below_three_rejected(self):
+        with pytest.raises(ValueError, match="min_slice_rows must be >= 3"):
+            LearnConfig(min_slice_rows=2)
+
+    def test_three_row_slices_learn(self):
+        # with min_slice_rows=2 this table reached split_columns with a
+        # 2-row slice, which the RDC cannot score
+        r = np.random.default_rng(0)
+        z = r.normal(size=40)
+        X = np.column_stack([z + 0.1 * r.normal(size=40),
+                             z ** 2 + 0.1 * r.normal(size=40), -z])
+        model = learn_spn(_dataset(X), LearnConfig(seed=0, min_slice_rows=3))
+        assert validate(model) == []
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError, match="empty"):
