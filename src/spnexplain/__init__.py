@@ -3,7 +3,7 @@
 from .data import Column, Dataset, load_csv, save_csv
 from .datagen import GenConfig, LabeledDataset, generate, read_labels, write_labels
 from .explain import (ExplainConfig, ExplanationTrace, SizeBest,
-                      backward_elimination, elbow_select, explain,
+                      backward_elimination, elbow_select, explain, explain_rows,
                       forward_beam_search, zscore_select)
 from .learn import LearnConfig, learn_spn, rdc
 from .metrics import EvalReport, detect, f1_dims, run_benchmark
@@ -15,7 +15,7 @@ __all__ = [
     "Column", "Dataset", "load_csv", "save_csv",
     "GenConfig", "LabeledDataset", "generate", "read_labels", "write_labels",
     "ExplainConfig", "ExplanationTrace", "SizeBest", "backward_elimination",
-    "elbow_select", "explain", "forward_beam_search", "zscore_select",
+    "elbow_select", "explain", "explain_rows", "forward_beam_search", "zscore_select",
     "LearnConfig", "learn_spn", "rdc",
     "EvalReport", "detect", "f1_dims", "run_benchmark",
     "CategoricalLeaf", "EvalCounter", "GaussianLeaf", "ProductNode", "SpnModel",

@@ -9,7 +9,7 @@ import sys
 from . import datagen, metrics
 from .data import format_float, load_csv, load_schema, save_csv
 from .errors import DataError, ModelFormatError, UsageError
-from .explain import ExplainConfig, explain
+from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
 from .model import eval_log_density, load_model, save_model
 
@@ -172,14 +172,9 @@ def cmd_explain(args) -> None:
     for r in rows:
         if not (0 <= r < dataset.n_rows):
             raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
-    config = _explain_config(args)
-    needs_train = config.selection == "zscore"
-    lines = []
-    for r in rows:
-        trace = explain(model, dataset.values[r], config,
-                        X_train=dataset.values if needs_train else None)
-        lines.append(json.dumps(metrics.trace_record(r, trace)))
-    _write_lines(lines, args.out)
+    traces = explain_rows(model, dataset.values, rows, _explain_config(args))
+    _write_lines([json.dumps(metrics.trace_record(r, t)) for r, t in zip(rows, traces)],
+                 args.out)
 
 
 def cmd_eval(args) -> None:
@@ -194,6 +189,7 @@ def cmd_eval(args) -> None:
         raise DataError(f"{args.explanations}: invalid JSON line: {exc}") from exc
     lines = ["row\tprecision\trecall\tf1"]
     f1s = []
+    seen = set()
     for i, rec in enumerate(records, start=1):
         if not (isinstance(rec, dict) and isinstance(rec.get("row"), int)
                 and isinstance(rec.get("selected"), list) and rec["selected"]
@@ -203,6 +199,9 @@ def cmd_eval(args) -> None:
         row = rec["row"]
         if row not in labeled.ground_truth:
             raise DataError(f"explained row {row} has no ground-truth label")
+        if row in seen:
+            raise DataError(f"{args.explanations}: record {i} repeats row {row}")
+        seen.add(row)
         p, r, f1 = metrics.f1_dims(rec["selected"], labeled.ground_truth[row])
         f1s.append(f1)
         lines.append(f"{row}\t{format_float(p)}\t{format_float(r)}\t{format_float(f1)}")
@@ -238,10 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -174,10 +174,9 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     if config.selection == "zscore" and X_train is None:
         raise ValueError("zscore selection requires training data")
     counter = EvalCounter()
-    if n == 1:
-        logp = float(log_marginal(model, x, np.ones(1, dtype=bool), counter))
-        per_size = [SizeBest(1, (0,), logp)]
-    elif config.strategy == "forward":
+    # backward elimination needs two features; a one-feature model has only
+    # the one subspace, which a forward search of depth 1 scores
+    if config.strategy == "forward" or n == 1:
         depth = min(config.max_depth or n, n)
         per_size = forward_beam_search(model, x, depth, config.beam_width, counter)
     else:
@@ -188,3 +187,11 @@ def explain(model: SpnModel, x, config: ExplainConfig,
         chosen = zscore_select(model, per_size, X_train, counter)
     return ExplanationTrace(per_size, chosen.subspace, chosen.size,
                             counter.queries, config.strategy, config.selection)
+
+
+def explain_rows(model: SpnModel, X, rows,
+                 config: ExplainConfig) -> list[ExplanationTrace]:
+    """Explain the given rows of the table X, one `explain` call per row;
+    z-score selection measures against all rows of X."""
+    X = np.asarray(X, dtype=np.float64)
+    return [explain(model, X[r], config, X_train=X) for r in rows]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, format_float
 from .datagen import LabeledDataset
-from .explain import ExplainConfig, ExplanationTrace, explain
+from .explain import ExplainConfig, ExplanationTrace, explain_rows
 from .learn import LearnConfig, learn_spn
 from .model import SpnModel, eval_log_density
 
@@ -80,21 +80,17 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
     model = learn_spn(dataset, learn_config)
     train_s = time.perf_counter() - t0
 
-    needs_train = explain_config.selection == "zscore"
-    f1s, evals = [], []
-    lines = []
+    rows = list(labeled.outlier_rows)
     t0 = time.perf_counter()
-    for row in labeled.outlier_rows:
-        trace = explain(model, dataset.values[row], explain_config,
-                        X_train=dataset.values if needs_train else None)
-        _, _, f1 = f1_dims(trace.selected, labeled.ground_truth[row])
-        f1s.append(f1)
-        evals.append(trace.eval_count)
-        lines.append(json.dumps(trace_record(row, trace)))
+    traces = explain_rows(model, dataset.values, rows, explain_config)
     explain_s = time.perf_counter() - t0
+    f1s = [f1_dims(t.selected, labeled.ground_truth[r])[2]
+           for r, t in zip(rows, traces)]
+    lines = [json.dumps(trace_record(r, t)) for r, t in zip(rows, traces)]
 
-    report = EvalReport(list(labeled.outlier_rows), f1s, evals,
-                        float(np.mean(f1s)) if f1s else 0.0,
+    # summed in order, as `eval` sums, so both report the same mean
+    report = EvalReport(rows, f1s, [t.eval_count for t in traces],
+                        sum(f1s) / len(f1s) if f1s else 0.0,
                         train_s, explain_s, dataset.n_features,
                         explain_config.strategy, explain_config.selection)
     if explanations_path is not None:

@@ -80,18 +80,18 @@ class SpnModel:
 
 
 def _compute_scopes(nodes: list[Node]) -> list[frozenset[int]]:
-    # Defensive: forward references (non-topological arenas) get an empty
-    # scope here and are reported by validate().
+    # Defensive: forward references (non-topological arenas) and nodes of
+    # unknown type get an empty scope here and are reported by validate().
     scopes: list[frozenset[int]] = []
     for i, node in enumerate(nodes):
+        sc: set[int] = set()
         if isinstance(node, (GaussianLeaf, CategoricalLeaf)):
-            scopes.append(frozenset([node.feature]))
-        else:
-            sc: set[int] = set()
+            sc.add(node.feature)
+        elif isinstance(node, (SumNode, ProductNode)):
             for c in node.children:
                 if 0 <= c < i:
                     sc |= scopes[c]
-            scopes.append(frozenset(sc))
+        scopes.append(frozenset(sc))
     return scopes
 
 
@@ -207,7 +207,7 @@ class _Circuit:
     of a batch: Gaussian leaves first, then categorical leaves, then each
     level's products followed by its sums. One extra row of zeros pads the
     child slots, so the nodes of a level share one gather whatever their
-    arity.
+    arity. Built only from a model that `validate` accepts.
     """
 
     def __init__(self, model: SpnModel):
@@ -215,8 +215,6 @@ class _Circuit:
         level = [0] * len(nodes)
         for i, node in enumerate(nodes):
             if isinstance(node, (SumNode, ProductNode)):
-                if not all(0 <= c < i for c in node.children):
-                    raise ValueError(f"node {i}: children must precede their parent")
                 level[i] = 1 + max(level[c] for c in node.children)
         gauss = [i for i, node in enumerate(nodes) if isinstance(node, GaussianLeaf)]
         cats = [i for i, node in enumerate(nodes) if isinstance(node, CategoricalLeaf)]
@@ -225,8 +223,6 @@ class _Circuit:
             if isinstance(node, (SumNode, ProductNode)):
                 inner[level[i] - 1][isinstance(node, SumNode)].append(i)
         order = gauss + cats + [i for prods, sums in inner for i in prods + sums]
-        if len(order) != len(nodes):
-            raise ValueError("model has nodes of unknown type")
         row = {node_id: r for r, node_id in enumerate(order)}
         self.n_rows = len(order) + 1  # the last row is the zero padding
         self.root = row[model.root]
@@ -321,7 +317,8 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
 
     One bottom-up pass over the compiled circuit: each node is computed
     exactly once per batch, and a row's result does not depend on the
-    other rows of its batch.
+    other rows of its batch. A model that `validate` rejects raises
+    ValueError.
     """
     q = np.asarray(queries, dtype=np.float64)
     squeeze = q.ndim == 1
@@ -329,6 +326,9 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
         q = q[None, :]
     _check_query_matrix(model, q)
     if model._circuit is None:
+        issues = validate(model)
+        if issues:
+            raise ValueError("invalid model: " + "; ".join(issues))
         model._circuit = _Circuit(model)
     out = model._circuit.log_density(q)
     if counter is not None:

@@ -83,6 +83,29 @@ class TestPipeline:
                      "--out", str(workspace["dir"] / "z.jsonl")]) == 0
 
 
+def test_bench_writes_what_explain_and_eval_write(tmp_path, capsys):
+    # at n = 20, seed 0 a pairwise and an in-order sum of the 30 F1 values
+    # differ in the last digits, so the means match only if both sum alike
+    data, labels = str(tmp_path / "d.csv"), str(tmp_path / "l.json")
+    model, expl = str(tmp_path / "m.json"), str(tmp_path / "e.jsonl")
+    bench_expl, summary = str(tmp_path / "b.jsonl"), str(tmp_path / "s.tsv")
+    assert main(["gen", "--n-features", "20", "--seed", "0",
+                 "--out", data, "--labels", labels]) == 0
+    assert main(["train", "--data", data, "--seed", "0", "--model", model]) == 0
+    rows = ",".join(str(e["row"]) for e in json.load(open(labels))["outliers"])
+    assert main(["explain", "--model", model, "--data", data, "--rows", rows,
+                 "--out", expl]) == 0
+    assert main(["bench", "--data", data, "--labels", labels, "--seed", "0",
+                 "--explanations", bench_expl, "--summary", summary]) == 0
+    assert open(bench_expl, "rb").read() == open(expl, "rb").read()
+    capsys.readouterr()
+    assert main(["eval", "--explanations", expl, "--data", data,
+                 "--labels", labels]) == 0
+    mean = capsys.readouterr().out.splitlines()[-1].split("\t")[-1]
+    header, cells = (line.split("\t") for line in open(summary).read().splitlines())
+    assert cells[header.index("mean_f1")] == mean
+
+
 class TestExitCodes:
     def test_usage_errors_exit_2(self, workspace, capsys):
         assert main(["bench", "--seed", "1"]) == 2
@@ -146,6 +169,17 @@ class TestExitCodes:
                          "--data", workspace["data"],
                          "--labels", workspace["labels"]]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_repeated_explanation_row_exits_3(self, workspace, capsys):
+        row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
+        rec = json.dumps({"row": row, "selected": [0]})
+        expl = workspace["dir"] / "twice.jsonl"
+        expl.write_text(rec + "\n" + rec + "\n")
+        assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
+                     "--labels", workspace["labels"]]) == 3
+        captured = capsys.readouterr()
+        assert f"record 2 repeats row {row}" in captured.err
+        assert captured.out == ""
 
     def test_model_errors_exit_4(self, workspace, tmp_path, capsys):
         doc = json.load(open(workspace["model"]))

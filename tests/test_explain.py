@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import random_gaussian_model
 from spnexplain.data import Column
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
-                                elbow_select, explain, forward_beam_search,
-                                subspace_score_stats, zscore_select)
+                                elbow_select, explain, explain_rows,
+                                forward_beam_search, subspace_score_stats,
+                                zscore_select)
 from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel, log_marginal,
                               log_marginal_subspace)
 
@@ -232,6 +233,12 @@ class TestExplain:
         assert trace.selected_size == 1
         assert trace.eval_count == 1
 
+    def test_single_feature_model_scores_its_one_subspace(self):
+        m = factorized_model([(0.0, 1.0)])
+        want = [SizeBest(1, (0,), float(log_marginal(m, [3.0], [True])))]
+        for cfg in (ExplainConfig(), ExplainConfig(strategy="forward", max_depth=4)):
+            assert explain(m, [3.0], cfg).per_size == want
+
     def test_backward_eval_count_is_exact(self, rng):
         for n in (4, 7):
             m = factorized_model([(0.0, 1.0)] * n)
@@ -292,3 +299,18 @@ class TestExplain:
             ExplainConfig(strategy="sideways")
         with pytest.raises(ValueError):
             ExplainConfig(selection="aic")
+
+
+class TestExplainRows:
+    @pytest.mark.parametrize("config", [
+        ExplainConfig(),
+        ExplainConfig(selection="zscore"),
+        ExplainConfig(strategy="forward", beam_width=3, selection="zscore"),
+    ])
+    def test_equals_explain_per_row_against_the_table(self, rng, config):
+        m = random_gaussian_model(rng, 5)
+        X = rng.normal(size=(40, 5))
+        rows = [7, 0, 31, 7]
+        want = [explain(m, X[r], config, X_train=X) for r in rows]
+        assert explain_rows(m, X, rows, config) == want
+        assert explain_rows(m, X.tolist(), rows, config) == want

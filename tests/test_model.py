@@ -315,6 +315,43 @@ class TestCompiledCircuit:
         assert list(np.isneginf(got)) == [True, True, False]
 
 
+class TestValidityGate:
+    """Only a model that `validate` accepts is compiled and evaluated."""
+
+    A = [Column("a", "real")]
+    INVALID = [
+        (SpnModel([GaussianLeaf(-1, 0.0, 1.0)], 0, A), "feature -1 out of range"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+                   GaussianLeaf(0, 2.0, 1.0), SumNode((0, 1, 2), (0.5, 0.5))], 3, A),
+         "2 weights for 3 children"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+                   SumNode((0, 1), (0.9, 0.9))], 2, A), "not 1"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(1, 0.0, 1.0),
+                   SumNode((0, 1), (0.5, 0.5))], 2, REAL2), "completeness violated"),
+        (SpnModel([ProductNode((1, 2)), GaussianLeaf(0, 0.0, 1.0),
+                   GaussianLeaf(1, 0.0, 1.0)], 0, REAL2), "not before parent"),
+        (SpnModel([object()], 0, A), "unknown node type object"),
+    ]
+
+    @pytest.mark.parametrize("model,issue", INVALID)
+    def test_invalid_model_raises_with_validate_issues(self, model, issue):
+        issues = validate(model)
+        assert any(issue in v for v in issues)
+        query = np.zeros(model.n_features)
+        for _ in range(2):  # a rejected model is never cached as compiled
+            with pytest.raises(ValueError) as exc:
+                eval_log_density(model, query)
+            assert str(exc.value) == "invalid model: " + "; ".join(issues)
+        assert model._circuit is None
+
+    def test_valid_model_compiles_once(self, rng):
+        m = random_gaussian_model(rng, 3)
+        eval_log_density(m, np.zeros(3))
+        circuit = m._circuit
+        eval_log_density(m, np.ones((4, 3)))
+        assert m._circuit is circuit
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
         m = random_gaussian_model(rng, 4)

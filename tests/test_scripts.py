@@ -1,0 +1,23 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_planted_benchmark_writes_one_row_per_width_and_strategy(tmp_path, capsys):
+    script = load_script("run_planted_benchmark")
+    out = tmp_path / "summary.tsv"
+    assert script.main(["--sizes", "4", "--seeds", "1", "--n-samples", "300",
+                        "--n-outliers", "5", "--out", str(out)]) == 0
+    header, *rows = [line.split("\t") for line in out.read_text().splitlines()]
+    assert header[:3] == ["n_features", "strategy", "selection"]
+    assert [row[:3] for row in rows] == [["4", "backward", "elbow"],
+                                         ["4", "forward", "elbow"]]
+    assert "wrote 2 rows" in capsys.readouterr().out
