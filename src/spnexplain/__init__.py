@@ -8,7 +8,7 @@ from .explain import (ExplainConfig, ExplanationTrace, SizeBest,
 from .learn import LearnConfig, learn_spn, rdc
 from .metrics import EvalReport, detect, f1_dims, run_benchmark
 from .model import (CategoricalLeaf, EvalCounter, GaussianLeaf, ProductNode,
-                    SpnModel, SumNode, load_model, log_marginal,
+                    SpnModel, SumNode, TableMarginals, load_model, log_marginal,
                     log_marginal_subspace, save_model, validate)
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "LearnConfig", "learn_spn", "rdc",
     "EvalReport", "detect", "f1_dims", "run_benchmark",
     "CategoricalLeaf", "EvalCounter", "GaussianLeaf", "ProductNode", "SpnModel",
-    "SumNode", "load_model", "log_marginal", "log_marginal_subspace",
+    "SumNode", "TableMarginals", "load_model", "log_marginal", "log_marginal_subspace",
     "save_model", "validate",
 ]

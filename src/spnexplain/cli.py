@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import datagen, metrics
-from .data import format_float, load_csv, load_schema, save_csv
+from .data import format_float, json_is, load_csv, load_schema, save_csv
 from .errors import DataError, ModelFormatError, UsageError
 from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -191,18 +191,25 @@ def cmd_eval(args) -> None:
     f1s = []
     seen = set()
     for i, rec in enumerate(records, start=1):
-        if not (isinstance(rec, dict) and isinstance(rec.get("row"), int)
+        if not (isinstance(rec, dict) and json_is(rec.get("row"), int)
                 and isinstance(rec.get("selected"), list) and rec["selected"]
-                and all(isinstance(d, int) for d in rec["selected"])):
+                and all(json_is(d, int) for d in rec["selected"])):
             raise DataError(f"{args.explanations}: record {i} needs an integer "
                             f"'row' and a non-empty list of integers 'selected'")
+        selected = rec["selected"]
+        bad = [d for d in selected if not 0 <= d < dataset.n_features]
+        if bad:
+            raise DataError(f"{args.explanations}: record {i} selects feature {bad[0]}, "
+                            f"outside 0..{dataset.n_features - 1}")
+        if len(set(selected)) < len(selected):
+            raise DataError(f"{args.explanations}: record {i} selects a feature twice")
         row = rec["row"]
         if row not in labeled.ground_truth:
             raise DataError(f"explained row {row} has no ground-truth label")
         if row in seen:
             raise DataError(f"{args.explanations}: record {i} repeats row {row}")
         seen.add(row)
-        p, r, f1 = metrics.f1_dims(rec["selected"], labeled.ground_truth[row])
+        p, r, f1 = metrics.f1_dims(selected, labeled.ground_truth[row])
         f1s.append(f1)
         lines.append(f"{row}\t{format_float(p)}\t{format_float(r)}\t{format_float(f1)}")
     mean = sum(f1s) / len(f1s) if f1s else 0.0

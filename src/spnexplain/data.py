@@ -80,6 +80,12 @@ def columns_to_json(schema: list[Column]) -> list[dict]:
     return entries
 
 
+def json_is(value, kind) -> bool:
+    """isinstance for a value loaded from JSON, where true and false load as
+    Python bools, which isinstance would count as the integers 1 and 0."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def columns_from_json(entries, where: str) -> list[Column]:
     """Parse the JSON form of a schema; errors name `where[i]`."""
     if not isinstance(entries, list):

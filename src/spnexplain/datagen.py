@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, Dataset
+from .data import Column, Dataset, json_is
 from .errors import DataError
 
 JOINT_PERCENTILE = 1.0
@@ -189,9 +189,9 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
     rows: list[int] = []
     truth: dict[int, tuple[int, ...]] = {}
     for i, entry in enumerate(doc["outliers"]):
-        if not (isinstance(entry, dict) and isinstance(entry.get("row"), int)
+        if not (isinstance(entry, dict) and json_is(entry.get("row"), int)
                 and isinstance(entry.get("subspace"), list)
-                and all(isinstance(d, int) for d in entry["subspace"])):
+                and all(json_is(d, int) for d in entry["subspace"])):
             raise DataError(f"labels {path}: outliers[{i}] needs an integer 'row' "
                             f"and a list of integers 'subspace'")
         row = entry["row"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EvalCounter, SpnModel, log_marginal
+from .model import EvalCounter, SpnModel, TableMarginals, log_marginal
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -66,24 +66,25 @@ def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
         raise ValueError("beam_width must be >= 1")
     x = np.asarray(x, dtype=np.float64)
 
-    candidates: list[Subspace] = [(d,) for d in range(n)]
+    eye = np.eye(n, dtype=bool)
+    candidates = eye  # one mask per subspace, in lexicographic order
     results: list[SizeBest] = []
     for k in range(1, max_size + 1):
         if k > 1:
-            seen: set[Subspace] = set()
-            for hyp in beam:
-                for d in range(n):
-                    if d not in hyp:
-                        seen.add(tuple(sorted(hyp + (d,))))
-            candidates = sorted(seen)
-        keep = np.zeros((len(candidates), n), dtype=bool)
-        np.put_along_axis(keep, np.array(candidates), True, axis=1)
-        logps = log_marginal(model, x, keep, counter)
-        order = sorted(range(len(candidates)),
-                       key=lambda i: (logps[i], candidates[i]))
-        beam = [candidates[i] for i in order[:beam_width]]
+            # each hypothesis grown by each feature it lacks; for subspaces
+            # of one size, ascending bytes of the packed complement masks
+            # are ascending sorted-index tuples
+            grown = (beam[:, None, :] | eye)[~beam]
+            packed = np.packbits(~grown, axis=1)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first = np.unique(keys, return_index=True)
+            candidates = grown[first]
+        logps = log_marginal(model, x, candidates, counter)
+        order = np.argsort(logps, kind="stable")  # ties stay lexicographic
+        beam = candidates[order[:beam_width]]
         best = order[0]
-        results.append(SizeBest(k, candidates[best], float(logps[best])))
+        results.append(SizeBest(k, tuple(np.flatnonzero(candidates[best]).tolist()),
+                                float(logps[best])))
     return results
 
 
@@ -132,33 +133,49 @@ class ScoreStats:
     std: float
 
 
-def subspace_score_stats(model: SpnModel, X: np.ndarray, subspace: Subspace,
+def subspace_score_stats(model: SpnModel, X, subspace: Subspace,
                          counter: EvalCounter | None = None) -> ScoreStats:
-    """Mean/std of negative log marginal densities of all training rows in
-    one subspace."""
-    keep = np.isin(np.arange(model.n_features), subspace)
-    scores = -log_marginal(model, X, keep, counter)
+    """Mean/std of negative log marginal densities of all rows of the
+    reference table X (an array or a `TableMarginals`) in one subspace."""
+    n = model.n_features
+    if not all(0 <= d < n for d in subspace):
+        raise ValueError(f"subspace {subspace} outside schema of {n} features")
+    keep = np.zeros(n, dtype=bool)
+    keep[list(subspace)] = True
+    scores = -_reference(model, X).log_marginal(keep, counter)
     return ScoreStats(float(scores.mean()), float(scores.std()))
+
+
+def _reference(model: SpnModel, X) -> TableMarginals:
+    if isinstance(X, TableMarginals):
+        if X.model is not model:
+            raise ValueError("reference table was built for another model")
+        return X
+    X = np.asarray(X, dtype=np.float64)
+    if X.size == 0:
+        raise ValueError("zscore selection needs training data")
+    return TableMarginals(model, X)
 
 
 def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
                   counter: EvalCounter | None = None) -> SizeBest:
     """Pick the candidate whose score is most extreme relative to the
-    training-set score distribution in its subspace (ties: smallest size)."""
+    training-set score distribution in its subspace (ties: smallest size).
+    X_train is the reference table, an array or a `TableMarginals`, whose
+    memo is dropped on return."""
     if not per_size:
         raise ValueError("per_size is empty")
-    X_train = np.asarray(X_train, dtype=np.float64)
-    if X_train.size == 0:
-        raise ValueError("zscore selection needs training data")
+    reference = _reference(model, X_train)
     best: SizeBest | None = None
     best_z = -math.inf
     for sb in per_size:
-        stats = subspace_score_stats(model, X_train, sb.subspace, counter)
+        stats = subspace_score_stats(model, reference, sb.subspace, counter)
         score = -sb.log_density
         z = 0.0 if stats.std == 0.0 else (score - stats.mean) / stats.std
         if z > best_z:
             best_z = z
             best = sb
+    reference.forget()
     assert best is not None
     return best
 
@@ -192,6 +209,8 @@ def explain(model: SpnModel, x, config: ExplainConfig,
 def explain_rows(model: SpnModel, X, rows,
                  config: ExplainConfig) -> list[ExplanationTrace]:
     """Explain the given rows of the table X, one `explain` call per row;
-    z-score selection measures against all rows of X."""
+    z-score selection measures against all rows of X, which are evaluated
+    once for the whole run."""
     X = np.asarray(X, dtype=np.float64)
-    return [explain(model, X[r], config, X_train=X) for r in rows]
+    reference = _reference(model, X) if config.selection == "zscore" else None
+    return [explain(model, X[r], config, X_train=reference) for r in rows]

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .data import Column, columns_from_json, columns_to_json
+from .data import Column, columns_from_json, columns_to_json, json_is
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -54,7 +54,9 @@ Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
 @dataclass
 class EvalCounter:
-    """Instrumentation for inference cost accounting."""
+    """Instrumentation for inference cost accounting: `queries` counts the
+    marginal queries asked, `node_evals` the node evaluations performed to
+    answer them."""
 
     queries: int = 0
     node_evals: int = 0
@@ -207,7 +209,9 @@ class _Circuit:
     of a batch: Gaussian leaves first, then categorical leaves, then each
     level's products followed by its sums. One extra row of zeros pads the
     child slots, so the nodes of a level share one gather whatever their
-    arity. Built only from a model that `validate` accepts.
+    arity. `row[i]` is node i's row, `scope[i]` marks the features under
+    node i and `log_weights[i]` holds a sum node's log-weights. Built only
+    from a model that `validate` accepts.
     """
 
     def __init__(self, model: SpnModel):
@@ -223,9 +227,16 @@ class _Circuit:
             if isinstance(node, (SumNode, ProductNode)):
                 inner[level[i] - 1][isinstance(node, SumNode)].append(i)
         order = gauss + cats + [i for prods, sums in inner for i in prods + sums]
-        row = {node_id: r for r, node_id in enumerate(order)}
+        self.row = np.empty(len(nodes), dtype=np.intp)
+        self.row[order] = np.arange(len(order))
+        row = self.row
         self.n_rows = len(order) + 1  # the last row is the zero padding
         self.root = row[model.root]
+        self.scope = np.zeros((len(nodes), model.n_features), dtype=bool)
+        for i, features in enumerate(_compute_scopes(nodes)):
+            self.scope[i, np.array(list(features), dtype=np.intp)] = True
+        self.log_weights = {i: np.log(np.asarray(node.weights))
+                            for i, node in enumerate(nodes) if isinstance(node, SumNode)}
 
         gauss = [nodes[i] for i in gauss]
         self.gauss_feature = np.array([g.feature for g in gauss], dtype=np.intp)
@@ -253,11 +264,13 @@ class _Circuit:
             sum_idx = slots(sums)
             log_w = np.full(sum_idx.shape, -np.inf)  # a padded slot adds exp(-inf) = 0
             for j, i in enumerate(sums):
-                log_w[:len(nodes[i].weights), j] = np.log(np.asarray(nodes[i].weights))
+                log_w[:len(nodes[i].weights), j] = self.log_weights[i]
             self.levels.append((slots(prods), sum_idx, log_w[:, :, None]))
 
-    def log_density(self, q: np.ndarray) -> np.ndarray:
-        """Root log-density of each row of a checked (batch, n) query matrix."""
+    def node_values(self, q: np.ndarray) -> np.ndarray:
+        """The value matrix of one pass: every node's log-density (row
+        `row[i]` for node i; the root's is row `root`) for each row of a
+        checked (batch, n) query matrix."""
         vals = np.empty((self.n_rows, q.shape[0]))
         vals[-1] = 0.0
         x = q.T[self.gauss_feature]
@@ -277,7 +290,7 @@ class _Circuit:
             lo, hi = hi, hi + sum_idx.shape[1]
             if lo < hi:
                 vals[lo:hi] = _logsumexp(vals[sum_idx] + log_w)
-        return vals[self.root]
+        return vals
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
@@ -311,6 +324,19 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _compiled(model: SpnModel, q: np.ndarray) -> _Circuit:
+    """The model's circuit, once the (batch, n) query matrix q has passed
+    the query checks. A model is compiled on first use, and only if
+    `validate` accepts it; otherwise this raises ValueError."""
+    _check_query_matrix(model, q)
+    if model._circuit is None:
+        issues = validate(model)
+        if issues:
+            raise ValueError("invalid model: " + "; ".join(issues))
+        model._circuit = _Circuit(model)
+    return model._circuit
+
+
 def eval_log_density(model: SpnModel, queries: np.ndarray,
                      counter: EvalCounter | None = None) -> np.ndarray:
     """Evaluate log p(x_D) for a batch of queries (NaN = marginalized).
@@ -324,13 +350,8 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
     squeeze = q.ndim == 1
     if squeeze:
         q = q[None, :]
-    _check_query_matrix(model, q)
-    if model._circuit is None:
-        issues = validate(model)
-        if issues:
-            raise ValueError("invalid model: " + "; ".join(issues))
-        model._circuit = _Circuit(model)
-    out = model._circuit.log_density(q)
+    circuit = _compiled(model, q)
+    out = circuit.node_values(q)[circuit.root]
     if counter is not None:
         counter.add(q.shape[0], len(model.nodes) * q.shape[0])
     return out[0] if squeeze else out
@@ -352,6 +373,86 @@ def log_marginal(model: SpnModel, x, keep,
         raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
     return eval_log_density(model, np.where(keep, np.asarray(x, dtype=np.float64),
                                             np.nan), counter)
+
+
+class TableMarginals:
+    """log p(x_S) of every row x of one fixed table X, for many subspaces S.
+
+    A node's value depends on S only through S ∩ scope(node). A node whose
+    scope lies inside S keeps its value under full evidence, and one whose
+    scope misses S keeps its fully marginalized value, the same for every
+    row. Both are computed once, by one pass over X and one over a fully
+    marginalized row. A subspace then recomputes, from the root down, only
+    the internal nodes that straddle S, combining children in stored order
+    with the evaluator's own `_add_slots` and `_logsumexp`, so the result
+    equals `log_marginal(model, X, keep)` bit for bit. Recomputed nodes are
+    memoized by (node, S ∩ scope) until `forget`.
+    """
+
+    def __init__(self, model: SpnModel, X):
+        X = np.asarray(X, dtype=np.float64)
+        circuit = _compiled(model, X)
+        self.model = model
+        self.n_rows = X.shape[0]
+        self._scope = circuit.scope
+        self._scope_counts = circuit.scope.astype(np.float64)  # for one BLAS product
+        self._scope_size = circuit.scope.sum(axis=1)
+        self._log_weights = circuit.log_weights
+        self._full = circuit.node_values(X)[circuit.row]
+        self._full.setflags(write=False)  # results are views of it
+        empty = np.full((1, model.n_features), np.nan)
+        self._empty = circuit.node_values(empty)[circuit.row, 0]
+        missing = np.isnan(X)
+        self._missing = missing if missing.any() else None
+        self._memo: dict[tuple[int, bytes], np.ndarray] = {}
+
+    def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
+        """log p(x_S) for each row of the table, S the features that the
+        boolean mask `keep` (n,) marks True. The counter gets one query per
+        row, and one node evaluation per row for each recomputed node."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (self.model.n_features,):
+            raise ValueError(f"keep must be a boolean mask of shape "
+                             f"({self.model.n_features},)")
+        if not keep.any() or (self._missing is not None
+                              and self._missing[:, keep].all(axis=1).any()):
+            raise ValueError("query marginalizes every feature")
+        inside = self._scope_counts @ keep  # features of each node's scope in S
+        covered = inside == self._scope_size
+        missed = inside == 0
+        nodes = self.model.nodes
+        computed = 0
+
+        def value(i: int) -> np.ndarray:
+            nonlocal computed
+            if covered[i]:
+                return self._full[i]
+            if missed[i]:
+                return self._empty[i]
+            key = (i, (keep & self._scope[i]).tobytes())
+            out = self._memo.get(key)
+            if out is None:
+                node = nodes[i]  # internal: a leaf is covered or missed
+                stack = np.empty((len(node.children), self.n_rows))
+                for s, c in enumerate(node.children):
+                    stack[s] = value(c)
+                if isinstance(node, SumNode):
+                    out = _logsumexp(stack + self._log_weights[i][:, None])
+                else:  # a copy, not a view that would keep the stack alive
+                    out = _add_slots(stack).copy()
+                out.setflags(write=False)
+                self._memo[key] = out
+                computed += 1
+            return out
+
+        out = value(self.model.root)
+        if counter is not None:
+            counter.add(self.n_rows, computed * self.n_rows)
+        return out
+
+    def forget(self) -> None:
+        """Drop the memoized node values."""
+        self._memo.clear()
 
 
 def log_marginal_subspace(model: SpnModel, x: Sequence[float], subspace: Sequence[int],
@@ -400,8 +501,8 @@ def _require(doc: dict, key: str, where: str, kind=object, item=None):
     if key not in doc:
         raise ModelFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind) or (
-            item is not None and not all(isinstance(v, item) for v in value)):
+    if (kind is not object and not json_is(value, kind)) or (
+            item is not None and not all(json_is(v, item) for v in value)):
         expected = _TYPE_NAMES[kind] if item is None else f"list of {_TYPE_NAMES[item]}"
         raise ModelFormatError(f"{where}: field {key!r} must be of type {expected}")
     return value

@@ -10,8 +10,10 @@ import pytest
 from scipy.special import logsumexp
 
 from spnexplain.data import Column
-from spnexplain.model import (LOG_2PI, CategoricalLeaf, GaussianLeaf, ProductNode,
-                              SpnModel, SumNode)
+from spnexplain.explain import (ExplanationTrace, SizeBest, backward_elimination,
+                                elbow_select)
+from spnexplain.model import (LOG_2PI, CategoricalLeaf, EvalCounter, GaussianLeaf,
+                              ProductNode, SpnModel, SumNode, log_marginal)
 
 
 def _random_probs(rng: np.random.Generator, k: int) -> tuple[float, ...]:
@@ -167,6 +169,66 @@ def reference_log_density(model: SpnModel, queries) -> np.ndarray:
                 np.asarray(node.weights))[:, None]
             vals[i] = logsumexp(stacked, axis=0)
     return vals[model.root]
+
+
+def reference_forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
+                                  counter: EvalCounter | None = None) -> list[SizeBest]:
+    """Forward beam search over sorted index tuples, with Python sets for
+    deduplication and a (log-density, subspace) sort key: the oracle that
+    the mask-matrix search must match, queries included."""
+    n = model.n_features
+    x = np.asarray(x, dtype=np.float64)
+    candidates = [(d,) for d in range(n)]
+    results = []
+    for k in range(1, max_size + 1):
+        if k > 1:
+            seen = set()
+            for hyp in beam:
+                for d in range(n):
+                    if d not in hyp:
+                        seen.add(tuple(sorted(hyp + (d,))))
+            candidates = sorted(seen)
+        keep = np.zeros((len(candidates), n), dtype=bool)
+        np.put_along_axis(keep, np.array(candidates), True, axis=1)
+        logps = log_marginal(model, x, keep, counter)
+        order = sorted(range(len(candidates)),
+                       key=lambda i: (logps[i], candidates[i]))
+        beam = [candidates[i] for i in order[:beam_width]]
+        best = order[0]
+        results.append(SizeBest(k, candidates[best], float(logps[best])))
+    return results
+
+
+def reference_zscore_select(model: SpnModel, per_size: list[SizeBest], X,
+                            counter: EvalCounter | None = None) -> SizeBest:
+    """z-score selection with one full pass of the reference table X per
+    subspace."""
+    best, best_z = None, -math.inf
+    for sb in per_size:
+        keep = np.isin(np.arange(model.n_features), sb.subspace)
+        scores = -log_marginal(model, X, keep, counter)
+        mean, std = float(scores.mean()), float(scores.std())
+        z = 0.0 if std == 0.0 else (-sb.log_density - mean) / std
+        if z > best_z:
+            best, best_z = sb, z
+    return best
+
+
+def reference_explain(model: SpnModel, x, config, X) -> ExplanationTrace:
+    """`explain` built from the reference search and selection above."""
+    counter = EvalCounter()
+    n = model.n_features
+    if config.strategy == "forward":
+        per_size = reference_forward_beam_search(
+            model, x, min(config.max_depth or n, n), config.beam_width, counter)
+    else:
+        per_size = backward_elimination(model, x, counter)
+    if config.selection == "elbow":
+        chosen = elbow_select(per_size, config.kappa)
+    else:
+        chosen = reference_zscore_select(model, per_size, X, counter)
+    return ExplanationTrace(per_size, chosen.subspace, chosen.size, counter.queries,
+                            config.strategy, config.selection)
 
 
 def all_assignments(model: SpnModel):

@@ -162,13 +162,28 @@ class TestExitCodes:
         row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
         for i, rec in enumerate([{"row": row}, {"selected": [0]}, [row, [0]],
                                  {"row": row, "selected": []},
-                                 {"row": str(row), "selected": [0]}]):
+                                 {"row": str(row), "selected": [0]},
+                                 {"row": row, "selected": [True, False]}]):
             expl = workspace["dir"] / f"bad{i}.jsonl"
             expl.write_text(json.dumps(rec) + "\n")
             assert main(["eval", "--explanations", str(expl),
                          "--data", workspace["data"],
                          "--labels", workspace["labels"]]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_bad_feature_indices_exit_3(self, workspace, capsys):
+        row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
+        for selected, message in (([999, -4], "record 1 selects feature 999, outside 0..5"),
+                                  ([0, -1], "record 1 selects feature -1, outside 0..5"),
+                                  ([6], "record 1 selects feature 6, outside 0..5"),
+                                  ([3, 3, 3], "record 1 selects a feature twice")):
+            expl = workspace["dir"] / "bad.jsonl"
+            expl.write_text(json.dumps({"row": row, "selected": selected}) + "\n")
+            assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
+                         "--labels", workspace["labels"]]) == 3
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == "" and "Traceback" not in captured.err
 
     def test_repeated_explanation_row_exits_3(self, workspace, capsys):
         row = json.load(open(workspace["labels"]))["outliers"][0]["row"]

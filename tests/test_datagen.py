@@ -109,6 +109,8 @@ class TestLabelsSidecar:
                                 ([{"row": 3, "subspace": 3}], r"outliers\[0\]"),
                                 ([{"row": 3, "subspace": ["a"]}], r"outliers\[0\]"),
                                 ([{"row": 1.5, "subspace": [0, 1]}], r"outliers\[0\]"),
+                                ([{"row": True, "subspace": [0, 1]}], r"outliers\[0\]"),
+                                ([{"row": 3, "subspace": [True, 2]}], r"outliers\[0\]"),
                                 (3, "outliers")]:
             path.write_text(json.dumps({"outliers": outliers}))
             with pytest.raises(DataError, match=where):

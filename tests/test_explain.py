@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gaussian_model
+from conftest import (random_gaussian_model, random_mixed_model,
+                      reference_explain, reference_forward_beam_search)
 from spnexplain.data import Column
+from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
                                 elbow_select, explain, explain_rows,
                                 forward_beam_search, subspace_score_stats,
                                 zscore_select)
-from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel, log_marginal,
+from spnexplain.learn import LearnConfig, learn_spn
+from spnexplain.model import (EvalCounter, GaussianLeaf, ProductNode, SpnModel,
+                              SumNode, TableMarginals, log_marginal,
                               log_marginal_subspace)
 
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -24,6 +28,27 @@ def factorized_model(mus_sigmas):
     nodes = leaves + [ProductNode(tuple(range(n)))] if n > 1 else leaves
     return SpnModel(nodes, len(nodes) - 1,
                     [Column(f"f{j}", "real") for j in range(n)])
+
+
+def tied_model(rng, n):
+    """Leaves drawn from two parameter pairs, each feature's leaf repeated
+    under a two-way sum, so that equal inputs give exactly tied subspaces."""
+    pairs = [(0.0, 1.0), (1.5, 0.5)]
+    nodes, factors = [], []
+    for j in range(n):
+        mu, sigma = pairs[int(rng.integers(2))]
+        nodes += [GaussianLeaf(j, mu, sigma), GaussianLeaf(j, mu, sigma)]
+        nodes.append(SumNode((len(nodes) - 2, len(nodes) - 1), (0.5, 0.5)))
+        factors.append(len(nodes) - 1)
+    nodes.append(ProductNode(tuple(factors)))
+    return SpnModel(nodes, len(nodes) - 1, [Column(f"f{j}", "real") for j in range(n)])
+
+
+@pytest.fixture(scope="module")
+def planted20():
+    """The planted n = 20, seed 0 table and the model learned from it."""
+    labeled = generate(GenConfig(n_features=20, seed=0))
+    return labeled, learn_spn(labeled.dataset, LearnConfig(seed=0))
 
 
 def exhaustive_best(model, x, k):
@@ -108,6 +133,26 @@ class TestForwardBeamSearch:
         counter = EvalCounter()
         forward_beam_search(m, rng.normal(size=n), S, B, counter)
         assert counter.queries <= B * n * S + n
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), tied=st.booleans())
+    def test_matches_tuple_reference_search(self, seed, tied):
+        # inputs from a few values make many exactly tied log-densities,
+        # which must break toward the lexicographically smallest subspace
+        rng = np.random.default_rng(seed)
+        if tied:
+            m = tied_model(rng, int(rng.integers(1, 8)))
+        else:
+            m = random_mixed_model(rng, max_features=6)
+        x = np.array([rng.choice([0.0, 1.5]) if c.kind == "real"
+                      else float(rng.integers(len(c.categories))) for c in m.schema])
+        n = m.n_features
+        for beam_width in (1, 3, 2 ** n):
+            got, want = EvalCounter(), EvalCounter()
+            res = forward_beam_search(m, x, n, beam_width, got)
+            assert res == reference_forward_beam_search(m, x, n, beam_width, want)
+            assert got.queries == want.queries
+            assert all(type(d) is int for sb in res for d in sb.subspace)
 
     def test_argument_validation(self, rng):
         m = random_gaussian_model(rng, 3)
@@ -195,6 +240,16 @@ class TestZscoreSelect:
         assert stats.mean == pytest.approx(scores.mean(), abs=1e-12)
         assert stats.std == pytest.approx(scores.std(), abs=1e-12)
 
+    def test_subspace_outside_schema_or_other_model_rejected(self, rng):
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        X = rng.normal(size=(10, 2))
+        for subspace in ((2,), (-1,), (0, 5)):
+            with pytest.raises(ValueError, match="outside schema"):
+                subspace_score_stats(m, X, subspace)
+        other = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        with pytest.raises(ValueError, match="another model"):
+            subspace_score_stats(m, TableMarginals(other, X), (0,))
+
     def test_picks_highest_z(self, rng):
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
         X = rng.normal(size=(500, 2))
@@ -218,6 +273,22 @@ class TestZscoreSelect:
         per_size = _per_size([-2.0, -3.0])
         sel = zscore_select(m, per_size, X)
         assert sel.size == 1
+
+    def test_node_evals_count_only_recomputed_nodes(self, planted20):
+        # the memo recomputes only nodes that straddle a subspace; queries
+        # keep the logical count of one per reference row and subspace
+        labeled, m = planted20
+        X = labeled.dataset.values
+        queries = node_evals = subspaces = 0
+        for r in labeled.outlier_rows:
+            per_size = backward_elimination(m, X[r])
+            counter = EvalCounter()
+            zscore_select(m, per_size, X, counter)
+            queries += counter.queries
+            node_evals += counter.node_evals
+            subspaces += len(per_size)
+        assert queries == len(X) * subspaces
+        assert 0 < node_evals < 0.25 * len(m.nodes) * len(X) * subspaces
 
     def test_requires_training_data(self):
         m = factorized_model([(0.0, 1.0)])
@@ -314,3 +385,15 @@ class TestExplainRows:
         want = [explain(m, X[r], config, X_train=X) for r in rows]
         assert explain_rows(m, X, rows, config) == want
         assert explain_rows(m, X.tolist(), rows, config) == want
+
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    @pytest.mark.parametrize("selection", ["elbow", "zscore"])
+    def test_planted_table_equals_reference_oracles(self, planted20, strategy,
+                                                    selection):
+        labeled, m = planted20
+        X = labeled.dataset.values
+        config = ExplainConfig(strategy=strategy, selection=selection)
+        got = explain_rows(m, X, labeled.outlier_rows, config)
+        want = [reference_explain(m, X[r], config, X) for r in labeled.outlier_rows]
+        assert [(t.per_size, t.selected, t.eval_count) for t in got] == \
+            [(t.per_size, t.selected, t.eval_count) for t in want]

@@ -13,9 +13,10 @@ from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_mixed_model, reference_log_density)
 from spnexplain.data import Column
 from spnexplain.errors import ModelFormatError
+from spnexplain.explain import subspace_score_stats
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
-                              ProductNode, SpnModel, SumNode, eval_log_density,
-                              from_dict, load_model, log_marginal,
+                              ProductNode, SpnModel, SumNode, TableMarginals,
+                              eval_log_density, from_dict, load_model, log_marginal,
                               log_marginal_subspace, save_model, to_dict,
                               validate)
 
@@ -315,6 +316,103 @@ class TestCompiledCircuit:
         assert list(np.isneginf(got)) == [True, True, False]
 
 
+def off_one_weights(rng, model: SpnModel) -> SpnModel:
+    """The model with each sum node's weights scaled to add up to 1 within
+    1e-9 but not exactly, so a fully marginalized sum is not log(1) = 0."""
+    nodes = [SumNode(node.children, tuple(w * (1.0 + rng.uniform(-9e-10, 9e-10))
+                                          for w in node.weights))
+             if isinstance(node, SumNode) else node for node in model.nodes]
+    return SpnModel(nodes, model.root, model.schema)
+
+
+class TestTableMarginals:
+    """Memoized marginals of one table against a full pass per subspace."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and 1e300 inputs
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), builder=st.sampled_from(["mixed", "gaussian"]),
+           rows=st.sampled_from([1, 2, 7, 60, 700]))
+    def test_memoized_stats_equal_full_passes(self, seed, builder, rows):
+        rng = np.random.default_rng(seed)
+        m = off_one_weights(rng, random_mixed_model(rng) if builder == "mixed"
+                            else random_gaussian_model(rng, int(rng.integers(1, 12))))
+        assert validate(m) == []
+        n = m.n_features
+        X = np.array([rng.normal(0.0, 3.0, rows) if c.kind == "real"
+                      else rng.integers(0, len(c.categories), rows).astype(float)
+                      for c in m.schema]).T
+        real = np.array([c.kind == "real" for c in m.schema])
+        extreme = (rng.random(X.shape) < 0.05) & real
+        X[extreme] = rng.choice([np.inf, -np.inf, 1e300, -1e300], int(extreme.sum()))
+        # random masks, the full set and every singleton: nodes inside S,
+        # outside S and straddling it
+        masks = rng.random((12, n)) < rng.uniform(0.2, 0.8)
+        masks[np.arange(12), rng.integers(0, n, 12)] = True
+        masks = np.vstack([masks, np.ones((1, n), dtype=bool), np.eye(n, dtype=bool)])
+        table = TableMarginals(m, X)
+        for _ in range(2):  # the second round is answered from the memo
+            counter = EvalCounter()
+            for keep in masks:
+                want = log_marginal(m, X, keep)
+                assert np.array_equal(table.log_marginal(keep), want, equal_nan=True)
+                stats = subspace_score_stats(m, table, tuple(np.flatnonzero(keep)),
+                                             counter)
+                assert np.array_equal([stats.mean, stats.std],
+                                      [(-want).mean(), (-want).std()], equal_nan=True)
+            assert counter.queries == rows * len(masks)
+        assert counter.node_evals == 0
+
+    def test_wide_product_of_one_row_sums_in_child_order(self, rng):
+        # numpy would sum a one-row (30, 1) stack pairwise, not in order
+        n = 30
+        m = SpnModel([GaussianLeaf(j, float(rng.normal()), float(rng.uniform(0.5, 2)))
+                      for j in range(n)] + [ProductNode(tuple(range(n)))], n,
+                     [Column(f"g{j}", "real") for j in range(n)])
+        X = rng.normal(0.0, 3.0, size=(1, n))
+        table = TableMarginals(m, X)
+        for keep in rng.random((50, n)) < 0.7:
+            assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+
+    def test_memo_holds_one_vector_per_node(self, rng):
+        # a memoized product must not keep its (children, rows) stack alive
+        for rows in (300, 600):  # both ways `_add_slots` sums
+            m = random_gaussian_model(rng, 8)
+            table = TableMarginals(m, rng.normal(size=(rows, 8)))
+            for keep in rng.random((10, 8)) < 0.5:
+                if keep.any():
+                    table.log_marginal(keep)
+            assert table._memo
+            assert all(v.base is None and v.shape == (rows,)
+                       for v in table._memo.values())
+
+    def test_marginalized_sum_keeps_its_constant(self):
+        # the sum over feature 0 adds up to 1 + 9e-10: marginalizing it
+        # leaves log(1 + 9e-10), not 0
+        m = SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 2.0),
+                      SumNode((0, 1), (0.5, 0.5 + 9e-10)), GaussianLeaf(1, 0.0, 1.0),
+                      ProductNode((2, 3))], 4, REAL2)
+        X = np.array([[0.5, -1.0], [2.0, 3.0], [-1.0, 0.25]])
+        keep = np.array([False, True])
+        got = TableMarginals(m, X).log_marginal(keep)
+        assert np.array_equal(got, log_marginal(m, X, keep))
+        leaf = log_marginal(SpnModel([GaussianLeaf(0, 0.0, 1.0)], 0, REAL2[:1]),
+                            X[:, 1:], np.array([True]))
+        assert not np.array_equal(got, leaf)
+
+    def test_missing_values_and_bad_masks_raise_like_log_marginal(self, rng):
+        m = random_gaussian_model(rng, 3)
+        X = np.array([[0.0, np.nan, 1.0], [np.nan, np.nan, 2.0]])
+        table = TableMarginals(m, X)
+        keep = np.array([True, True, False])
+        for fn in (lambda k: log_marginal(m, X, k), table.log_marginal):
+            with pytest.raises(ValueError, match="marginalizes every feature"):
+                fn(keep)
+            with pytest.raises(ValueError, match="boolean"):
+                fn(np.array([1, 0, 1]))
+        keep = np.array([True, False, True])
+        assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+
+
 class TestValidityGate:
     """Only a model that `validate` accepts is compiled and evaluated."""
 
@@ -418,6 +516,10 @@ class TestSerialization:
             (lambda d: d["nodes"][4].__setitem__("children", 5), r"nodes\[4\]"),
             (lambda d: d["nodes"][3].__setitem__("feature", "a"), r"nodes\[3\]"),
             (lambda d: d["nodes"][1].__setitem__("mu", "x"), r"nodes\[1\]"),
+            (lambda d: d["nodes"][3].__setitem__("feature", True), r"nodes\[3\]"),
+            (lambda d: d["nodes"][4].__setitem__("children", [2, True]), r"nodes\[4\]"),
+            (lambda d: d["nodes"][1].__setitem__("sigma", True), r"nodes\[1\]"),
+            (lambda d: d.__setitem__("root", True), "document"),
         ]
         for corrupt, where in cases:
             doc = to_dict(model)
