@@ -244,7 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # a failed read raises DataError or ModelFormatError, so an
+        # OSError here is an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

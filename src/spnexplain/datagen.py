@@ -50,8 +50,8 @@ class GenConfig:
                 f"subspace size {self.subspace_min} exceeds {self.n_features} features")
         if self.clusters_per_subspace < 1:
             raise ValueError("clusters_per_subspace must be >= 1")
-        if not (self.noise_sigma > 0.0):
-            raise ValueError("noise_sigma must be positive")
+        if not (0.0 < self.noise_sigma < math.inf):
+            raise ValueError("noise_sigma must be positive and finite")
 
 
 @dataclass

@@ -161,8 +161,7 @@ def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
                   counter: EvalCounter | None = None) -> SizeBest:
     """Pick the candidate whose score is most extreme relative to the
     training-set score distribution in its subspace (ties: smallest size).
-    X_train is the reference table, an array or a `TableMarginals`, whose
-    memo is dropped on return."""
+    X_train is the reference table, an array or a `TableMarginals`."""
     if not per_size:
         raise ValueError("per_size is empty")
     reference = _reference(model, X_train)
@@ -175,7 +174,6 @@ def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
         if z > best_z:
             best_z = z
             best = sb
-    reference.forget()
     assert best is not None
     return best
 
@@ -183,7 +181,9 @@ def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
 def explain(model: SpnModel, x, config: ExplainConfig,
             X_train=None) -> ExplanationTrace:
     """Search subspaces with the configured strategy and select one
-    explanation; eval_count reports all circuit evaluations performed."""
+    explanation. eval_count is the paper's logical count of marginal
+    queries (z-score selection asks one per reference row and subspace),
+    not the node evaluations performed to answer them."""
     n = model.n_features
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):

@@ -208,10 +208,12 @@ class _Circuit:
     Row r of the value matrix holds one node's log-density for every query
     of a batch: Gaussian leaves first, then categorical leaves, then each
     level's products followed by its sums. One extra row of zeros pads the
-    child slots, so the nodes of a level share one gather whatever their
-    arity. `row[i]` is node i's row, `scope[i]` marks the features under
-    node i and `log_weights[i]` holds a sum node's log-weights. Built only
-    from a model that `validate` accepts.
+    child slots, so the nodes of a group share one gather whatever their
+    arity. `groups` holds each level's products and its sums as (first
+    row, child slots, log-weights, None for products), bottom-up;
+    `scope[r]` marks the features under row r's node (as float64, for one
+    BLAS product) and `scope_size[r]` counts them. Built only from a model
+    that `validate` accepts.
     """
 
     def __init__(self, model: SpnModel):
@@ -227,16 +229,14 @@ class _Circuit:
             if isinstance(node, (SumNode, ProductNode)):
                 inner[level[i] - 1][isinstance(node, SumNode)].append(i)
         order = gauss + cats + [i for prods, sums in inner for i in prods + sums]
-        self.row = np.empty(len(nodes), dtype=np.intp)
-        self.row[order] = np.arange(len(order))
-        row = self.row
+        row = np.empty(len(nodes), dtype=np.intp)
+        row[order] = np.arange(len(order))
         self.n_rows = len(order) + 1  # the last row is the zero padding
         self.root = row[model.root]
-        self.scope = np.zeros((len(nodes), model.n_features), dtype=bool)
+        self.scope = np.zeros((self.n_rows, model.n_features))
         for i, features in enumerate(_compute_scopes(nodes)):
-            self.scope[i, np.array(list(features), dtype=np.intp)] = True
-        self.log_weights = {i: np.log(np.asarray(node.weights))
-                            for i, node in enumerate(nodes) if isinstance(node, SumNode)}
+            self.scope[row[i], list(features)] = 1.0
+        self.scope_size = self.scope.sum(axis=1)
 
         gauss = [nodes[i] for i in gauss]
         self.gauss_feature = np.array([g.feature for g in gauss], dtype=np.intp)
@@ -251,46 +251,54 @@ class _Circuit:
         for r, c in enumerate(cats):
             self.cat_log_probs[r, :len(c.probs)] = np.log(np.asarray(c.probs))
 
-        def slots(ids: list[int]) -> np.ndarray:
+        self.groups = []
+        for ids in (ids for prods_sums in inner for ids in prods_sums if ids):
             # (arity, nodes): slot s holds each node's s-th child
-            idx = np.full((max((len(nodes[i].children) for i in ids), default=0),
-                           len(ids)), len(order), dtype=np.intp)
+            idx = np.full((max(len(nodes[i].children) for i in ids), len(ids)),
+                          len(order), dtype=np.intp)
             for j, i in enumerate(ids):
                 idx[:len(nodes[i].children), j] = [row[c] for c in nodes[i].children]
-            return idx
-
-        self.levels = []
-        for prods, sums in inner:
-            sum_idx = slots(sums)
-            log_w = np.full(sum_idx.shape, -np.inf)  # a padded slot adds exp(-inf) = 0
-            for j, i in enumerate(sums):
-                log_w[:len(nodes[i].weights), j] = self.log_weights[i]
-            self.levels.append((slots(prods), sum_idx, log_w[:, :, None]))
+            log_w = None
+            if isinstance(nodes[ids[0]], SumNode):
+                log_w = np.full(idx.shape, -np.inf)  # a padded slot adds exp(-inf) = 0
+                for j, i in enumerate(ids):
+                    log_w[:len(nodes[i].weights), j] = np.log(np.asarray(nodes[i].weights))
+                log_w = log_w[:, :, None]
+            self.groups.append((int(row[ids[0]]), idx, log_w))
 
     def node_values(self, q: np.ndarray) -> np.ndarray:
-        """The value matrix of one pass: every node's log-density (row
-        `row[i]` for node i; the root's is row `root`) for each row of a
-        checked (batch, n) query matrix."""
+        """The value matrix of one pass: each node's log-density (the root's
+        is row `root`) for each row of a checked (batch, n) query matrix."""
         vals = np.empty((self.n_rows, q.shape[0]))
         vals[-1] = 0.0
         x = q.T[self.gauss_feature]
         z = (x - self.mu) / self.sigma  # NaN where marginalized
         lp = -0.5 * z * z - self.log_sigma - 0.5 * LOG_2PI
-        lo, hi = 0, len(self.gauss_feature)
-        vals[lo:hi] = np.where(np.isnan(x), 0.0, lp)
+        hi = len(self.gauss_feature)
+        vals[:hi] = np.where(np.isnan(x), 0.0, lp)
         x = q.T[self.cat_feature]
         obs = ~np.isnan(x)
         lp = self.cat_log_probs[self.cat_rows, np.where(obs, x, 0.0).astype(np.intp)]
-        lo, hi = hi, hi + len(self.cat_feature)
-        vals[lo:hi] = np.where(obs, lp, 0.0)
-        for prod_idx, sum_idx, log_w in self.levels:
-            lo, hi = hi, hi + prod_idx.shape[1]
-            if lo < hi:
-                vals[lo:hi] = _add_slots(vals[prod_idx])
-            lo, hi = hi, hi + sum_idx.shape[1]
-            if lo < hi:
-                vals[lo:hi] = _logsumexp(vals[sum_idx] + log_w)
+        vals[hi:hi + len(self.cat_feature)] = np.where(obs, lp, 0.0)
+        self.update(vals)
         return vals
+
+    def update(self, vals: np.ndarray, redo: np.ndarray | None = None) -> None:
+        """Recompute internal nodes of the value matrix `vals` bottom-up, in
+        place: those at the sorted rows `redo`, or all of them if None."""
+        for lo, idx, log_w in self.groups:
+            hi = lo + idx.shape[1]
+            if redo is None:
+                rows, cols = slice(lo, hi), slice(None)
+            else:
+                a, b = np.searchsorted(redo, (lo, hi))
+                if a == b:
+                    continue
+                rows = redo[a:b]
+                cols = rows - lo
+            stack = vals[idx[:, cols]]
+            vals[rows] = (_add_slots(stack) if log_w is None
+                          else _logsumexp(stack + log_w[:, cols]))
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
@@ -378,33 +386,28 @@ def log_marginal(model: SpnModel, x, keep,
 class TableMarginals:
     """log p(x_S) of every row x of one fixed table X, for many subspaces S.
 
-    A node's value depends on S only through S ∩ scope(node). A node whose
-    scope lies inside S keeps its value under full evidence, and one whose
-    scope misses S keeps its fully marginalized value, the same for every
-    row. Both are computed once, by one pass over X and one over a fully
-    marginalized row. A subspace then recomputes, from the root down, only
-    the internal nodes that straddle S, combining children in stored order
-    with the evaluator's own `_add_slots` and `_logsumexp`, so the result
-    equals `log_marginal(model, X, keep)` bit for bit. Recomputed nodes are
-    memoized by (node, S ∩ scope) until `forget`.
+    A node's value depends on S only through S ∩ scope(node). The table
+    keeps the circuit's value matrix for the last subspace asked, and a new
+    subspace recomputes only the nodes whose scope holds a feature that
+    entered or left S. Of these, a node whose scope lies inside S takes its
+    value under full evidence and one whose scope misses S its fully
+    marginalized value, the same for every row; both come from one pass
+    over X and one over a fully marginalized row. The internal nodes that
+    straddle S go through the circuit's own level loop, so the result
+    equals `log_marginal(model, X, keep)` bit for bit.
     """
 
     def __init__(self, model: SpnModel, X):
         X = np.asarray(X, dtype=np.float64)
-        circuit = _compiled(model, X)
+        self._circuit = _compiled(model, X)
         self.model = model
         self.n_rows = X.shape[0]
-        self._scope = circuit.scope
-        self._scope_counts = circuit.scope.astype(np.float64)  # for one BLAS product
-        self._scope_size = circuit.scope.sum(axis=1)
-        self._log_weights = circuit.log_weights
-        self._full = circuit.node_values(X)[circuit.row]
-        self._full.setflags(write=False)  # results are views of it
-        empty = np.full((1, model.n_features), np.nan)
-        self._empty = circuit.node_values(empty)[circuit.row, 0]
+        self._full = self._circuit.node_values(X)
+        self._empty = self._circuit.node_values(np.full((1, model.n_features), np.nan))
+        self._values = self._full.copy()  # the value matrix for the subspace `_keep`
+        self._keep = np.ones(model.n_features, dtype=bool)
         missing = np.isnan(X)
         self._missing = missing if missing.any() else None
-        self._memo: dict[tuple[int, bytes], np.ndarray] = {}
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
         """log p(x_S) for each row of the table, S the features that the
@@ -417,42 +420,19 @@ class TableMarginals:
         if not keep.any() or (self._missing is not None
                               and self._missing[:, keep].all(axis=1).any()):
             raise ValueError("query marginalizes every feature")
-        inside = self._scope_counts @ keep  # features of each node's scope in S
-        covered = inside == self._scope_size
-        missed = inside == 0
-        nodes = self.model.nodes
-        computed = 0
-
-        def value(i: int) -> np.ndarray:
-            nonlocal computed
-            if covered[i]:
-                return self._full[i]
-            if missed[i]:
-                return self._empty[i]
-            key = (i, (keep & self._scope[i]).tobytes())
-            out = self._memo.get(key)
-            if out is None:
-                node = nodes[i]  # internal: a leaf is covered or missed
-                stack = np.empty((len(node.children), self.n_rows))
-                for s, c in enumerate(node.children):
-                    stack[s] = value(c)
-                if isinstance(node, SumNode):
-                    out = _logsumexp(stack + self._log_weights[i][:, None])
-                else:  # a copy, not a view that would keep the stack alive
-                    out = _add_slots(stack).copy()
-                out.setflags(write=False)
-                self._memo[key] = out
-                computed += 1
-            return out
-
-        out = value(self.model.root)
+        circuit, vals = self._circuit, self._values
+        changed = circuit.scope @ (keep != self._keep) > 0
+        inside = circuit.scope @ keep  # features of each node's scope in S
+        covered = changed & (inside == circuit.scope_size)
+        missed = changed & (inside == 0)
+        vals[covered] = self._full[covered]
+        vals[missed] = self._empty[missed]
+        redo = np.flatnonzero(changed & ~covered & ~missed)
+        circuit.update(vals, redo)
+        self._keep = keep.copy()
         if counter is not None:
-            counter.add(self.n_rows, computed * self.n_rows)
-        return out
-
-    def forget(self) -> None:
-        """Drop the memoized node values."""
-        self._memo.clear()
+            counter.add(self.n_rows, len(redo) * self.n_rows)
+        return vals[circuit.root].copy()
 
 
 def log_marginal_subspace(model: SpnModel, x: Sequence[float], subspace: Sequence[int],

@@ -121,6 +121,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "min_slice_rows must be >= 3" in err and "Traceback" not in err
 
+    def test_unwritable_output_paths_exit_2(self, workspace, tmp_path, capsys):
+        ws = workspace
+        out_dir = str(tmp_path)
+        absent = str(tmp_path / "absent" / "x.tsv")
+        explain = ["explain", "--model", ws["model"], "--data", ws["data"], "--rows", "0"]
+        for argv in (["score", "--model", ws["model"], "--data", ws["data"],
+                      "--out", out_dir],
+                     ["score", "--model", ws["model"], "--data", ws["data"],
+                      "--out", absent],
+                     ["train", "--data", ws["data"], "--seed", "0", "--model", out_dir],
+                     ["gen", "--n-features", "4", "--n-samples", "100",
+                      "--n-outliers", "2", "--seed", "0", "--out", out_dir,
+                      "--labels", str(tmp_path / "labels.json")],
+                     explain + ["--out", out_dir],
+                     ["bench", "--data", ws["data"], "--labels", ws["labels"],
+                      "--seed", "0", "--summary", out_dir]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_infinite_noise_sigma_exits_2(self, tmp_path, capsys):
+        assert main(["gen", "--n-features", "4", "--noise-sigma", "inf", "--seed", "0",
+                     "--out", str(tmp_path / "d.csv"),
+                     "--labels", str(tmp_path / "l.json")]) == 2
+        err = capsys.readouterr().err
+        assert "noise_sigma must be positive and finite" in err and "Traceback" not in err
+
     def test_data_errors_exit_3(self, workspace, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")
         assert main(["train", "--data", missing, "--seed", "0",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ class TestStructure:
             GenConfig(n_features=5, subspace_min=3, subspace_max=2)
         with pytest.raises(ValueError):
             GenConfig(n_features=5, subspace_min=6, subspace_max=6)
+
+    def test_noise_sigma_must_be_positive_and_finite(self):
+        for sigma in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise_sigma must be positive and finite"):
+                GenConfig(n_features=5, noise_sigma=sigma)
 
 
 class TestDeterminism:

@@ -275,8 +275,9 @@ class TestZscoreSelect:
         assert sel.size == 1
 
     def test_node_evals_count_only_recomputed_nodes(self, planted20):
-        # the memo recomputes only nodes that straddle a subspace; queries
-        # keep the logical count of one per reference row and subspace
+        # only nodes that straddle a subspace and changed since the last one
+        # are recomputed; queries keep the logical count of one per
+        # reference row and subspace
         labeled, m = planted20
         X = labeled.dataset.values
         queries = node_evals = subspaces = 0

@@ -326,7 +326,8 @@ def off_one_weights(rng, model: SpnModel) -> SpnModel:
 
 
 class TestTableMarginals:
-    """Memoized marginals of one table against a full pass per subspace."""
+    """Marginals of one table, updated from the last subspace asked, against
+    a full pass per subspace."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and 1e300 inputs
     @settings(max_examples=40, deadline=None)
@@ -344,13 +345,18 @@ class TestTableMarginals:
         real = np.array([c.kind == "real" for c in m.schema])
         extreme = (rng.random(X.shape) < 0.05) & real
         X[extreme] = rng.choice([np.inf, -np.inf, 1e300, -1e300], int(extreme.sum()))
-        # random masks, the full set and every singleton: nodes inside S,
-        # outside S and straddling it
+        # random masks, the full set, every singleton and a backward-style
+        # chain that drops one feature at a time from the full set: nodes
+        # inside S, outside S and straddling it
         masks = rng.random((12, n)) < rng.uniform(0.2, 0.8)
         masks[np.arange(12), rng.integers(0, n, 12)] = True
-        masks = np.vstack([masks, np.ones((1, n), dtype=bool), np.eye(n, dtype=bool)])
+        chain = ~np.tri(n - 1, n, dtype=bool)[:, rng.permutation(n)]
+        masks = np.vstack([masks, np.ones((1, n), dtype=bool), np.eye(n, dtype=bool),
+                           chain])
         table = TableMarginals(m, X)
-        for _ in range(2):  # the second round is answered from the memo
+        # each counted call repeats the mask asked just before it, so it
+        # recomputes no node, in either round
+        for _ in range(2):
             counter = EvalCounter()
             for keep in masks:
                 want = log_marginal(m, X, keep)
@@ -373,17 +379,42 @@ class TestTableMarginals:
         for keep in rng.random((50, n)) < 0.7:
             assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
 
-    def test_memo_holds_one_vector_per_node(self, rng):
-        # a memoized product must not keep its (children, rows) stack alive
+    def test_results_and_masks_do_not_alias_the_table(self, rng):
         for rows in (300, 600):  # both ways `_add_slots` sums
             m = random_gaussian_model(rng, 8)
-            table = TableMarginals(m, rng.normal(size=(rows, 8)))
-            for keep in rng.random((10, 8)) < 0.5:
-                if keep.any():
-                    table.log_marginal(keep)
-            assert table._memo
-            assert all(v.base is None and v.shape == (rows,)
-                       for v in table._memo.values())
+            X = rng.normal(size=(rows, 8))
+            table = TableMarginals(m, X)
+            keep = np.array([True, False] * 4)
+            got = table.log_marginal(keep)
+            want = got.copy()
+            for other in rng.random((10, 8)) < 0.5:
+                if other.any():
+                    table.log_marginal(other)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, log_marginal(m, X, keep))
+            # nor does the table keep the caller's mask, which may change
+            table.log_marginal(keep)
+            keep[:2] = ~keep[:2]
+            assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+
+    def test_repeated_and_full_masks_recompute_nothing(self, rng):
+        m = random_mixed_model(rng)
+        n = m.n_features
+        X = np.array([rng.normal(0.0, 3.0, 50) if c.kind == "real"
+                      else rng.integers(0, len(c.categories), 50).astype(float)
+                      for c in m.schema]).T
+        table = TableMarginals(m, X)
+        full = np.ones(n, dtype=bool)
+        for keep in rng.random((10, n)) < 0.5:
+            if not keep.any():
+                continue
+            table.log_marginal(keep)
+            counter = EvalCounter()
+            table.log_marginal(keep, counter)
+            assert counter.node_evals == 0
+            got = table.log_marginal(full, counter)
+            assert counter.node_evals == 0 and counter.queries == 2 * len(X)
+            assert np.array_equal(got, eval_log_density(m, X))
 
     def test_marginalized_sum_keeps_its_constant(self):
         # the sum over feature 0 adds up to 1 + 9e-10: marginalizing it
