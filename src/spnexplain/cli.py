@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import datagen, metrics
-from .data import format_float, json_is, load_csv, load_schema, save_csv
+from .data import format_float, load_csv, load_schema, read_json_lines, require, save_csv
 from .errors import DataError, ModelFormatError, UsageError
 from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -123,6 +123,13 @@ def _write_lines(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
+def _create_outputs(*paths: str | None) -> None:
+    """Create each output file, not truncated, so a bad path fails before the work."""
+    for path in paths:
+        if path is not None:
+            open(path, "a").close()
+
+
 def _load_data(args):
     """The --data CSV, encoded with the --schema sidecar when one is given."""
     schema = None if args.schema is None else load_schema(args.schema)
@@ -139,6 +146,7 @@ def cmd_gen(args) -> None:
 
 def cmd_train(args) -> None:
     dataset = _load_data(args)
+    _create_outputs(args.model)
     model = learn_spn(dataset, _learn_config(args))
     save_model(model, args.model)
     print(f"trained model with {len(model.nodes)} nodes -> {args.model}")
@@ -172,6 +180,7 @@ def cmd_explain(args) -> None:
     for r in rows:
         if not (0 <= r < dataset.n_rows):
             raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
+    _create_outputs(args.out)
     traces = explain_rows(model, dataset.values, rows, _explain_config(args))
     _write_lines([json.dumps(metrics.trace_record(r, t)) for r, t in zip(rows, traces)],
                  args.out)
@@ -180,34 +189,26 @@ def cmd_explain(args) -> None:
 def cmd_eval(args) -> None:
     dataset = _load_data(args)
     labeled = datagen.read_labels(dataset, args.labels)
-    try:
-        with open(args.explanations) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read explanations {args.explanations}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.explanations}: invalid JSON line: {exc}") from exc
+    records = read_json_lines(args.explanations, "explanations")
     lines = ["row\tprecision\trecall\tf1"]
     f1s = []
     seen = set()
     for i, rec in enumerate(records, start=1):
-        if not (isinstance(rec, dict) and json_is(rec.get("row"), int)
-                and isinstance(rec.get("selected"), list) and rec["selected"]
-                and all(json_is(d, int) for d in rec["selected"])):
-            raise DataError(f"{args.explanations}: record {i} needs an integer "
-                            f"'row' and a non-empty list of integers 'selected'")
-        selected = rec["selected"]
+        at = f"{args.explanations}: record {i}"
+        row = require(rec, "row", at, int)
+        selected = require(rec, "selected", at, list, int)
+        if not selected:
+            raise DataError(f"{at}: field 'selected' is empty")
         bad = [d for d in selected if not 0 <= d < dataset.n_features]
         if bad:
-            raise DataError(f"{args.explanations}: record {i} selects feature {bad[0]}, "
+            raise DataError(f"{at} selects feature {bad[0]}, "
                             f"outside 0..{dataset.n_features - 1}")
         if len(set(selected)) < len(selected):
-            raise DataError(f"{args.explanations}: record {i} selects a feature twice")
-        row = rec["row"]
+            raise DataError(f"{at} selects a feature twice")
         if row not in labeled.ground_truth:
             raise DataError(f"explained row {row} has no ground-truth label")
         if row in seen:
-            raise DataError(f"{args.explanations}: record {i} repeats row {row}")
+            raise DataError(f"{at} repeats row {row}")
         seen.add(row)
         p, r, f1 = metrics.f1_dims(selected, labeled.ground_truth[row])
         f1s.append(f1)
@@ -227,6 +228,7 @@ def cmd_bench(args) -> None:
         labeled = datagen.generate(_gen_config(args))
     else:
         raise UsageError("bench needs either --data/--labels or --n-features")
+    _create_outputs(args.explanations, args.summary)
     report = metrics.run_benchmark(labeled, _learn_config(args),
                                    _explain_config(args),
                                    explanations_path=args.explanations,

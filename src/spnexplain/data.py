@@ -1,4 +1,4 @@
-"""Column-typed tabular datasets and CSV/schema I/O.
+"""Column-typed tabular datasets, CSV/schema I/O, and the input-file readers.
 
 A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Missing
@@ -9,9 +9,9 @@ values are rejected at load time so NaN can safely serve as the
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DataError
 
 FLOAT_FMT = ".17g"
+NUMBER = (int, float)
+_TYPE_NAMES = {int: "int", NUMBER: "number", str: "string", list: "list"}
 
 
 def format_float(x: float) -> str:
@@ -80,43 +82,78 @@ def columns_to_json(schema: list[Column]) -> list[dict]:
     return entries
 
 
-def json_is(value, kind) -> bool:
-    """isinstance for a value loaded from JSON, where true and false load as
-    Python bools, which isinstance would count as the integers 1 and 0."""
+def read_text(path: str, what: str) -> str:
+    """The text of the file at `path` as UTF-8, line ends kept; every input is
+    read here. A failed read raises DataError naming `what` and the path."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} {path} not found: no such file") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _parse_json(text: str, where: str, line: int = 1):
+    """The JSON document `text`, which starts on line `line` of `where`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}:{line + exc.lineno - 1}: not valid JSON: "
+                        f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{where}:{line}: not valid JSON: nested too deeply") from exc
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the file at `path`."""
+    return _parse_json(read_text(path, what), f"{what} {path}")
+
+
+def read_json_lines(path: str, what: str) -> list:
+    """The JSON documents on the non-blank lines of the file at `path`."""
+    lines = io.StringIO(read_text(path, what), newline=None)
+    return [_parse_json(line, f"{what} {path}", i)
+            for i, line in enumerate(lines, start=1) if line.strip()]
+
+
+def _json_is(value, kind) -> bool:
+    """isinstance, but a JSON true or false, loaded as a bool, is no int."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def columns_from_json(entries, where: str) -> list[Column]:
+def require(doc, key: str, where: str, kind=object, item=None):
+    """doc[key] of the JSON object doc, checked to be a `kind` (a list of
+    `item`s if `item` is given); errors name `where`."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{where}: expected an object")
+    if key not in doc:
+        raise DataError(f"{where}: missing field {key!r}")
+    value = doc[key]
+    if (kind is not object and not _json_is(value, kind)) or (
+            item is not None and not all(_json_is(v, item) for v in value)):
+        expected = _TYPE_NAMES[kind] if item is None else f"list of {_TYPE_NAMES[item]}"
+        raise DataError(f"{where}: field {key!r} must be of type {expected}")
+    return value
+
+
+def columns_from_json(entries: list, where: str) -> list[Column]:
     """Parse the JSON form of a schema; errors name `where[i]`."""
-    if not isinstance(entries, list):
-        raise DataError(f"{where}: expected a list of column objects")
     cols = []
     for i, c in enumerate(entries):
         at = f"{where}[{i}]"
-        if not (isinstance(c, dict) and isinstance(c.get("name"), str)):
-            raise DataError(f"{at}: needs an object with a string 'name'")
-        categories = c.get("categories", [])
-        if not (isinstance(categories, list)
-                and all(isinstance(v, str) for v in categories)):
-            raise DataError(f"{at}: 'categories' must be a list of strings")
+        name = require(c, "name", at, str)
+        categories = require(c, "categories", at, list, str) if "categories" in c else []
         try:
-            cols.append(Column(c["name"], c.get("kind"), tuple(categories)))
+            cols.append(Column(name, require(c, "kind", at), tuple(categories)))
         except DataError as exc:
             raise DataError(f"{at}: {exc}") from exc
     return cols
 
 
 def load_schema(path: str) -> list[Column]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read schema {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schema {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "columns" not in doc:
-        raise DataError(f"schema {path}: expected an object with a 'columns' list")
-    return columns_from_json(doc["columns"], f"schema {path}: columns")
+    columns = require(read_json(path, "schema"), "columns", f"schema {path}", list)
+    return columns_from_json(columns, f"schema {path}: columns")
 
 
 def save_schema(schema: list[Column], path: str) -> None:
@@ -134,13 +171,11 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     column is real iff every cell parses as a decimal number; otherwise
     it is categorical with categories in first-appearance order.
     """
-    if not os.path.exists(path):
-        raise DataError(f"cannot read {path}: no such file")
+    reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
     try:
-        with open(path, newline="") as fh:
-            lines = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        lines = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty file, expected a header row")
     header, rows = lines[0], lines[1:]

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, Dataset, json_is
+from .data import Column, Dataset, read_json, require
 from .errors import DataError
 
 JOINT_PERCENTILE = 1.0
@@ -175,35 +174,18 @@ def write_labels(labeled: LabeledDataset, path: str) -> None:
 
 
 def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
-    if not os.path.exists(path):
-        raise DataError(f"labels sidecar not found: {path}")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read labels {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"labels {path} are not valid JSON: {exc}") from exc
-    if not (isinstance(doc, dict) and isinstance(doc.get("outliers"), list)):
-        raise DataError(f"labels {path}: expected an object with an 'outliers' list")
-    rows: list[int] = []
+    where = f"labels {path}"
+    outliers = require(read_json(path, "labels"), "outliers", where, list)
     truth: dict[int, tuple[int, ...]] = {}
-    for i, entry in enumerate(doc["outliers"]):
-        if not (isinstance(entry, dict) and json_is(entry.get("row"), int)
-                and isinstance(entry.get("subspace"), list)
-                and all(json_is(d, int) for d in entry["subspace"])):
-            raise DataError(f"labels {path}: outliers[{i}] needs an integer 'row' "
-                            f"and a list of integers 'subspace'")
-        row = entry["row"]
-        sub = tuple(sorted(entry["subspace"]))
+    for i, entry in enumerate(outliers):
+        at = f"{where}: outliers[{i}]"
+        row = require(entry, "row", at, int)
+        sub = tuple(sorted(require(entry, "subspace", at, list, int)))
         if not (0 <= row < dataset.n_rows):
-            raise DataError(f"labels {path}: outliers[{i}] row {row} outside "
-                            f"dataset of {dataset.n_rows} rows")
+            raise DataError(f"{at} row {row} outside dataset of {dataset.n_rows} rows")
         if not sub or sub[0] < 0 or sub[-1] >= dataset.n_features:
-            raise DataError(f"labels {path}: outliers[{i}] subspace {list(sub)} "
-                            f"outside schema")
+            raise DataError(f"{at} subspace {list(sub)} outside schema")
         if row in truth:
-            raise DataError(f"labels {path}: outliers[{i}] repeats row {row}")
-        rows.append(row)
+            raise DataError(f"{at} repeats row {row}")
         truth[row] = sub
-    return LabeledDataset(dataset, tuple(sorted(rows)), truth)
+    return LabeledDataset(dataset, tuple(sorted(truth)), truth)

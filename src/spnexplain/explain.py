@@ -160,12 +160,13 @@ def _reference(model: SpnModel, X) -> TableMarginals:
 def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
                   counter: EvalCounter | None = None) -> SizeBest:
     """Pick the candidate whose score is most extreme relative to the
-    training-set score distribution in its subspace (ties: smallest size).
+    training-set score distribution in its subspace (ties, and a z-score
+    that is NaN for every candidate: the first, smallest size).
     X_train is the reference table, an array or a `TableMarginals`."""
     if not per_size:
         raise ValueError("per_size is empty")
     reference = _reference(model, X_train)
-    best: SizeBest | None = None
+    best = per_size[0]
     best_z = -math.inf
     for sb in per_size:
         stats = subspace_score_stats(model, reference, sb.subspace, counter)
@@ -174,7 +175,6 @@ def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
         if z > best_z:
             best_z = z
             best = sb
-    assert best is not None
     return best
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Column, Dataset
+from .errors import DataError
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
                     SumNode, _logsumexp, validate)
 
@@ -206,6 +207,8 @@ def fit_leaf(values: np.ndarray, column: Column, feature: int,
     if column.kind == "real":
         mu = float(values.mean())
         sigma = max(float(values.std()), sigma_floor)
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise DataError(f"column {column.name!r}: its mean or spread overflows")
         return GaussianLeaf(feature, mu, sigma)
     n_cats = len(column.categories)
     counts = np.bincount(values.astype(np.intp), minlength=n_cats).astype(np.float64)

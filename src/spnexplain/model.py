@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .data import Column, columns_from_json, columns_to_json, json_is
+from .data import NUMBER, Column, columns_from_json, columns_to_json, read_json, require
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -184,24 +184,6 @@ def validate(model: SpnModel) -> list[str]:
     return issues
 
 
-def _check_query_matrix(model: SpnModel, q: np.ndarray) -> None:
-    if q.ndim != 2 or q.shape[1] != model.n_features:
-        raise ValueError(
-            f"query has {q.shape[-1] if q.ndim else 0} features, "
-            f"schema has {model.n_features}"
-        )
-    if np.isnan(q).all(axis=1).any():
-        raise ValueError("query marginalizes every feature")
-    cats = [j for j, col in enumerate(model.schema) if col.kind == "categorical"]
-    if cats:
-        vals = q[:, cats]
-        sizes = np.array([len(model.schema[j].categories) for j in cats])
-        bad = ~np.isnan(vals) & ((vals != np.floor(vals)) | (vals < 0) | (vals >= sizes))
-        if bad.any():
-            col = model.schema[cats[int(np.argmax(bad.any(axis=0)))]]
-            raise ValueError(f"categorical value out of range for column {col.name!r}")
-
-
 class _Circuit:
     """The arena compiled into level-ordered arrays.
 
@@ -218,6 +200,10 @@ class _Circuit:
 
     def __init__(self, model: SpnModel):
         nodes = model.nodes
+        self.schema = model.schema  # for the query checks
+        cat_cols = [j for j, c in enumerate(self.schema) if c.kind == "categorical"]
+        self.cat_cols = np.array(cat_cols, dtype=np.intp)
+        self.cat_sizes = np.array([len(self.schema[j].categories) for j in cat_cols])
         level = [0] * len(nodes)
         for i, node in enumerate(nodes):
             if isinstance(node, (SumNode, ProductNode)):
@@ -265,6 +251,22 @@ class _Circuit:
                     log_w[:len(nodes[i].weights), j] = np.log(np.asarray(nodes[i].weights))
                 log_w = log_w[:, :, None]
             self.groups.append((int(row[ids[0]]), idx, log_w))
+
+    def check_query(self, q: np.ndarray) -> None:
+        if q.ndim != 2 or q.shape[1] != len(self.schema):
+            raise ValueError(
+                f"query has {q.shape[-1] if q.ndim else 0} features, "
+                f"schema has {len(self.schema)}"
+            )
+        if np.isnan(q).all(axis=1).any():
+            raise ValueError("query marginalizes every feature")
+        if self.cat_cols.size:
+            vals = q[:, self.cat_cols]
+            bad = ~np.isnan(vals) & ((vals != np.floor(vals)) | (vals < 0)
+                                     | (vals >= self.cat_sizes))
+            if bad.any():
+                col = self.schema[self.cat_cols[int(np.argmax(bad.any(axis=0)))]]
+                raise ValueError(f"categorical value out of range for column {col.name!r}")
 
     def node_values(self, q: np.ndarray) -> np.ndarray:
         """The value matrix of one pass: each node's log-density (the root's
@@ -336,12 +338,12 @@ def _compiled(model: SpnModel, q: np.ndarray) -> _Circuit:
     """The model's circuit, once the (batch, n) query matrix q has passed
     the query checks. A model is compiled on first use, and only if
     `validate` accepts it; otherwise this raises ValueError."""
-    _check_query_matrix(model, q)
     if model._circuit is None:
         issues = validate(model)
         if issues:
             raise ValueError("invalid model: " + "; ".join(issues))
         model._circuit = _Circuit(model)
+    model._circuit.check_query(q)
     return model._circuit
 
 
@@ -472,72 +474,52 @@ def to_dict(model: SpnModel) -> dict:
             "root": model.root, "nodes": nodes}
 
 
-_NUMBER = (int, float)
-_TYPE_NAMES = {int: "int", _NUMBER: "number", list: "list"}
-
-
-def _require(doc: dict, key: str, where: str, kind=object, item=None):
-    """doc[key], checked to be a `kind` (a list of `item`s if `item` is given)."""
-    if key not in doc:
-        raise ModelFormatError(f"{where}: missing field {key!r}")
-    value = doc[key]
-    if (kind is not object and not json_is(value, kind)) or (
-            item is not None and not all(json_is(v, item) for v in value)):
-        expected = _TYPE_NAMES[kind] if item is None else f"list of {_TYPE_NAMES[item]}"
-        raise ModelFormatError(f"{where}: field {key!r} must be of type {expected}")
-    return value
-
-
-def from_dict(doc: dict) -> SpnModel:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    version = _require(doc, "version", "document")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"document: unsupported version {version!r}")
+def from_dict(doc) -> SpnModel:
     try:
-        schema = columns_from_json(_require(doc, "schema", "document"), "schema")
+        version = require(doc, "version", "document")
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"document: unsupported version {version!r}")
+        schema = columns_from_json(require(doc, "schema", "document", list), "schema")
+        root = require(doc, "root", "document", int)
+        raw_nodes = require(doc, "nodes", "document", list)
+        nodes: list[Node] = []
+        for i, nd in enumerate(raw_nodes):
+            where = f"nodes[{i}]"
+            if require(nd, "id", where) != i:
+                raise ModelFormatError(f"{where}: id {nd['id']!r} must equal "
+                                       f"arena position {i}")
+            ntype = require(nd, "type", where)
+            if ntype == "sum":
+                children = tuple(require(nd, "children", where, list, int))
+                weights = [float(w) for w in require(nd, "weights", where, list, NUMBER)]
+                total = sum(weights)
+                if abs(total - 1.0) > WEIGHT_TOL:
+                    # renormalize near-misses, keep already-valid weights bit-exact
+                    if abs(total - 1.0) > LOAD_WEIGHT_TOL:
+                        raise ModelFormatError(
+                            f"{where}: weights sum to {total!r}, beyond renormalization "
+                            f"tolerance {LOAD_WEIGHT_TOL}")
+                    weights = [w / total for w in weights]
+                nodes.append(SumNode(children, tuple(weights)))
+            elif ntype == "product":
+                nodes.append(ProductNode(tuple(require(nd, "children", where, list, int))))
+            elif ntype == "gaussian":
+                nodes.append(GaussianLeaf(require(nd, "feature", where, int),
+                                          float(require(nd, "mu", where, NUMBER)),
+                                          float(require(nd, "sigma", where, NUMBER))))
+            elif ntype == "categorical":
+                nodes.append(CategoricalLeaf(
+                    require(nd, "feature", where, int),
+                    tuple(float(p) for p in require(nd, "probs", where, list, NUMBER))))
+            else:
+                raise ModelFormatError(f"{where}: unknown node type {ntype!r}")
+        model = SpnModel(nodes, root, schema)
+        issues = validate(model)
+        if issues:
+            raise ModelFormatError("invalid model: " + "; ".join(issues))
+        return model
     except DataError as exc:
         raise ModelFormatError(str(exc)) from exc
-    root = _require(doc, "root", "document", int)
-    raw_nodes = _require(doc, "nodes", "document", list)
-    nodes: list[Node] = []
-    for i, nd in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise ModelFormatError(f"{where}: expected an object")
-        if nd.get("id") != i:
-            raise ModelFormatError(f"{where}: id {nd.get('id')!r} must equal "
-                                   f"arena position {i}")
-        ntype = _require(nd, "type", where)
-        if ntype == "sum":
-            children = tuple(_require(nd, "children", where, list, int))
-            weights = [float(w) for w in _require(nd, "weights", where, list, _NUMBER)]
-            total = sum(weights)
-            if abs(total - 1.0) > WEIGHT_TOL:
-                # renormalize near-misses, keep already-valid weights bit-exact
-                if abs(total - 1.0) > LOAD_WEIGHT_TOL:
-                    raise ModelFormatError(
-                        f"{where}: weights sum to {total!r}, beyond renormalization "
-                        f"tolerance {LOAD_WEIGHT_TOL}")
-                weights = [w / total for w in weights]
-            nodes.append(SumNode(children, tuple(weights)))
-        elif ntype == "product":
-            nodes.append(ProductNode(tuple(_require(nd, "children", where, list, int))))
-        elif ntype == "gaussian":
-            nodes.append(GaussianLeaf(_require(nd, "feature", where, int),
-                                      float(_require(nd, "mu", where, _NUMBER)),
-                                      float(_require(nd, "sigma", where, _NUMBER))))
-        elif ntype == "categorical":
-            nodes.append(CategoricalLeaf(
-                _require(nd, "feature", where, int),
-                tuple(float(p) for p in _require(nd, "probs", where, list, _NUMBER))))
-        else:
-            raise ModelFormatError(f"{where}: unknown node type {ntype!r}")
-    model = SpnModel(nodes, root, schema)
-    issues = validate(model)
-    if issues:
-        raise ModelFormatError("invalid model: " + "; ".join(issues))
-    return model
 
 
 def save_model(model: SpnModel, path: str) -> None:
@@ -548,10 +530,6 @@ def save_model(model: SpnModel, path: str) -> None:
 
 def load_model(path: str) -> SpnModel:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc
-    return from_dict(doc)
+        return from_dict(read_json(path, "model"))
+    except DataError as exc:  # the file cannot be read or parsed
+        raise ModelFormatError(str(exc)) from exc

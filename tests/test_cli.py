@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spnexplain
+from spnexplain import cli, metrics
 from spnexplain.cli import main
 from spnexplain.model import eval_log_density, load_model, log_marginal_subspace
 
@@ -265,6 +266,118 @@ class TestExitCodes:
         assert open(data2, "rb").read() == open(workspace["data"], "rb").read()
         assert open(labels2, "rb").read() == open(workspace["labels"], "rb").read()
         assert open(model2, "rb").read() == open(workspace["model"], "rb").read()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A trained workspace, plus a file or directory for each way that an
+    input can fail: missing, a directory, non-UTF-8, and malformed (JSON
+    nested 1000 deep, or a CSV cell of 200,000 characters)."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert main(["gen", "--n-features", "4", "--n-samples", "200", "--n-outliers", "4",
+                 "--seed", "0", "--out", str(d / "data.csv"),
+                 "--labels", str(d / "labels.json")]) == 0
+    assert main(["train", "--data", str(d / "data.csv"), "--seed", "0",
+                 "--model", str(d / "model.json")]) == 0
+    (d / "dir").mkdir()
+    (d / "empty.jsonl").write_text("")
+    (d / "bad.bin").write_bytes(b"\xff\xfe,a\n1,2\n")
+    (d / "deep.json").write_text("[" * 1000)
+    header, first, *rest = (d / "data.csv").read_text().splitlines()
+    cells = first.split(",")
+    cells[0] = "1" * 200_000
+    (d / "long.csv").write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    return d
+
+
+READERS = {  # input -> (the argv that reads it from path f, its exit code on failure)
+    "data": (lambda d, f: ["train", "--data", f, "--seed", "0",
+                           "--model", str(d / "m.json")], 3),
+    "schema": (lambda d, f: ["train", "--data", str(d / "data.csv"), "--schema", f,
+                             "--seed", "0", "--model", str(d / "m.json")], 3),
+    "labels": (lambda d, f: ["eval", "--explanations", str(d / "empty.jsonl"),
+                             "--data", str(d / "data.csv"), "--labels", f], 3),
+    "model": (lambda d, f: ["score", "--model", f, "--data", str(d / "data.csv")], 4),
+    "explanations": (lambda d, f: ["eval", "--explanations", f, "--data",
+                                   str(d / "data.csv"), "--labels",
+                                   str(d / "labels.json")], 3),
+}
+
+
+@pytest.mark.parametrize("failure", ["missing", "directory", "non-utf8", "malformed"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_unreadable_or_malformed_input_exits_with_its_code(inputs, name, failure, capsys):
+    argv, code = READERS[name]
+    path = str(inputs / {"missing": "absent", "directory": "dir", "non-utf8": "bad.bin",
+                         "malformed": "long.csv" if name == "data" else "deep.json"}[failure])
+    assert main(argv(inputs, path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and path in captured.err
+
+
+@pytest.fixture(scope="module")
+def six_features(tmp_path_factory):
+    """The CSV lines of `gen --n-features 6 --seed 0` and the model trained on them."""
+    d = tmp_path_factory.mktemp("six")
+    data, model = str(d / "data.csv"), str(d / "model.json")
+    assert main(["gen", "--n-features", "6", "--seed", "0", "--out", data,
+                 "--labels", str(d / "labels.json")]) == 0
+    assert main(["train", "--data", data, "--seed", "0", "--model", model]) == 0
+    return open(data).read().splitlines(), model
+
+
+def _with_cells(lines, path, cells):
+    """Write the CSV `lines` to path with cells {(row, column): text} replaced."""
+    rows = [line.split(",") for line in lines]
+    for (r, j), text in cells.items():
+        rows[r + 1][j] = text
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zscore_with_no_defined_z_selects_smallest_size(six_features, tmp_path, capsys):
+    # f2 = 1e300 makes row 5's log-density -inf in every subspace that holds
+    # f2, so each reference mean is inf and every z-score NaN
+    lines, model = six_features
+    data = _with_cells(lines, tmp_path / "big.csv", {(5, 2): "1e300"})
+    out = tmp_path / "z.jsonl"
+    for strategy in ("backward", "forward"):
+        assert main(["explain", "--model", model, "--data", data, "--rows", "5",
+                     "--strategy", strategy, "--selection", "zscore",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["selected"] == [2]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_on_overflowing_real_column_exits_3(six_features, tmp_path, capsys):
+    lines, _ = six_features
+    data = _with_cells(lines, tmp_path / "over.csv", {(0, 2): "1e300", (1, 2): "-1e300"})
+    assert main(["train", "--data", data, "--seed", "0",
+                 "--model", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert "column 'f2'" in err and "Traceback" not in err
+
+
+def test_outputs_are_checked_before_the_work(workspace, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("the work ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "learn_spn", never)
+    monkeypatch.setattr(cli, "explain_rows", never)
+    monkeypatch.setattr(metrics, "run_benchmark", never)
+    ws, out_dir = workspace, str(tmp_path)
+    bench = ["bench", "--data", ws["data"], "--labels", ws["labels"], "--seed", "0"]
+    for argv in (["train", "--data", ws["data"], "--seed", "0", "--model", out_dir],
+                 ["explain", "--model", ws["model"], "--data", ws["data"], "--rows", "0",
+                  "--out", out_dir],
+                 bench + ["--explanations", out_dir],
+                 bench + ["--summary", out_dir]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestModelSchemaEncoding:

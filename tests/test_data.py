@@ -42,6 +42,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(write(tmp_path, "h.csv", "a,b\n"))
 
+    def test_over_long_field_reports_line(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3," + "4" * 200_000 + "\n")
+        with pytest.raises(DataError, match=r"d\.csv:3: field larger than field limit"):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(str(tmp_path / "absent.csv"))

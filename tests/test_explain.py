@@ -274,6 +274,19 @@ class TestZscoreSelect:
         sel = zscore_select(m, per_size, X)
         assert sel.size == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_undefined_z_never_wins(self, rng):
+        # a reference cell of 1e300 makes every row's log-density -inf in
+        # the subspaces that hold feature 0: their mean is inf, their z NaN
+        m = factorized_model([(0.0, 1.0)] * 3)
+        X = rng.normal(size=(50, 3))
+        X[0, 0] = 1e300
+        x = np.array([0.5, 3.0, 3.0])
+        sizes = [SizeBest(len(s), s, float(log_marginal_subspace(m, x, s)))
+                 for s in ((0,), (0, 1), (1, 2))]
+        assert zscore_select(m, sizes[:2], X) == sizes[0]  # no z defined
+        assert zscore_select(m, sizes, X) == sizes[2]
+
     def test_node_evals_count_only_recomputed_nodes(self, planted20):
         # only nodes that straddle a subspace and changed since the last one
         # are recomputed; queries keep the logical count of one per
