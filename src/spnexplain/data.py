@@ -172,14 +172,17 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     it is categorical with categories in first-appearance order.
     """
     reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
+    records, starts = [], [1]  # starts[i]: the file line that record i starts on
     try:
-        lines = list(reader)
+        for record in reader:
+            records.append(record)
+            starts.append(reader.line_num + 1)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not lines:
+    if not records:
         raise DataError(f"{path}: empty file, expected a header row")
-    header, rows = lines[0], lines[1:]
-    for lineno, row in enumerate(rows, start=2):
+    header, rows, row_lines = records[0], records[1:], starts[1:-1]
+    for lineno, row in zip(row_lines, rows):
         if len(row) != len(header):
             raise DataError(
                 f"{path}:{lineno}: ragged row, {len(row)} cells but {len(header)} columns"
@@ -212,7 +215,7 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
             if None in parsed:
                 i = parsed.index(None)
                 raise DataError(
-                    f"{path}:{i + 2}: column {name!r} declared real "
+                    f"{path}:{row_lines[i]}: column {name!r} declared real "
                     f"but cell {cells[i]!r} is not numeric"
                 )
             values[:, j] = parsed
@@ -222,7 +225,7 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
             if None in codes:
                 i = codes.index(None)
                 raise DataError(
-                    f"{path}:{i + 2}: value {cells[i]!r} not among declared "
+                    f"{path}:{row_lines[i]}: value {cells[i]!r} not among declared "
                     f"categories of column {name!r}"
                 )
             values[:, j] = codes

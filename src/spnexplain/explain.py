@@ -143,7 +143,8 @@ def subspace_score_stats(model: SpnModel, X, subspace: Subspace,
     keep = np.zeros(n, dtype=bool)
     keep[list(subspace)] = True
     scores = -_reference(model, X).log_marginal(keep, counter)
-    return ScoreStats(float(scores.mean()), float(scores.std()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf score: NaN z-scores
+        return ScoreStats(float(scores.mean()), float(scores.std()))
 
 
 def _reference(model: SpnModel, X) -> TableMarginals:

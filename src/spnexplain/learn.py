@@ -3,8 +3,9 @@
 Top-down recursion: try to split columns into independence groups with
 the randomized dependence coefficient (product node), otherwise cluster
 rows with a 2-component diagonal GMM (sum node weighted by cluster
-proportions). Slices below the row threshold are factorized naively
-into per-column leaves.
+proportions). A product node's children, which cannot split again, go
+straight to the row clustering. Slices below the row threshold are
+factorized naively into per-column leaves.
 """
 
 from __future__ import annotations
@@ -78,24 +79,26 @@ def _rdc_features(X: np.ndarray, seed) -> np.ndarray:
 def _canonical_corrs(F: np.ndarray) -> np.ndarray:
     """Largest canonical correlation of every pair of the c feature blocks
     in F (c, k features, n samples), as a symmetric (c, c) matrix with a
-    zero diagonal. F is overwritten with the whitened blocks W_c = F_c
-    L_c^-T, L_c L_c^T being block c's covariance plus a ridge; a pair's
-    coefficient is the top singular value of W_a^T W_b / (n - 1)."""
+    zero diagonal. F is overwritten with the whitened blocks W_c = L_c^-1
+    F_c, L_c L_c^T being block c's covariance plus a ridge; a pair's
+    coefficient is the top singular value of B = W_a W_b^T / (n - 1), the
+    square root of the largest eigenvalue of B^T B."""
     c, k, n = F.shape
     F -= F.mean(axis=2, keepdims=True)
     cov = F @ F.transpose(0, 2, 1) / (n - 1) + RDC_RIDGE * np.eye(k)
-    chol = np.linalg.cholesky(cov)
+    inv = np.linalg.inv(np.linalg.cholesky(cov))
     step = max(1, RDC_CHUNK // (k * n))
     for i in range(0, c, step):
-        F[i:i + step] = np.linalg.solve(chol[i:i + step], F[i:i + step])
+        F[i:i + step] = inv[i:i + step] @ F[i:i + step]
     W = F.reshape(c * k, n)
     rho = np.zeros((c, c))
     step = max(1, RDC_CHUNK // (k * k * c))
     for i in range(0, c, step):
         cross = W[i * k:(i + step) * k] @ W[i * k:].T / (n - 1)
         blocks = cross.reshape(-1, k, c - i, k).transpose(0, 2, 1, 3)
-        rho[i:i + step, i:] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-    rho = np.clip(np.triu(rho, 1), 0.0, 1.0)
+        rho[i:i + step, i:] = np.linalg.eigvalsh(
+            blocks.swapaxes(2, 3) @ blocks)[..., -1]
+    rho = np.sqrt(np.clip(np.triu(rho, 1), 0.0, 1.0))
     return rho + rho.T
 
 
@@ -193,8 +196,11 @@ def cluster_rows(Z: np.ndarray,
 
 
 def sigma_floor_for(values: np.ndarray) -> float:
-    sd = float(np.std(values))
-    return 1e-6 * (sd if sd > 0.0 else 1.0)
+    """The smallest leaf sigma of a real column: 1e-6 of its spread. It is
+    not finite when the column's mean or spread overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(values))
+    return 1e-6 * (sd if sd != 0.0 else 1.0)
 
 
 def fit_leaf(values: np.ndarray, column: Column, feature: int,
@@ -227,6 +233,9 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
     schema = dataset.schema
     floors = [sigma_floor_for(X[:, j]) if c.kind == "real" else 0.0
               for j, c in enumerate(schema)]
+    for c, floor in zip(schema, floors):
+        if not math.isfinite(floor):
+            raise DataError(f"column {c.name!r}: its mean or spread overflows")
     nodes: list[Node] = []
 
     def add(node: Node) -> int:
@@ -240,14 +249,18 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
         ids = [leaf(rows, c) for c in cols]
         return ids[0] if len(ids) == 1 else add(ProductNode(tuple(ids)))
 
-    def build(rows: np.ndarray, cols: list[int], depth: int, path: tuple[int, ...]) -> int:
+    def build(rows: np.ndarray, cols: list[int], depth: int, path: tuple[int, ...],
+              may_split: bool = True) -> int:
         if len(cols) == 1:
             return leaf(rows, cols[0])
         if depth >= MAX_RECURSION_DEPTH or len(rows) < config.min_slice_rows:
             return naive(rows, cols)
-        groups = split_columns(X, rows, cols, config)
+        groups = split_columns(X, rows, cols, config) if may_split else [cols]
         if len(groups) > 1:
-            ids = [build(rows, g, depth + 1, path + (gi,))
+            # a group keeps these rows, so its coefficients are a submatrix of
+            # these and it is one connected component of their >= alpha graph:
+            # split_columns would return it whole
+            ids = [build(rows, g, depth + 1, path + (gi,), may_split=False)
                    for gi, g in enumerate(groups)]
             return add(ProductNode(tuple(ids)))
         rng = np.random.default_rng((_mask_seed(config.seed), 11, len(path)) + path)

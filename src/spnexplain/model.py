@@ -274,8 +274,9 @@ class _Circuit:
         vals = np.empty((self.n_rows, q.shape[0]))
         vals[-1] = 0.0
         x = q.T[self.gauss_feature]
-        z = (x - self.mu) / self.sigma  # NaN where marginalized
-        lp = -0.5 * z * z - self.log_sigma - 0.5 * LOG_2PI
+        with np.errstate(over="ignore"):  # a cell far out in a tail reads -inf
+            z = (x - self.mu) / self.sigma  # NaN where marginalized
+            lp = -0.5 * z * z - self.log_sigma - 0.5 * LOG_2PI
         hi = len(self.gauss_feature)
         vals[:hi] = np.where(np.isnan(x), 0.0, lp)
         x = q.T[self.cat_feature]

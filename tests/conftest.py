@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 from spnexplain.data import Column
 from spnexplain.explain import (ExplanationTrace, SizeBest, backward_elimination,
                                 elbow_select)
+from spnexplain.learn import RDC_CHUNK, RDC_RIDGE
 from spnexplain.model import (LOG_2PI, CategoricalLeaf, EvalCounter, GaussianLeaf,
                               ProductNode, SpnModel, SumNode, log_marginal)
 
@@ -229,6 +230,28 @@ def reference_explain(model: SpnModel, x, config, X) -> ExplanationTrace:
         chosen = reference_zscore_select(model, per_size, X, counter)
     return ExplanationTrace(per_size, chosen.subspace, chosen.size, counter.queries,
                             config.strategy, config.selection)
+
+
+def reference_canonical_corrs(F: np.ndarray) -> np.ndarray:
+    """`_canonical_corrs` as a per-chunk triangular solve and a full SVD of
+    each 20x20 cross block: the coefficients the Cholesky-inverse and
+    eigvalsh form must reproduce. F is overwritten."""
+    c, k, n = F.shape
+    F -= F.mean(axis=2, keepdims=True)
+    cov = F @ F.transpose(0, 2, 1) / (n - 1) + RDC_RIDGE * np.eye(k)
+    chol = np.linalg.cholesky(cov)
+    step = max(1, RDC_CHUNK // (k * n))
+    for i in range(0, c, step):
+        F[i:i + step] = np.linalg.solve(chol[i:i + step], F[i:i + step])
+    W = F.reshape(c * k, n)
+    rho = np.zeros((c, c))
+    step = max(1, RDC_CHUNK // (k * k * c))
+    for i in range(0, c, step):
+        cross = W[i * k:(i + step) * k] @ W[i * k:].T / (n - 1)
+        blocks = cross.reshape(-1, k, c - i, k).transpose(0, 2, 1, 3)
+        rho[i:i + step, i:] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    rho = np.clip(np.triu(rho, 1), 0.0, 1.0)
+    return rho + rho.T
 
 
 def all_assignments(model: SpnModel):

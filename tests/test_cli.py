@@ -336,7 +336,7 @@ def _with_cells(lines, path, cells):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zscore_with_no_defined_z_selects_smallest_size(six_features, tmp_path, capsys):
     # f2 = 1e300 makes row 5's log-density -inf in every subspace that holds
     # f2, so each reference mean is inf and every z-score NaN
@@ -351,7 +351,7 @@ def test_zscore_with_no_defined_z_selects_smallest_size(six_features, tmp_path, 
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_on_overflowing_real_column_exits_3(six_features, tmp_path, capsys):
     lines, _ = six_features
     data = _with_cells(lines, tmp_path / "over.csv", {(0, 2): "1e300", (1, 2): "-1e300"})
@@ -359,6 +359,35 @@ def test_train_on_overflowing_real_column_exits_3(six_features, tmp_path, capsys
                  "--model", str(tmp_path / "m.json")]) == 3
     err = capsys.readouterr().err
     assert "column 'f2'" in err and "Traceback" not in err
+
+
+def test_huge_cells_print_only_their_data_error(six_features, tmp_path):
+    # the installed command, so that numpy warnings reach stderr as a user
+    # sees them: f2 = 1e300 overflows a leaf's square and the reference std
+    lines, model = six_features
+    big = _with_cells(lines, tmp_path / "big.csv", {(5, 2): "1e300"})
+    both = _with_cells(lines, tmp_path / "pm.csv", {(0, 2): "1e300", (1, 2): "-1e300"})
+    src = os.path.dirname(os.path.dirname(spnexplain.__file__))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "spnexplain.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    for data in (big, both):
+        done = run("train", "--data", data, "--seed", "0",
+                   "--model", str(tmp_path / "m.json"))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "data error: column 'f2': its mean or spread overflows\n"
+    for strategy in ("backward", "forward"):
+        done = run("explain", "--model", model, "--data", big, "--rows", "5",
+                   "--strategy", strategy, "--selection", "zscore")
+        assert (done.returncode, done.stderr) == (0, "")
+        record = json.loads(done.stdout)
+        assert record["selected"] == [2] and record["per_size"][0]["log_density"] == -np.inf
+    done = run("score", "--model", model, "--data", big, "--contamination", "0.03")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[6] == "5\tinf\t1"
 
 
 def test_outputs_are_checked_before_the_work(workspace, tmp_path, monkeypatch, capsys):

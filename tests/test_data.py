@@ -31,6 +31,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv:3: missing value in column 'b'"):
             load_csv(path)
 
+    def test_faults_after_a_multi_line_cell_report_the_record_line(self, tmp_path):
+        # the quoted cell spans lines 2-3, so the record after it is on line 4
+        path = write(tmp_path, "ql.csv", 'a,b\n"x\ny",1\nz,\n')
+        with pytest.raises(DataError, match=r"ql\.csv:4: missing value in column 'b'"):
+            load_csv(path)
+        path = write(tmp_path, "qr.csv", 'a,b\n"x\ny",1\nz,oops\n')
+        with pytest.raises(DataError, match=r"qr\.csv:4: value 'z' not among declared"):
+            load_csv(path, [Column("a", "categorical", ("x\ny",)),
+                            Column("b", "categorical", ("1", "oops"))])
+        with pytest.raises(DataError, match=r"qr\.csv:4: column 'b' declared real"):
+            load_csv(path, [Column("a", "categorical", ("x\ny", "z")),
+                            Column("b", "real")])
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4,5\n")
         with pytest.raises(DataError, match=r":3: ragged row"):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from conftest import reference_canonical_corrs
+from spnexplain import learn
 from spnexplain.data import Column, Dataset
+from spnexplain.datagen import GenConfig, generate
 from spnexplain.learn import (LearnConfig, _canonical_corrs, _mask_seed,
                               _rdc_features, average_ranks, cluster_rows, fit_leaf,
                               learn_spn, rdc, sigma_floor_for, split_columns)
@@ -28,6 +32,26 @@ def cca_oracle(fa, fb, ridge=1e-9):
     m = np.linalg.solve(caa, cab) @ np.linalg.solve(cbb, cab.T)
     eig = np.linalg.eigvals(m).real
     return math.sqrt(min(max(eig.max(), 0.0), 1.0))
+
+
+KINDS = ["real", "tied", "coded", "constant"]
+
+
+def _columns(r, n, kinds):
+    """n rows of real, tied (few values), categorical-coded and constant
+    columns, one per kind, most of them dependent on one base column."""
+    base = r.normal(size=n)
+    cols = []
+    for kind in kinds:
+        x = base + r.normal(0.0, r.choice([0.1, 1.0, 10.0]), size=n)
+        if kind == "tied":
+            x = np.round(x * 2.0) / 2.0
+        elif kind == "coded":
+            x = np.digitize(x, np.sort(r.normal(size=int(r.integers(1, 5))))) * 1.0
+        elif kind == "constant":
+            x = np.full(n, r.normal())
+        cols.append(x)
+    return np.column_stack(cols)
 
 
 class TestRdc:
@@ -80,32 +104,44 @@ class TestRdc:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(3, 400),
-           kinds=st.lists(st.sampled_from(["real", "tied", "coded", "constant"]),
-                          min_size=2, max_size=6))
+           kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=6))
     def test_batched_coefficients_match_pairwise_and_oracle(self, seed, n, kinds):
-        # real, tied (few values), categorical-coded and constant columns,
-        # some of them functions of the first column
-        r = np.random.default_rng(seed)
-        base = r.normal(size=n)
-        cols = []
-        for kind in kinds:
-            x = base + r.normal(0.0, r.choice([0.1, 1.0, 10.0]), size=n)
-            if kind == "tied":
-                x = np.round(x * 2.0) / 2.0
-            elif kind == "coded":
-                x = np.digitize(x, np.sort(r.normal(size=int(r.integers(1, 5))))) * 1.0
-            elif kind == "constant":
-                x = np.full(n, r.normal())
-            cols.append(x)
-        X = np.column_stack(cols)
+        X = _columns(np.random.default_rng(seed), n, kinds)
         feats = _rdc_features(X, seed)
         coeffs = _canonical_corrs(feats.copy())
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
+        for a in range(len(kinds)):
+            for b in range(a + 1, len(kinds)):
                 assert coeffs[a, b] == coeffs[b, a]
                 assert coeffs[a, b] == pytest.approx(rdc(X[:, a], X[:, b], seed), abs=1e-6)
                 assert coeffs[a, b] == pytest.approx(
                     cca_oracle(feats[a].T, feats[b].T), abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(3, 400),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=8))
+    def test_coefficients_match_solve_and_svd_reference(self, seed, n, kinds):
+        feats = _rdc_features(_columns(np.random.default_rng(seed), n, kinds), seed)
+        got = _canonical_corrs(feats.copy())
+        assert np.abs(got - reference_canonical_corrs(feats)).max() <= 1e-10
+
+    def test_chunked_coefficients_match_one_chunk(self, rng, monkeypatch):
+        X = _columns(rng, 300, KINDS * 3)
+        feats = _rdc_features(X, 3)
+        whole = _canonical_corrs(feats.copy())
+        monkeypatch.setattr(learn, "RDC_CHUNK", 1)  # one block or row of pairs a chunk
+        assert np.abs(_canonical_corrs(feats) - whole).max() <= 1e-12
+
+    def test_transient_memory_stays_within_a_few_chunks(self, rng):
+        # the features of 100 columns x 1000 rows fill 7.6 chunks; whitening
+        # or pairing them all at once would need that much again
+        feats = _rdc_features(rng.normal(size=(1000, 100)), 0)
+        tracemalloc.start()
+        try:
+            _canonical_corrs(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * learn.RDC_CHUNK
 
 
 def _block_data(rng, n=600):
@@ -226,6 +262,81 @@ class TestFitLeaf:
 
 def _dataset(X):
     return Dataset([Column(f"f{j}", "real") for j in range(X.shape[1])], X)
+
+
+def _skip_tables():
+    """Planted tables, and one whose first column of each planted block is
+    cut into 4 quantile bins and stored as a categorical column."""
+    tables = [(generate(GenConfig(n_features=n, seed=s)).dataset, s)
+              for n, s in ((10, 0), (20, 1), (30, 2))]
+    labeled = generate(GenConfig(n_features=20, seed=3))
+    X = labeled.dataset.values.copy()
+    schema = list(labeled.dataset.schema)
+    for sub in {tuple(s) for s in labeled.ground_truth.values()}:
+        j = sub[0]
+        X[:, j] = np.digitize(X[:, j], np.quantile(X[:, j], [0.25, 0.5, 0.75])) * 1.0
+        schema[j] = Column(schema[j].name, "categorical", ("q0", "q1", "q2", "q3"))
+    return tables + [(Dataset(schema, X), 3)]
+
+
+def _recorded_learn(monkeypatch, dataset, config):
+    """learn_spn with each split_columns call recorded as (rows, cols,
+    groups) and each cluster_rows call as its row assignment."""
+    splits, assigns = [], []
+    split_columns, cluster_rows = learn.split_columns, learn.cluster_rows
+
+    def split(X, rows, cols, config):
+        groups = split_columns(X, rows, cols, config)
+        splits.append((rows.copy(), list(cols), groups))
+        return groups
+
+    def cluster(Z, rng):
+        assign, weights = cluster_rows(Z, rng)
+        assigns.append(assign)
+        return assign, weights
+
+    monkeypatch.setattr(learn, "split_columns", split)
+    monkeypatch.setattr(learn, "cluster_rows", cluster)
+    learn_spn(dataset, config)
+    return splits, assigns
+
+
+class TestProductChildSkip:
+    """A product node's children keep its rows and skip the RDC: their
+    coefficients are a submatrix of the parent's, and each child is one
+    connected component of the parent's >= alpha graph."""
+
+    @pytest.mark.parametrize("table", range(4))
+    def test_product_children_cannot_split(self, monkeypatch, table):
+        dataset, seed = _skip_tables()[table]
+        config = LearnConfig(seed=seed)
+        X = dataset.values
+        draw = (_mask_seed(seed), 7)
+        splits, _ = _recorded_learn(monkeypatch, dataset, config)
+        checked = 0
+        for rows, cols, groups in splits:
+            if len(groups) == 1:
+                continue
+            parent = _canonical_corrs(_rdc_features(X[np.ix_(rows, cols)], draw))
+            for g in (g for g in groups if len(g) > 1):
+                at = [cols.index(c) for c in g]
+                child = _canonical_corrs(_rdc_features(X[np.ix_(rows, g)], draw))
+                assert np.abs(child - parent[np.ix_(at, at)]).max() <= 1e-12
+                assert split_columns(X, rows, g, config) == [g]
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("table", range(4))
+    def test_split_columns_runs_on_the_root_and_sum_children_only(self, monkeypatch,
+                                                                  table):
+        # every slice that cluster_rows splits has 2 or more columns, so each
+        # of its two children with enough rows is offered to split_columns
+        dataset, seed = _skip_tables()[table]
+        config = LearnConfig(seed=seed)
+        splits, assigns = _recorded_learn(monkeypatch, dataset, config)
+        sum_children = sum(int(np.sum(side) >= config.min_slice_rows)
+                           for a in assigns for side in (~a, a))
+        assert assigns and len(splits) == 1 + sum_children
 
 
 class TestLearnSpn:
