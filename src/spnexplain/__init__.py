@@ -9,7 +9,7 @@ from .learn import LearnConfig, learn_spn, rdc
 from .metrics import EvalReport, detect, f1_dims, run_benchmark
 from .model import (CategoricalLeaf, EvalCounter, GaussianLeaf, ProductNode,
                     SpnModel, SumNode, TableMarginals, load_model, log_marginal,
-                    log_marginal_subspace, save_model, validate)
+                    save_model, validate)
 
 __all__ = [
     "Column", "Dataset", "load_csv", "save_csv",
@@ -19,6 +19,6 @@ __all__ = [
     "LearnConfig", "learn_spn", "rdc",
     "EvalReport", "detect", "f1_dims", "run_benchmark",
     "CategoricalLeaf", "EvalCounter", "GaussianLeaf", "ProductNode", "SpnModel",
-    "SumNode", "TableMarginals", "load_model", "log_marginal", "log_marginal_subspace",
-    "save_model", "validate",
+    "SumNode", "TableMarginals", "load_model", "log_marginal", "save_model",
+    "validate",
 ]

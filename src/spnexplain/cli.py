@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import datagen, metrics
@@ -114,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _write_lines(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
+def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -165,7 +163,7 @@ def cmd_score(args) -> None:
         scores = -eval_log_density(model, dataset.values)
         lines = ["row\tscore"]
         lines += [f"{i}\t{format_float(s)}" for i, s in enumerate(scores)]
-    _write_lines(lines, args.out)
+    _write("\n".join(lines) + "\n", args.out)
 
 
 def cmd_explain(args) -> None:
@@ -182,8 +180,7 @@ def cmd_explain(args) -> None:
             raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
     _create_outputs(args.out)
     traces = explain_rows(model, dataset.values, rows, _explain_config(args))
-    _write_lines([json.dumps(metrics.trace_record(r, t)) for r, t in zip(rows, traces)],
-                 args.out)
+    _write(metrics.format_explanations(rows, traces), args.out)
 
 
 def cmd_eval(args) -> None:
@@ -215,7 +212,7 @@ def cmd_eval(args) -> None:
         lines.append(f"{row}\t{format_float(p)}\t{format_float(r)}\t{format_float(f1)}")
     mean = sum(f1s) / len(f1s) if f1s else 0.0
     lines.append(f"mean\t\t\t{format_float(mean)}")
-    _write_lines(lines, None)
+    print("\n".join(lines))
 
 
 def cmd_bench(args) -> None:

@@ -185,6 +185,8 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
             raise DataError(f"{at} row {row} outside dataset of {dataset.n_rows} rows")
         if not sub or sub[0] < 0 or sub[-1] >= dataset.n_features:
             raise DataError(f"{at} subspace {list(sub)} outside schema")
+        if len(set(sub)) < len(sub):
+            raise DataError(f"{at} subspace {list(sub)} lists a feature twice")
         if row in truth:
             raise DataError(f"{at} repeats row {row}")
         truth[row] = sub

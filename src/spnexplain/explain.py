@@ -133,44 +133,31 @@ class ScoreStats:
     std: float
 
 
-def subspace_score_stats(model: SpnModel, X, subspace: Subspace,
+def subspace_score_stats(reference: TableMarginals, subspace: Subspace,
                          counter: EvalCounter | None = None) -> ScoreStats:
     """Mean/std of negative log marginal densities of all rows of the
-    reference table X (an array or a `TableMarginals`) in one subspace."""
-    n = model.n_features
+    reference table in one subspace."""
+    n = reference.model.n_features
     if not all(0 <= d < n for d in subspace):
         raise ValueError(f"subspace {subspace} outside schema of {n} features")
     keep = np.zeros(n, dtype=bool)
     keep[list(subspace)] = True
-    scores = -_reference(model, X).log_marginal(keep, counter)
+    scores = -reference.log_marginal(keep, counter)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf score: NaN z-scores
         return ScoreStats(float(scores.mean()), float(scores.std()))
 
 
-def _reference(model: SpnModel, X) -> TableMarginals:
-    if isinstance(X, TableMarginals):
-        if X.model is not model:
-            raise ValueError("reference table was built for another model")
-        return X
-    X = np.asarray(X, dtype=np.float64)
-    if X.size == 0:
-        raise ValueError("zscore selection needs training data")
-    return TableMarginals(model, X)
-
-
-def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
+def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
                   counter: EvalCounter | None = None) -> SizeBest:
     """Pick the candidate whose score is most extreme relative to the
-    training-set score distribution in its subspace (ties, and a z-score
-    that is NaN for every candidate: the first, smallest size).
-    X_train is the reference table, an array or a `TableMarginals`."""
+    score distribution of the reference table in its subspace (ties, and a
+    z-score that is NaN for every candidate: the first, smallest size)."""
     if not per_size:
         raise ValueError("per_size is empty")
-    reference = _reference(model, X_train)
     best = per_size[0]
     best_z = -math.inf
     for sb in per_size:
-        stats = subspace_score_stats(model, reference, sb.subspace, counter)
+        stats = subspace_score_stats(reference, sb.subspace, counter)
         score = -sb.log_density
         z = 0.0 if stats.std == 0.0 else (score - stats.mean) / stats.std
         if z > best_z:
@@ -180,17 +167,20 @@ def zscore_select(model: SpnModel, per_size: list[SizeBest], X_train,
 
 
 def explain(model: SpnModel, x, config: ExplainConfig,
-            X_train=None) -> ExplanationTrace:
+            reference: TableMarginals | None = None) -> ExplanationTrace:
     """Search subspaces with the configured strategy and select one
-    explanation. eval_count is the paper's logical count of marginal
-    queries (z-score selection asks one per reference row and subspace),
-    not the node evaluations performed to answer them."""
+    explanation, z-scores against the rows of the `reference` table.
+    eval_count is the paper's logical count of marginal queries (z-score
+    selection asks one per reference row and subspace), not the node
+    evaluations performed to answer them."""
     n = model.n_features
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
-    if config.selection == "zscore" and X_train is None:
+    if config.selection == "zscore" and reference is None:
         raise ValueError("zscore selection requires training data")
+    if reference is not None and reference.model is not model:
+        raise ValueError("reference table was built for another model")
     counter = EvalCounter()
     # backward elimination needs two features; a one-feature model has only
     # the one subspace, which a forward search of depth 1 scores
@@ -202,7 +192,7 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     if config.selection == "elbow":
         chosen = elbow_select(per_size, config.kappa)
     else:
-        chosen = zscore_select(model, per_size, X_train, counter)
+        chosen = zscore_select(per_size, reference, counter)
     return ExplanationTrace(per_size, chosen.subspace, chosen.size,
                             counter.queries, config.strategy, config.selection)
 
@@ -211,7 +201,10 @@ def explain_rows(model: SpnModel, X, rows,
                  config: ExplainConfig) -> list[ExplanationTrace]:
     """Explain the given rows of the table X, one `explain` call per row;
     z-score selection measures against all rows of X, which are evaluated
-    once for the whole run."""
+    once for the whole run. A row outside 0..len(X)-1 raises ValueError."""
     X = np.asarray(X, dtype=np.float64)
-    reference = _reference(model, X) if config.selection == "zscore" else None
-    return [explain(model, X[r], config, X_train=reference) for r in rows]
+    for r in rows:
+        if not 0 <= r < len(X):
+            raise ValueError(f"row {r} outside table of {len(X)} rows")
+    reference = TableMarginals(model, X) if config.selection == "zscore" else None
+    return [explain(model, X[r], config, reference) for r in rows]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -58,16 +59,24 @@ class EvalReport:
 
 
 def trace_record(row: int, trace: ExplanationTrace) -> dict:
+    """One explanation as a JSON record; a non-finite log-density is null."""
     return {
         "row": row,
         "selected": list(trace.selected),
         "size": trace.selected_size,
         "per_size": [{"k": sb.size, "features": list(sb.subspace),
-                      "log_density": sb.log_density} for sb in trace.per_size],
+                      "log_density": (sb.log_density if math.isfinite(sb.log_density)
+                                      else None)} for sb in trace.per_size],
         "strategy": trace.strategy,
         "selection": trace.selection,
         "evals": trace.eval_count,
     }
+
+
+def format_explanations(rows: list[int], traces: list[ExplanationTrace]) -> str:
+    """The strict JSON-lines of `explain` and `bench`, one record a row."""
+    return "".join(json.dumps(trace_record(r, t), allow_nan=False) + "\n"
+                   for r, t in zip(rows, traces))
 
 
 def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
@@ -86,7 +95,6 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
     explain_s = time.perf_counter() - t0
     f1s = [f1_dims(t.selected, labeled.ground_truth[r])[2]
            for r, t in zip(rows, traces)]
-    lines = [json.dumps(trace_record(r, t)) for r, t in zip(rows, traces)]
 
     # summed in order, as `eval` sums, so both report the same mean
     report = EvalReport(rows, f1s, [t.eval_count for t in traces],
@@ -95,7 +103,7 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
                         explain_config.strategy, explain_config.selection)
     if explanations_path is not None:
         with open(explanations_path, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write(format_explanations(rows, traces))
     if summary_path is not None:
         write_summary([report], summary_path)
     return report

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -403,6 +403,8 @@ class TableMarginals:
     def __init__(self, model: SpnModel, X):
         X = np.asarray(X, dtype=np.float64)
         self._circuit = _compiled(model, X)
+        if X.shape[0] == 0:
+            raise ValueError("reference table has no rows")
         self.model = model
         self.n_rows = X.shape[0]
         self._full = self._circuit.node_values(X)
@@ -436,18 +438,6 @@ class TableMarginals:
         if counter is not None:
             counter.add(self.n_rows, len(redo) * self.n_rows)
         return vals[circuit.root].copy()
-
-
-def log_marginal_subspace(model: SpnModel, x: Sequence[float], subspace: Sequence[int],
-                          counter: EvalCounter | None = None) -> float:
-    """log p(x_D) for the projection of a full sample onto a feature subset."""
-    sub = sorted(set(int(d) for d in subspace))
-    if not sub:
-        raise ValueError("subspace is empty")
-    if sub[0] < 0 or sub[-1] >= model.n_features:
-        raise ValueError(f"subspace {sub} outside schema of {model.n_features} features")
-    keep = np.isin(np.arange(model.n_features), sub)
-    return float(log_marginal(model, x, keep, counter))
 
 
 # --- serialization -------------------------------------------------------

@@ -172,6 +172,20 @@ def reference_log_density(model: SpnModel, queries) -> np.ndarray:
     return vals[model.root]
 
 
+def log_marginal_subspace(model: SpnModel, x, subspace,
+                          counter: EvalCounter | None = None) -> float:
+    """log p(x_D) for the projection of a full sample onto a feature subset
+    given as indices: the stepwise form of `log_marginal` that the search
+    oracles and the explanation-file checks use."""
+    sub = sorted(set(int(d) for d in subspace))
+    if not sub:
+        raise ValueError("subspace is empty")
+    if sub[0] < 0 or sub[-1] >= model.n_features:
+        raise ValueError(f"subspace {sub} outside schema of {model.n_features} features")
+    keep = np.isin(np.arange(model.n_features), sub)
+    return float(log_marginal(model, x, keep, counter))
+
+
 def reference_forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
                                   counter: EvalCounter | None = None) -> list[SizeBest]:
     """Forward beam search over sorted index tuples, with Python sets for

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (all_assignments, direct_prob, random_categorical_model,
-                      random_gaussian_model)
+from conftest import (all_assignments, direct_prob, log_marginal_subspace,
+                      random_categorical_model, random_gaussian_model)
 from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, backward_elimination,
                                 elbow_select, explain, forward_beam_search)
 from spnexplain.learn import LearnConfig, learn_spn
 from spnexplain.metrics import f1_dims, run_benchmark, trace_record
-from spnexplain.model import (EvalCounter, eval_log_density,
-                              log_marginal_subspace)
+from spnexplain.model import EvalCounter, eval_log_density
 
 BW = ExplainConfig(strategy="backward", selection="elbow")
 FW = ExplainConfig(strategy="forward", selection="elbow")

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import log_marginal_subspace
 import spnexplain
 from spnexplain import cli, metrics
 from spnexplain.cli import main
-from spnexplain.model import eval_log_density, load_model, log_marginal_subspace
+from spnexplain.model import eval_log_density, load_model
 
 
 @pytest.fixture
@@ -351,6 +352,24 @@ def test_zscore_with_no_defined_z_selects_smallest_size(six_features, tmp_path, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_underflowing_log_density_is_written_as_null(six_features, tmp_path):
+    # f2 = 1e300 gives row 5 a density of 0 in every subspace that holds f2,
+    # and backward elimination keeps f2 in each of them
+    lines, model = six_features
+    data = _with_cells(lines, tmp_path / "big.csv", {(5, 2): "1e300"})
+    out = tmp_path / "z.jsonl"
+    assert main(["explain", "--model", model, "--data", data, "--rows", "4,5",
+                 "--selection", "zscore", "--out", str(out)]) == 0
+    finite, huge = [json.loads(line, parse_constant=_reject_constant)
+                    for line in open(out)]
+    assert all(isinstance(e["log_density"], float) for e in finite["per_size"])
+    assert all(e["log_density"] is None for e in huge["per_size"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_on_overflowing_real_column_exits_3(six_features, tmp_path, capsys):
     lines, _ = six_features
@@ -384,7 +403,7 @@ def test_huge_cells_print_only_their_data_error(six_features, tmp_path):
                    "--strategy", strategy, "--selection", "zscore")
         assert (done.returncode, done.stderr) == (0, "")
         record = json.loads(done.stdout)
-        assert record["selected"] == [2] and record["per_size"][0]["log_density"] == -np.inf
+        assert record["selected"] == [2] and record["per_size"][0]["log_density"] is None
     done = run("score", "--model", model, "--data", big, "--contamination", "0.03")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[6] == "5\tinf\t1"

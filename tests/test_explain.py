@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_gaussian_model, random_mixed_model,
-                      reference_explain, reference_forward_beam_search)
+from conftest import (log_marginal_subspace, random_gaussian_model,
+                      random_mixed_model, reference_explain,
+                      reference_forward_beam_search)
 from spnexplain.data import Column
 from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
@@ -16,8 +17,7 @@ from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
                                 zscore_select)
 from spnexplain.learn import LearnConfig, learn_spn
 from spnexplain.model import (EvalCounter, GaussianLeaf, ProductNode, SpnModel,
-                              SumNode, TableMarginals, log_marginal,
-                              log_marginal_subspace)
+                              SumNode, TableMarginals, log_marginal)
 
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -235,7 +235,7 @@ class TestZscoreSelect:
     def test_stats_match_numpy(self, rng):
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         X = rng.normal(size=(100, 2))
-        stats = subspace_score_stats(m, X, (0,))
+        stats = subspace_score_stats(TableMarginals(m, X), (0,))
         scores = HALF_LN_2PI + X[:, 0] ** 2 / 2.0
         assert stats.mean == pytest.approx(scores.mean(), abs=1e-12)
         assert stats.std == pytest.approx(scores.std(), abs=1e-12)
@@ -245,23 +245,25 @@ class TestZscoreSelect:
         X = rng.normal(size=(10, 2))
         for subspace in ((2,), (-1,), (0, 5)):
             with pytest.raises(ValueError, match="outside schema"):
-                subspace_score_stats(m, X, subspace)
+                subspace_score_stats(TableMarginals(m, X), subspace)
         other = factorized_model([(0.0, 1.0), (1.0, 2.0)])
-        with pytest.raises(ValueError, match="another model"):
-            subspace_score_stats(m, TableMarginals(other, X), (0,))
+        for config in (ExplainConfig(selection="zscore"), ExplainConfig()):
+            with pytest.raises(ValueError, match="another model"):
+                explain(m, X[0], config, TableMarginals(other, X))
 
     def test_picks_highest_z(self, rng):
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
         X = rng.normal(size=(500, 2))
         x = np.array([4.0, 0.05])
         per_size = [
-            SizeBest(1, (0,), float(log_marginal_subspace(m, x, (0,)))),
-            SizeBest(2, (0, 1), float(log_marginal_subspace(m, x, (0, 1)))),
+            SizeBest(1, (0,), float(log_marginal(m, x, np.array([True, False])))),
+            SizeBest(2, (0, 1), float(log_marginal(m, x, np.array([True, True])))),
         ]
-        sel = zscore_select(m, per_size, X)
+        table = TableMarginals(m, X)
+        sel = zscore_select(per_size, table)
         zs = []
         for sb in per_size:
-            st_ = subspace_score_stats(m, X, sb.subspace)
+            st_ = subspace_score_stats(table, sb.subspace)
             zs.append((-sb.log_density - st_.mean) / st_.std)
         want = per_size[int(np.argmax(zs))]
         assert sel == want
@@ -271,7 +273,7 @@ class TestZscoreSelect:
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
         X = np.zeros((10, 2))
         per_size = _per_size([-2.0, -3.0])
-        sel = zscore_select(m, per_size, X)
+        sel = zscore_select(per_size, TableMarginals(m, X))
         assert sel.size == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -282,10 +284,11 @@ class TestZscoreSelect:
         X = rng.normal(size=(50, 3))
         X[0, 0] = 1e300
         x = np.array([0.5, 3.0, 3.0])
-        sizes = [SizeBest(len(s), s, float(log_marginal_subspace(m, x, s)))
+        sizes = [SizeBest(len(s), s, float(log_marginal(m, x, np.isin(range(3), s))))
                  for s in ((0,), (0, 1), (1, 2))]
-        assert zscore_select(m, sizes[:2], X) == sizes[0]  # no z defined
-        assert zscore_select(m, sizes, X) == sizes[2]
+        table = TableMarginals(m, X)
+        assert zscore_select(sizes[:2], table) == sizes[0]  # no z defined
+        assert zscore_select(sizes, table) == sizes[2]
 
     def test_node_evals_count_only_recomputed_nodes(self, planted20):
         # only nodes that straddle a subspace and changed since the last one
@@ -293,11 +296,12 @@ class TestZscoreSelect:
         # reference row and subspace
         labeled, m = planted20
         X = labeled.dataset.values
+        table = TableMarginals(m, X)
         queries = node_evals = subspaces = 0
         for r in labeled.outlier_rows:
             per_size = backward_elimination(m, X[r])
             counter = EvalCounter()
-            zscore_select(m, per_size, X, counter)
+            zscore_select(per_size, table, counter)
             queries += counter.queries
             node_evals += counter.node_evals
             subspaces += len(per_size)
@@ -306,8 +310,8 @@ class TestZscoreSelect:
 
     def test_requires_training_data(self):
         m = factorized_model([(0.0, 1.0)])
-        with pytest.raises(ValueError, match="training data"):
-            zscore_select(m, _per_size([-1.0]), np.empty((0, 1)))
+        with pytest.raises(ValueError, match="no rows"):
+            TableMarginals(m, np.empty((0, 1)))
 
 
 class TestExplain:
@@ -396,9 +400,17 @@ class TestExplainRows:
         m = random_gaussian_model(rng, 5)
         X = rng.normal(size=(40, 5))
         rows = [7, 0, 31, 7]
-        want = [explain(m, X[r], config, X_train=X) for r in rows]
+        table = TableMarginals(m, X)
+        want = [explain(m, X[r], config, table) for r in rows]
         assert explain_rows(m, X, rows, config) == want
         assert explain_rows(m, X.tolist(), rows, config) == want
+
+    def test_row_outside_table_rejected(self, rng):
+        m = random_gaussian_model(rng, 3)
+        X = rng.normal(size=(10, 3))
+        for rows in ([-1], [0, 10]):
+            with pytest.raises(ValueError, match="outside table of 10 rows"):
+                explain_rows(m, X, rows, ExplainConfig())
 
     @pytest.mark.parametrize("strategy", ["backward", "forward"])
     @pytest.mark.parametrize("selection", ["elbow", "zscore"])

@@ -17,8 +17,7 @@ from spnexplain.explain import subspace_score_stats
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
                               ProductNode, SpnModel, SumNode, TableMarginals,
                               eval_log_density, from_dict, load_model, log_marginal,
-                              log_marginal_subspace, save_model, to_dict,
-                              validate)
+                              save_model, to_dict, validate)
 
 REAL2 = [Column("a", "real"), Column("b", "real")]
 
@@ -102,7 +101,7 @@ class TestMarginalSubspace:
     def test_full_subspace_equals_joint(self, rng):
         m = random_gaussian_model(rng, 3)
         x = rng.normal(size=3)
-        full = log_marginal_subspace(m, x, [0, 1, 2])
+        full = log_marginal(m, x, np.ones(3, dtype=bool))
         assert full == eval_log_density(m, list(x))
 
     def test_factorized_model_sums_per_feature(self):
@@ -111,8 +110,9 @@ class TestMarginalSubspace:
                      [Column(f"f{j}", "real") for j in range(3)])
         x = [0.5, -1.0, 2.0]
         for sub in ([0], [1, 2], [0, 2]):
-            parts = sum(log_marginal_subspace(m, x, [j]) for j in sub)
-            assert log_marginal_subspace(m, x, sub) == pytest.approx(parts, abs=1e-12)
+            parts = sum(log_marginal(m, x, np.arange(3) == j) for j in sub)
+            keep = np.isin(np.arange(3), sub)
+            assert log_marginal(m, x, keep) == pytest.approx(parts, abs=1e-12)
 
     def test_matches_quadrature_on_two_features(self, rng):
         for _ in range(5):
@@ -121,12 +121,8 @@ class TestMarginalSubspace:
             def joint(y):
                 return math.exp(eval_log_density(m, [x[0], y]))
             oracle, _ = quad(joint, -60, 60, limit=300, epsabs=1e-10)
-            got = math.exp(log_marginal_subspace(m, x, [0]))
+            got = math.exp(log_marginal(m, x, np.array([True, False])))
             assert got == pytest.approx(oracle, rel=1e-6, abs=1e-9)
-
-    def test_empty_subspace_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            log_marginal_subspace(std_normal_leaf(), [0.0], [])
 
 
 class TestLogMarginal:
@@ -211,7 +207,7 @@ class TestDistributionProperties:
         x = [int(rng.integers(len(c.categories))) for c in m.schema]
         for size in range(1, n + 1):
             for sub in itertools.combinations(range(n), size):
-                got = math.exp(log_marginal_subspace(m, x, sub))
+                got = math.exp(log_marginal(m, x, np.isin(np.arange(n), sub)))
                 want = brute_force_marginal(m, {j: x[j] for j in sub})
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -245,7 +241,7 @@ class TestDistributionProperties:
     def test_fully_instantiated_query_is_joint_bit_exact(self, rng):
         m = random_gaussian_model(rng, 3)
         x = list(rng.normal(size=3))
-        assert log_marginal_subspace(m, x, [0, 1, 2]) == eval_log_density(m, x)
+        assert log_marginal(m, x, np.ones(3, dtype=bool)) == eval_log_density(m, x)
 
     def test_no_nan_for_extreme_inputs(self, rng):
         m = random_gaussian_model(rng, 3)
@@ -361,7 +357,7 @@ class TestTableMarginals:
             for keep in masks:
                 want = log_marginal(m, X, keep)
                 assert np.array_equal(table.log_marginal(keep), want, equal_nan=True)
-                stats = subspace_score_stats(m, table, tuple(np.flatnonzero(keep)),
+                stats = subspace_score_stats(table, tuple(np.flatnonzero(keep)),
                                              counter)
                 assert np.array_equal([stats.mean, stats.std],
                                       [(-want).mean(), (-want).std()], equal_nan=True)

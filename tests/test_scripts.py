@@ -1,11 +1,13 @@
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name: str, folder: str = "scripts"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -21,3 +23,12 @@ def test_planted_benchmark_writes_one_row_per_width_and_strategy(tmp_path, capsy
     assert [row[:3] for row in rows] == [["4", "backward", "elbow"],
                                          ["4", "forward", "elbow"]]
     assert "wrote 2 rows" in capsys.readouterr().out
+
+
+def test_every_traced_function_exists(monkeypatch):
+    # the benchmark's per-layer metrics read 0 for a traced name that is gone
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracer = load_script("tracer", "perfbench")
+    missing = [f"{module}.{name}" for module, name, _ in tracer.TRACED
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert tracer.TRACED and missing == []
