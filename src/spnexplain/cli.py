@@ -143,9 +143,10 @@ def cmd_gen(args) -> None:
 
 
 def cmd_train(args) -> None:
+    config = _learn_config(args)
     dataset = _load_data(args)
     _create_outputs(args.model)
-    model = learn_spn(dataset, _learn_config(args))
+    model = learn_spn(dataset, config)
     save_model(model, args.model)
     print(f"trained model with {len(model.nodes)} nodes -> {args.model}")
 
@@ -167,6 +168,7 @@ def cmd_score(args) -> None:
 
 
 def cmd_explain(args) -> None:
+    config = _explain_config(args)
     model = load_model(args.model)
     dataset = load_csv(args.data, model.schema)
     try:
@@ -179,7 +181,7 @@ def cmd_explain(args) -> None:
         if not (0 <= r < dataset.n_rows):
             raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
     _create_outputs(args.out)
-    traces = explain_rows(model, dataset.values, rows, _explain_config(args))
+    traces = explain_rows(model, dataset.values, rows, config)
     _write(metrics.format_explanations(rows, traces), args.out)
 
 
@@ -216,6 +218,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_bench(args) -> None:
+    learn_config, explain_config = _learn_config(args), _explain_config(args)
     if args.data is not None:
         if args.labels is None:
             raise UsageError("bench with --data also needs --labels")
@@ -226,8 +229,7 @@ def cmd_bench(args) -> None:
     else:
         raise UsageError("bench needs either --data/--labels or --n-features")
     _create_outputs(args.explanations, args.summary)
-    report = metrics.run_benchmark(labeled, _learn_config(args),
-                                   _explain_config(args),
+    report = metrics.run_benchmark(labeled, learn_config, explain_config,
                                    explanations_path=args.explanations,
                                    summary_path=args.summary)
     print(f"n_features={report.n_features} strategy={report.strategy} "

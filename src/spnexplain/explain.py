@@ -1,8 +1,11 @@
 """Subspace search and dimensionality selection for outlier explanation.
 
 Scores are negative log marginal densities; all argmin/argmax decisions
-are invariant under the monotone log transform. Ties break toward the
-lowest feature index, then the lexicographically smallest subspace.
+are invariant under the monotone log transform. Forward beam search and
+backward elimination run one greedy loop over sets of flipped features,
+and ties go to the lexicographically smallest set of flipped features:
+the lexicographically smallest subspace for forward search, the lowest
+dropped index for backward search.
 """
 
 from __future__ import annotations
@@ -55,6 +58,39 @@ class ExplanationTrace:
     selection: str = "elbow"
 
 
+def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
+                   counter: EvalCounter | None) -> list[SizeBest]:
+    """The one greedy step loop of both strategies. Each step flips one
+    not-yet-flipped feature of every hypothesis (adds it to the subspace
+    when `grow`, else drops it from the full set), keeps the beam_width
+    most outlying candidates and records the best; results in ascending size."""
+    n = model.n_features
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
+    eye = np.eye(n, dtype=bool)
+    beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
+    results: list[SizeBest] = []
+    for _ in range(steps):
+        # each hypothesis with each feature it has not flipped; from one
+        # hypothesis these come in lexicographic order of the flipped sets
+        flipped = (beam[:, None, :] | eye)[~beam]
+        if len(beam) > 1:
+            # for sets of one size, ascending bytes of the packed complement
+            # masks are ascending sorted-index tuples
+            packed = np.packbits(~flipped, axis=1)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first = np.unique(keys, return_index=True)
+            flipped = flipped[first]
+        keep = flipped if grow else ~flipped
+        logps = log_marginal(model, x, keep, counter)
+        order = np.argsort(logps, kind="stable")  # ties stay lexicographic
+        beam = flipped[order[:beam_width]]
+        subspace = tuple(np.flatnonzero(keep[order[0]]).tolist())
+        results.append(SizeBest(len(subspace), subspace, float(logps[order[0]])))
+    return results if grow else results[::-1]
+
+
 def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
                         counter: EvalCounter | None = None) -> list[SizeBest]:
     """Greedy bottom-up subspace growth keeping the beam_width most
@@ -64,53 +100,17 @@ def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
         raise ValueError(f"max_size must be in [1, {n}], got {max_size}")
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-
-    eye = np.eye(n, dtype=bool)
-    candidates = eye  # one mask per subspace, in lexicographic order
-    results: list[SizeBest] = []
-    for k in range(1, max_size + 1):
-        if k > 1:
-            # each hypothesis grown by each feature it lacks; for subspaces
-            # of one size, ascending bytes of the packed complement masks
-            # are ascending sorted-index tuples
-            grown = (beam[:, None, :] | eye)[~beam]
-            packed = np.packbits(~grown, axis=1)
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first = np.unique(keys, return_index=True)
-            candidates = grown[first]
-        logps = log_marginal(model, x, candidates, counter)
-        order = np.argsort(logps, kind="stable")  # ties stay lexicographic
-        beam = candidates[order[:beam_width]]
-        best = order[0]
-        results.append(SizeBest(k, tuple(np.flatnonzero(candidates[best]).tolist()),
-                                float(logps[best])))
-    return results
+    return _greedy_search(model, x, True, max_size, beam_width, counter)
 
 
 def backward_elimination(model: SpnModel, x,
                          counter: EvalCounter | None = None) -> list[SizeBest]:
-    """Top-down greedy removal of the feature whose deletion maximizes the
-    remaining marginal density; returns best subspaces of sizes 1..n-1."""
-    n = model.n_features
-    if n < 2:
+    """Top-down greedy removal, one feature a step, keeping the remainder
+    of lowest marginal density (the most outlying one); returns the best
+    subspaces of sizes 1..n-1."""
+    if model.n_features < 2:
         raise ValueError("backward elimination needs at least 2 features")
-    x = np.asarray(x, dtype=np.float64)
-    keep = np.ones(n, dtype=bool)
-    results: list[SizeBest] = []
-    for k in range(n - 1, 0, -1):
-        # row i of the batch drops the i-th remaining feature
-        kept = np.flatnonzero(keep)
-        reduced = np.tile(keep, (len(kept), 1))
-        reduced[np.arange(len(kept)), kept] = False
-        logps = log_marginal(model, x, reduced, counter)
-        # keep the most outlying remainder; first min = lowest dropped index
-        pick = int(np.argmin(logps))
-        keep = reduced[pick]
-        results.append(SizeBest(k, tuple(np.flatnonzero(keep).tolist()),
-                                float(logps[pick])))
-    results.reverse()
-    return results
+    return _greedy_search(model, x, False, model.n_features - 1, 1, counter)
 
 
 def elbow_select(per_size: list[SizeBest], kappa: float) -> SizeBest:
@@ -174,9 +174,6 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     selection asks one per reference row and subspace), not the node
     evaluations performed to answer them."""
     n = model.n_features
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
     if config.selection == "zscore" and reference is None:
         raise ValueError("zscore selection requires training data")
     if reference is not None and reference.model is not model:
@@ -201,9 +198,12 @@ def explain_rows(model: SpnModel, X, rows,
                  config: ExplainConfig) -> list[ExplanationTrace]:
     """Explain the given rows of the table X, one `explain` call per row;
     z-score selection measures against all rows of X, which are evaluated
-    once for the whole run. A row outside 0..len(X)-1 raises ValueError."""
+    once for the whole run. A row that is not an integer in 0..len(X)-1
+    raises ValueError."""
     X = np.asarray(X, dtype=np.float64)
     for r in rows:
+        if not isinstance(r, (int, np.integer)):
+            raise ValueError(f"row {r!r} is not an integer")
         if not 0 <= r < len(X):
             raise ValueError(f"row {r} outside table of {len(X)} rows")
     reference = TableMarginals(model, X) if config.selection == "zscore" else None

@@ -254,10 +254,8 @@ class _Circuit:
 
     def check_query(self, q: np.ndarray) -> None:
         if q.ndim != 2 or q.shape[1] != len(self.schema):
-            raise ValueError(
-                f"query has {q.shape[-1] if q.ndim else 0} features, "
-                f"schema has {len(self.schema)}"
-            )
+            raise ValueError(f"query must be a (batch, {len(self.schema)}) matrix, "
+                             f"got shape {q.shape}")
         if np.isnan(q).all(axis=1).any():
             raise ValueError("query marginalizes every feature")
         if self.cat_cols.size:

@@ -428,6 +428,29 @@ def test_outputs_are_checked_before_the_work(workspace, tmp_path, monkeypatch, c
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_invalid_flags_exit_2_before_reading_or_creating_files(workspace, tmp_path,
+                                                               monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("an input was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_csv", never)
+    monkeypatch.setattr(cli, "load_model", never)
+    ws = workspace
+    bench = ["bench", "--data", ws["data"], "--labels", ws["labels"], "--seed", "0"]
+    for argv, name in (
+            (["train", "--data", ws["data"], "--seed", "0", "--alpha", "1.5",
+              "--model"], "m.json"),
+            (["explain", "--model", ws["model"], "--data", ws["data"], "--rows", "0",
+              "--beam-width", "0", "--out"], "e.jsonl"),
+            (bench + ["--beam-width", "0", "--summary"], "s.tsv"),
+            (bench + ["--alpha", "0", "--explanations"], "e.jsonl")):
+        path = tmp_path / name
+        assert main(argv + [str(path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not path.exists(), argv
+
+
 class TestModelSchemaEncoding:
     """score and explain encode their CSV with the model's schema, not with
     codes re-inferred from the CSV being scored."""

@@ -1,9 +1,10 @@
+import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (log_marginal_subspace, random_gaussian_model,
@@ -20,6 +21,8 @@ from spnexplain.model import (EvalCounter, GaussianLeaf, ProductNode, SpnModel,
                               SumNode, TableMarginals, log_marginal)
 
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# the module itself: the package's `explain` name is the function
+explain_module = importlib.import_module("spnexplain.explain")
 
 
 def factorized_model(mus_sigmas):
@@ -61,13 +64,13 @@ def exhaustive_best(model, x, k):
     return best
 
 
-def greedy_backward_oracle(model, x):
+def greedy_backward_oracle(model, x, counter=None):
     """Independent stepwise reference for backward elimination."""
     current = tuple(range(model.n_features))
     out = []
     while len(current) > 1:
         scored = [(log_marginal_subspace(model, x, tuple(d for d in current
-                                                         if d != drop)), drop)
+                                                         if d != drop), counter), drop)
                   for drop in current]
         lp, drop = min(scored)  # ties: lowest dropped index
         current = tuple(d for d in current if d != drop)
@@ -156,6 +159,9 @@ class TestForwardBeamSearch:
 
     def test_argument_validation(self, rng):
         m = random_gaussian_model(rng, 3)
+        for x in ([0.0, 0.0], [[0.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="shape"):
+                forward_beam_search(m, x, max_size=2, beam_width=2)
         with pytest.raises(ValueError):
             forward_beam_search(m, [0.0, 0.0, 0.0], max_size=0, beam_width=2)
         with pytest.raises(ValueError):
@@ -190,6 +196,26 @@ class TestBackwardElimination:
                 assert sb.subspace == sub
                 assert sb.log_density == pytest.approx(lp, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), tied=st.booleans())
+    def test_matches_stepwise_oracle_exactly(self, seed, tied):
+        # inputs from a few values make many exactly tied log-densities,
+        # which must break toward the lowest dropped index
+        rng = np.random.default_rng(seed)
+        if tied:
+            m = tied_model(rng, int(rng.integers(2, 8)))
+        else:
+            m = random_mixed_model(rng, max_features=6)
+        assume(m.n_features > 1)
+        x = np.array([rng.choice([0.0, 1.5]) if c.kind == "real"
+                      else float(rng.integers(len(c.categories))) for c in m.schema])
+        got, want = EvalCounter(), EvalCounter()
+        res = backward_elimination(m, x, got)
+        assert [(sb.subspace, sb.log_density) for sb in res] == \
+            greedy_backward_oracle(m, x, want)
+        assert [sb.size for sb in res] == list(range(1, m.n_features))
+        assert got.queries == want.queries
+
     def test_exact_eval_count(self, rng):
         from spnexplain.model import EvalCounter
         for n in (2, 5, 9):
@@ -201,6 +227,12 @@ class TestBackwardElimination:
     def test_needs_two_features(self):
         with pytest.raises(ValueError):
             backward_elimination(factorized_model([(0.0, 1.0)]), [0.0])
+
+    def test_sample_of_wrong_shape_rejected(self):
+        m = factorized_model([(0.0, 1.0)] * 3)
+        for x in ([0.0, 1.0], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValueError, match="shape"):
+                backward_elimination(m, x)
 
 
 def _per_size(log_densities):
@@ -411,6 +443,37 @@ class TestExplainRows:
         for rows in ([-1], [0, 10]):
             with pytest.raises(ValueError, match="outside table of 10 rows"):
                 explain_rows(m, X, rows, ExplainConfig())
+
+    def test_non_integer_row_rejected(self, rng):
+        m = random_gaussian_model(rng, 3)
+        X = rng.normal(size=(10, 3))
+        for rows in ([1.5], [0, np.float64(2.0)], ["1"]):
+            with pytest.raises(ValueError, match="not an integer"):
+                explain_rows(m, X, rows, ExplainConfig())
+        assert len(explain_rows(m, X, [np.int64(2)], ExplainConfig())) == 1
+
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    def test_searches_are_reached_through_module_names(self, rng, monkeypatch,
+                                                       strategy):
+        # perfbench traces the searches by these names; a call that bypassed
+        # them would leave its search spans empty
+        calls = {"backward_elimination": 0, "forward_beam_search": 0}
+
+        def counting(name):
+            search = getattr(explain_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return search(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(explain_module, name, counting(name))
+        m = random_gaussian_model(rng, 4)
+        X = rng.normal(size=(20, 4))
+        explain_rows(m, X, [3, 0, 9], ExplainConfig(strategy=strategy))
+        called = "forward_beam_search" if strategy == "forward" else "backward_elimination"
+        assert calls == {name: 3 if name == called else 0 for name in calls}
 
     @pytest.mark.parametrize("strategy", ["backward", "forward"])
     @pytest.mark.parametrize("selection", ["elbow", "zscore"])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -425,6 +426,16 @@ class TestTableMarginals:
         leaf = log_marginal(SpnModel([GaussianLeaf(0, 0.0, 1.0)], 0, REAL2[:1]),
                             X[:, 1:], np.array([True]))
         assert not np.array_equal(got, leaf)
+
+    def test_query_of_wrong_shape_is_named(self, rng):
+        m = random_gaussian_model(rng, 5)
+        for X in (np.zeros(5), np.zeros((3, 4)), np.zeros((2, 5, 1))):
+            want = re.escape(f"query must be a (batch, 5) matrix, got shape {X.shape}")
+            with pytest.raises(ValueError, match=want):
+                TableMarginals(m, X)
+            if X.ndim > 1:
+                with pytest.raises(ValueError, match=want):
+                    eval_log_density(m, X)
 
     def test_missing_values_and_bad_masks_raise_like_log_marginal(self, rng):
         m = random_gaussian_model(rng, 3)
