@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import datagen, metrics
@@ -18,11 +19,6 @@ def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-slice-rows", type=int, default=LearnConfig.min_slice_rows)
 
 
-def _learn_config(args) -> LearnConfig:
-    return LearnConfig(alpha=args.alpha, min_slice_rows=args.min_slice_rows,
-                       seed=args.seed)
-
-
 def _add_explain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=("forward", "backward"), default="backward")
     p.add_argument("--selection", choices=("elbow", "zscore"), default="elbow")
@@ -32,30 +28,10 @@ def _add_explain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", type=float, default=ExplainConfig.kappa)
 
 
-def _explain_config(args) -> ExplainConfig:
-    return ExplainConfig(beam_width=args.beam_width, max_depth=args.max_depth,
-                         kappa=args.kappa, strategy=args.strategy,
-                         selection=args.selection)
-
-
-def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    gen = datagen.GenConfig
-    p.add_argument("--n-samples", type=int, default=gen.n_samples)
-    p.add_argument("--n-outliers", type=int, default=gen.n_outliers)
-    p.add_argument("--subspace-min", type=int, default=gen.subspace_min)
-    p.add_argument("--subspace-max", type=int, default=gen.subspace_max)
-    p.add_argument("--clusters-per-subspace", type=int,
-                   default=gen.clusters_per_subspace)
-    p.add_argument("--noise-sigma", type=float, default=gen.noise_sigma)
-
-
-def _gen_config(args) -> datagen.GenConfig:
-    return datagen.GenConfig(
-        n_features=args.n_features, n_samples=args.n_samples,
-        n_outliers=args.n_outliers, subspace_min=args.subspace_min,
-        subspace_max=args.subspace_max,
-        clusters_per_subspace=args.clusters_per_subspace,
-        noise_sigma=args.noise_sigma, seed=args.seed)
+def _config(cls, args):
+    """The config dataclass `cls` built from the parsed flags: each field is
+    read from the flag whose dest is the field's name."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +39,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted-subspace synthetic dataset")
+    gen = datagen.GenConfig
     p.add_argument("--n-features", type=int, required=True)
-    _add_gen_flags(p)
+    p.add_argument("--n-samples", type=int, default=gen.n_samples)
+    p.add_argument("--n-outliers", type=int, default=gen.n_outliers)
+    p.add_argument("--subspace-min", type=int, default=gen.subspace_min)
+    p.add_argument("--subspace-max", type=int, default=gen.subspace_max)
+    p.add_argument("--clusters-per-subspace", type=int,
+                   default=gen.clusters_per_subspace)
+    p.add_argument("--noise-sigma", type=float, default=gen.noise_sigma)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--labels", required=True, help="output ground-truth JSON sidecar")
@@ -98,13 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
 
     p = sub.add_parser("bench", help="train once, explain all labeled outliers, report F1")
-    p.add_argument("--data", default=None, help="labeled CSV (with --labels); "
-                   "omit to generate one")
+    p.add_argument("--data", required=True, help="labeled CSV, e.g. from 'gen'")
     p.add_argument("--schema", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--n-features", type=int, default=None,
-                   help="generate a dataset of this width instead of loading one")
-    _add_gen_flags(p)
+    p.add_argument("--labels", required=True)
     _add_learn_flags(p)
     _add_explain_flags(p)
     p.add_argument("--seed", type=int, required=True)
@@ -135,7 +114,7 @@ def _load_data(args):
 
 
 def cmd_gen(args) -> None:
-    labeled = datagen.generate(_gen_config(args))
+    labeled = datagen.generate(_config(datagen.GenConfig, args))
     save_csv(labeled.dataset, args.out)
     datagen.write_labels(labeled, args.labels)
     print(f"wrote {labeled.dataset.n_rows} rows x {labeled.dataset.n_features} "
@@ -143,7 +122,7 @@ def cmd_gen(args) -> None:
 
 
 def cmd_train(args) -> None:
-    config = _learn_config(args)
+    config = _config(LearnConfig, args)
     dataset = _load_data(args)
     _create_outputs(args.model)
     model = learn_spn(dataset, config)
@@ -168,7 +147,7 @@ def cmd_score(args) -> None:
 
 
 def cmd_explain(args) -> None:
-    config = _explain_config(args)
+    config = _config(ExplainConfig, args)
     model = load_model(args.model)
     dataset = load_csv(args.data, model.schema)
     try:
@@ -189,6 +168,8 @@ def cmd_eval(args) -> None:
     dataset = _load_data(args)
     labeled = datagen.read_labels(dataset, args.labels)
     records = read_json_lines(args.explanations, "explanations")
+    if not records:
+        raise DataError(f"explanations {args.explanations}: no records")
     lines = ["row\tprecision\trecall\tf1"]
     f1s = []
     seen = set()
@@ -212,22 +193,15 @@ def cmd_eval(args) -> None:
         p, r, f1 = metrics.f1_dims(selected, labeled.ground_truth[row])
         f1s.append(f1)
         lines.append(f"{row}\t{format_float(p)}\t{format_float(r)}\t{format_float(f1)}")
-    mean = sum(f1s) / len(f1s) if f1s else 0.0
+    mean = sum(f1s) / len(f1s)
     lines.append(f"mean\t\t\t{format_float(mean)}")
     print("\n".join(lines))
 
 
 def cmd_bench(args) -> None:
-    learn_config, explain_config = _learn_config(args), _explain_config(args)
-    if args.data is not None:
-        if args.labels is None:
-            raise UsageError("bench with --data also needs --labels")
-        dataset = _load_data(args)
-        labeled = datagen.read_labels(dataset, args.labels)
-    elif args.n_features is not None:
-        labeled = datagen.generate(_gen_config(args))
-    else:
-        raise UsageError("bench needs either --data/--labels or --n-features")
+    learn_config = _config(LearnConfig, args)
+    explain_config = _config(ExplainConfig, args)
+    labeled = datagen.read_labels(_load_data(args), args.labels)
     _create_outputs(args.explanations, args.summary)
     report = metrics.run_benchmark(labeled, learn_config, explain_config,
                                    explanations_path=args.explanations,

@@ -176,6 +176,8 @@ def write_labels(labeled: LabeledDataset, path: str) -> None:
 def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
     where = f"labels {path}"
     outliers = require(read_json(path, "labels"), "outliers", where, list)
+    if not outliers:
+        raise DataError(f"{where}: lists no outliers")
     truth: dict[int, tuple[int, ...]] = {}
     for i, entry in enumerate(outliers):
         at = f"{where}: outliers[{i}]"

@@ -202,7 +202,7 @@ def explain_rows(model: SpnModel, X, rows,
     raises ValueError."""
     X = np.asarray(X, dtype=np.float64)
     for r in rows:
-        if not isinstance(r, (int, np.integer)):
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
             raise ValueError(f"row {r!r} is not an integer")
         if not 0 <= r < len(X):
             raise ValueError(f"row {r} outside table of {len(X)} rows")

@@ -358,6 +358,9 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
     q = np.asarray(queries, dtype=np.float64)
     squeeze = q.ndim == 1
     if squeeze:
+        if q.shape != (model.n_features,):
+            raise ValueError(f"query must be a ({model.n_features},) sample or a "
+                             f"(batch, {model.n_features}) matrix, got shape {q.shape}")
         q = q[None, :]
     circuit = _compiled(model, q)
     out = circuit.node_values(q)[circuit.root]
@@ -375,13 +378,22 @@ def log_marginal(model: SpnModel, x, keep,
     boolean mask (n,) or a stack of masks (k, n). The two broadcast
     against each other, so k subspaces of one sample, or one subspace of
     m samples, are one batched circuit pass. Returns a scalar for a single
-    sample and mask, else one log-density per row.
+    sample and mask, else one log-density per row. Other shapes raise
+    ValueError.
     """
     keep = np.asarray(keep)
     if keep.dtype != bool:
         raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
-    return eval_log_density(model, np.where(keep, np.asarray(x, dtype=np.float64),
-                                            np.nan), counter)
+    x = np.asarray(x, dtype=np.float64)
+    n = model.n_features
+    try:
+        q = np.where(keep, x, np.nan)
+    except ValueError:
+        q = None
+    if q is None or x.shape[-1:] != (n,) or keep.shape[-1:] != (n,):
+        raise ValueError(f"x of shape {x.shape} and keep of shape {keep.shape} must each "
+                         f"have {n} features and broadcast together")
+    return eval_log_density(model, q, counter)
 
 
 class TableMarginals:

@@ -10,8 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 from spnexplain.data import Column
-from spnexplain.explain import (ExplanationTrace, SizeBest, backward_elimination,
-                                elbow_select)
+from spnexplain.explain import ExplanationTrace, SizeBest, elbow_select
 from spnexplain.learn import RDC_CHUNK, RDC_RIDGE
 from spnexplain.model import (LOG_2PI, CategoricalLeaf, EvalCounter, GaussianLeaf,
                               ProductNode, SpnModel, SumNode, log_marginal)
@@ -186,6 +185,20 @@ def log_marginal_subspace(model: SpnModel, x, subspace,
     return float(log_marginal(model, x, keep, counter))
 
 
+def greedy_backward_oracle(model, x, counter=None):
+    """Independent stepwise reference for backward elimination."""
+    current = tuple(range(model.n_features))
+    out = []
+    while len(current) > 1:
+        scored = [(log_marginal_subspace(model, x, tuple(d for d in current
+                                                         if d != drop), counter), drop)
+                  for drop in current]
+        lp, drop = min(scored)  # ties: lowest dropped index
+        current = tuple(d for d in current if d != drop)
+        out.append((current, lp))
+    return list(reversed(out))
+
+
 def reference_forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
                                   counter: EvalCounter | None = None) -> list[SizeBest]:
     """Forward beam search over sorted index tuples, with Python sets for
@@ -237,7 +250,8 @@ def reference_explain(model: SpnModel, x, config, X) -> ExplanationTrace:
         per_size = reference_forward_beam_search(
             model, x, min(config.max_depth or n, n), config.beam_width, counter)
     else:
-        per_size = backward_elimination(model, x, counter)
+        per_size = [SizeBest(len(sub), sub, lp)
+                    for sub, lp in greedy_backward_oracle(model, x, counter)]
     if config.selection == "elbow":
         chosen = elbow_select(per_size, config.kappa)
     else:

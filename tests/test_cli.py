@@ -65,14 +65,6 @@ class TestPipeline:
         mean = float(out[-1].split("\t")[-1])
         assert 0.0 <= mean <= 1.0
 
-    def test_bench_self_generating(self, workspace, capsys):
-        summary = str(workspace["dir"] / "summary.tsv")
-        assert main(["bench", "--n-features", "6", "--n-samples", "500",
-                     "--n-outliers", "8", "--seed", "5",
-                     "--summary", summary]) == 0
-        assert "mean_f1=" in capsys.readouterr().out
-        assert len(open(summary).read().splitlines()) == 2
-
     def test_bench_from_files(self, workspace, capsys):
         assert main(["bench", "--data", workspace["data"],
                      "--labels", workspace["labels"], "--seed", "5"]) == 0
@@ -110,7 +102,9 @@ def test_bench_writes_what_explain_and_eval_write(tmp_path, capsys):
 
 class TestExitCodes:
     def test_usage_errors_exit_2(self, workspace, capsys):
-        assert main(["bench", "--seed", "1"]) == 2
+        with pytest.raises(SystemExit) as exc:  # --data and --labels are required
+            main(["bench", "--seed", "1"])
+        assert exc.value.code == 2
         assert main(["explain", "--model", workspace["model"],
                      "--data", workspace["data"], "--rows", "a,b"]) == 2
         assert main(["gen", "--n-features", "1", "--seed", "0",
@@ -157,6 +151,25 @@ class TestExitCodes:
         assert main(["explain", "--model", workspace["model"],
                      "--data", workspace["data"], "--rows", "99999"]) == 3
         capsys.readouterr()
+
+    def test_eval_of_no_explanations_exits_3(self, workspace, capsys):
+        expl = workspace["dir"] / "none.jsonl"
+        expl.write_text("\n")
+        assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
+                     "--labels", workspace["labels"]]) == 3
+        captured = capsys.readouterr()
+        assert f"explanations {expl}: no records" in captured.err
+        assert captured.out == ""
+
+    def test_bench_on_labels_with_no_outliers_exits_3(self, workspace, capsys):
+        labels = workspace["dir"] / "none.json"
+        labels.write_text('{"outliers": []}')
+        summary = workspace["dir"] / "s.tsv"
+        assert main(["bench", "--data", workspace["data"], "--labels", str(labels),
+                     "--seed", "0", "--summary", str(summary)]) == 3
+        captured = capsys.readouterr()
+        assert f"labels {labels}: lists no outliers" in captured.err
+        assert captured.out == "" and not summary.exists()
 
     def test_train_data_directory_exits_3(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path), "--seed", "0",

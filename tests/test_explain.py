@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (log_marginal_subspace, random_gaussian_model,
-                      random_mixed_model, reference_explain,
+from conftest import (greedy_backward_oracle, log_marginal_subspace,
+                      random_gaussian_model, random_mixed_model, reference_explain,
                       reference_forward_beam_search)
 from spnexplain.data import Column
 from spnexplain.datagen import GenConfig, generate
@@ -62,20 +62,6 @@ def exhaustive_best(model, x, k):
         if best is None or lp < best[1]:
             best = (sub, lp)
     return best
-
-
-def greedy_backward_oracle(model, x, counter=None):
-    """Independent stepwise reference for backward elimination."""
-    current = tuple(range(model.n_features))
-    out = []
-    while len(current) > 1:
-        scored = [(log_marginal_subspace(model, x, tuple(d for d in current
-                                                         if d != drop), counter), drop)
-                  for drop in current]
-        lp, drop = min(scored)  # ties: lowest dropped index
-        current = tuple(d for d in current if d != drop)
-        out.append((current, lp))
-    return list(reversed(out))
 
 
 class TestOutlierScore:
@@ -447,7 +433,7 @@ class TestExplainRows:
     def test_non_integer_row_rejected(self, rng):
         m = random_gaussian_model(rng, 3)
         X = rng.normal(size=(10, 3))
-        for rows in ([1.5], [0, np.float64(2.0)], ["1"]):
+        for rows in ([1.5], [0, np.float64(2.0)], ["1"], [True]):
             with pytest.raises(ValueError, match="not an integer"):
                 explain_rows(m, X, rows, ExplainConfig())
         assert len(explain_rows(m, X, [np.int64(2)], ExplainConfig())) == 1

@@ -94,7 +94,9 @@ class TestLogDensity:
             eval_log_density(m, [5])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
+        want = re.escape("query must be a (1,) sample or a (batch, 1) matrix, "
+                         "got shape (2,)")
+        with pytest.raises(ValueError, match=want):
             eval_log_density(std_normal_leaf(), [0.0, 1.0])
 
 
@@ -166,12 +168,16 @@ class TestLogMarginal:
 
     def test_wrong_mask_shape_rejected(self, rng):
         m = random_gaussian_model(rng, 3)
-        with pytest.raises(ValueError):
-            log_marginal(m, np.zeros(3), np.ones(4, dtype=bool))
-        with pytest.raises(ValueError):
-            log_marginal(m, np.zeros((5, 3)), np.ones((2, 3), dtype=bool))
-        with pytest.raises(ValueError):
-            log_marginal(m, np.zeros(4), np.ones(4, dtype=bool))
+        for x, keep in ((np.zeros(3), np.ones(4, dtype=bool)),
+                        (np.zeros((5, 3)), np.ones((2, 3), dtype=bool)),
+                        (np.zeros(4), np.ones(4, dtype=bool)),
+                        # width 1 would broadcast over all 3 features
+                        (np.zeros(3), np.ones(1, dtype=bool)),
+                        (np.zeros(1), np.ones(3, dtype=bool))):
+            want = re.escape(f"x of shape {x.shape} and keep of shape {keep.shape} "
+                             "must each have 3 features and broadcast together")
+            with pytest.raises(ValueError, match=want):
+                log_marginal(m, x, keep)
         with pytest.raises(ValueError, match="boolean mask"):
             log_marginal(m, np.zeros(3), [0, 2, 1])
 
