@@ -6,6 +6,11 @@ rows with a 2-component diagonal GMM (sum node weighted by cluster
 proportions). A product node's children, which cannot split again, go
 straight to the row clustering. Slices below the row threshold are
 factorized naively into per-column leaves.
+
+The column split gathers each column's sine features from a table over
+the slice's half-integer ranks, and solves the eigenproblem only for the
+pairs whose trace bound reaches the threshold squared; the others cannot
+reach it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class LearnConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if (isinstance(self.min_slice_rows, bool)
+                or not isinstance(self.min_slice_rows, (int, np.integer))):
+            raise ValueError(
+                f"min_slice_rows must be an integer, got {self.min_slice_rows!r}")
         if self.min_slice_rows < 3:  # the RDC needs 3 rows
             raise ValueError("min_slice_rows must be >= 3")
 
@@ -62,27 +71,40 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 def _rdc_features(X: np.ndarray, seed) -> np.ndarray:
     """Random sine features of the empirical copula of each column of X
     (rows, columns), as blocks of shape (columns, RDC_FEATURES, rows).
-    Every column goes through the same draw of frequencies and phases."""
-    n = X.shape[0]
+    Every column goes through the same draw of frequencies and phases.
+    An average rank is a half-integer in [1, rows], so each feature is
+    tabulated once at those 2 rows - 1 values and gathered by rank: the
+    same operations on the same doubles as sin(w r/(rows+1) + b) per cell."""
+    n, c = X.shape
     rng = np.random.default_rng(seed)
     k = RDC_FEATURES
     # frequency scale 2*sqrt(s)*k: high enough to resolve oscillatory
     # dependence on the unit copula while keeping the null coefficient low
     w = rng.normal(0.0, 2.0 * math.sqrt(RDC_SCALE) * k, size=k)
     bias = rng.uniform(0.0, 2.0 * math.pi, size=k)
-    u = np.stack([average_ranks(col) for col in X.T]) / (n + 1)
-    F = u[:, None, :] * w[:, None]
-    F += bias[:, None]
-    return np.sin(F, out=F)
+    table = (np.arange(2, 2 * n + 1) / 2 / (n + 1)) * w[:, None]
+    table += bias[:, None]
+    np.sin(table, out=table)
+    F = np.empty((c, k, n))
+    for j in range(c):  # rank r sits at column 2r - 2 of the table
+        at = (2.0 * average_ranks(X[:, j])).astype(np.intp) - 2
+        # in range by construction; "clip" writes to out without a buffer
+        np.take(table, at, axis=1, out=F[j], mode="clip")
+    return F
 
 
-def _canonical_corrs(F: np.ndarray) -> np.ndarray:
+def _canonical_corrs(F: np.ndarray, at_least: float = 0.0) -> np.ndarray:
     """Largest canonical correlation of every pair of the c feature blocks
     in F (c, k features, n samples), as a symmetric (c, c) matrix with a
     zero diagonal. F is overwritten with the whitened blocks W_c = L_c^-1
     F_c, L_c L_c^T being block c's covariance plus a ridge; a pair's
     coefficient is the top singular value of B = W_a W_b^T / (n - 1), the
-    square root of the largest eigenvalue of B^T B."""
+    square root of the largest eigenvalue of B^T B.
+
+    A pair whose coefficient is certainly below `at_least` reads 0 instead:
+    tr(B^T B), the sum of B's squared entries, bounds that eigenvalue from
+    above, so only pairs whose trace reaches at_least^2 go to the
+    eigen-solve. The default of 0 computes every pair."""
     c, k, n = F.shape
     F -= F.mean(axis=2, keepdims=True)
     cov = F @ F.transpose(0, 2, 1) / (n - 1) + RDC_RIDGE * np.eye(k)
@@ -92,13 +114,23 @@ def _canonical_corrs(F: np.ndarray) -> np.ndarray:
         F[i:i + step] = inv[i:i + step] @ F[i:i + step]
     W = F.reshape(c * k, n)
     rho = np.zeros((c, c))
+    # the slack keeps a pair whose eigenvalue rounds above its trace
+    least = at_least * at_least * (1.0 - 1e-9)
     step = max(1, RDC_CHUNK // (k * k * c))
     for i in range(0, c, step):
-        cross = W[i * k:(i + step) * k] @ W[i * k:].T / (n - 1)
-        blocks = cross.reshape(-1, k, c - i, k).transpose(0, 2, 1, 3)
-        rho[i:i + step, i:] = np.linalg.eigvalsh(
-            blocks.swapaxes(2, 3) @ blocks)[..., -1]
-    rho = np.sqrt(np.clip(np.triu(rho, 1), 0.0, 1.0))
+        cross = W[i * k:(i + step) * k] @ W[i * k:].T
+        cross /= n - 1
+        cross = cross.reshape(-1, k, c - i, k)  # [a, :, b, :] is pair (i+a, i+b)
+        trace = np.einsum("akbl,akbl->ab", cross, cross)
+        a, b = np.nonzero(np.triu(trace >= least, 1))
+        if a.size:
+            # at most two chunk-sized buffers are alive at once
+            blocks = cross[a, :, b, :]
+            del cross
+            rho[i + a, i + b] = np.linalg.eigvalsh(
+                blocks.swapaxes(1, 2) @ blocks)[:, -1]
+            del blocks
+    rho = np.sqrt(np.clip(rho, 0.0, 1.0))
     return rho + rho.T
 
 
@@ -116,6 +148,8 @@ def rdc(col_a, col_b, seed) -> float:
         raise ValueError(f"rdc needs equal-length vectors, got {a.shape} and {b.shape}")
     if a.size < 3:
         raise ValueError(f"rdc needs at least 3 samples, got {a.size}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("rdc needs samples without NaN values")
     return float(_canonical_corrs(_rdc_features(np.column_stack([a, b]), seed))[0, 1])
 
 
@@ -127,7 +161,8 @@ def split_columns(X: np.ndarray, rows: np.ndarray, cols: list[int],
     if len(cols) < 2:
         raise ValueError("split_columns needs at least 2 columns")
     F = _rdc_features(X[np.ix_(rows, cols)], (_mask_seed(config.seed), 7))
-    reach = (_canonical_corrs(F) >= config.alpha) | np.eye(len(cols), dtype=bool)
+    reach = _canonical_corrs(F, config.alpha) >= config.alpha
+    reach |= np.eye(len(cols), dtype=bool)
     for _ in range(len(cols).bit_length()):  # t squarings join paths of 2^t edges
         reach = reach.astype(np.float64) @ reach > 0
     groups = {tuple(np.flatnonzero(row)) for row in reach}

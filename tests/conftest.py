@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import rankdata
 
 from spnexplain.data import Column
 from spnexplain.explain import ExplanationTrace, SizeBest, elbow_select
-from spnexplain.learn import RDC_CHUNK, RDC_RIDGE
+from spnexplain.learn import RDC_CHUNK, RDC_FEATURES, RDC_RIDGE, RDC_SCALE
 from spnexplain.model import (LOG_2PI, CategoricalLeaf, EvalCounter, GaussianLeaf,
                               ProductNode, SpnModel, SumNode, log_marginal)
 
@@ -258,6 +259,19 @@ def reference_explain(model: SpnModel, x, config, X) -> ExplanationTrace:
         chosen = reference_zscore_select(model, per_size, X, counter)
     return ExplanationTrace(per_size, chosen.subspace, chosen.size, counter.queries,
                             config.strategy, config.selection)
+
+
+def reference_rdc_features(X: np.ndarray, seed) -> np.ndarray:
+    """`_rdc_features` computed cell by cell as sin(w r / (n + 1) + b) from
+    scipy's average ranks r of each column: the values the rank-table
+    gather must reproduce."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    k = RDC_FEATURES
+    w = rng.normal(0.0, 2.0 * math.sqrt(RDC_SCALE) * k, size=k)
+    bias = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    u = np.stack([rankdata(col) for col in X.T]) / (n + 1)
+    return np.sin(u[:, None, :] * w[:, None] + bias[:, None])
 
 
 def reference_canonical_corrs(F: np.ndarray) -> np.ndarray:

@@ -407,6 +407,18 @@ class TestExplain:
         with pytest.raises(ValueError):
             ExplainConfig(selection="aic")
 
+    @pytest.mark.parametrize("field,value", [
+        ("beam_width", 2.5), ("beam_width", True), ("beam_width", None),
+        ("beam_width", "3"), ("max_depth", 2.0), ("max_depth", False)])
+    def test_counts_must_be_integers(self, field, value):
+        # beam_width=2.5 used to pass here and fail in the search's slicing
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExplainConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = ExplainConfig(beam_width=np.int64(3), max_depth=np.int32(2))
+        assert (config.beam_width, config.max_depth) == (3, 2)
+
 
 class TestExplainRows:
     @pytest.mark.parametrize("config", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from conftest import reference_canonical_corrs
+from conftest import reference_canonical_corrs, reference_rdc_features
 from spnexplain import learn
 from spnexplain.data import Column, Dataset
 from spnexplain.datagen import GenConfig, generate
@@ -102,6 +102,25 @@ class TestRdc:
         with pytest.raises(ValueError, match="at least 3"):
             rdc([1.0, 2.0], [1.0, 2.0], 0)
 
+    def test_nan_sample_rejected(self):
+        # NaNs would rank as the largest values: these independent columns
+        # read 0.227, and 0.942 with the 161 NaNs
+        r = np.random.default_rng(0)
+        a, b = r.normal(size=1000), r.normal(size=1000)
+        a[b > 1.0] = np.nan
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="NaN"):
+                rdc(x, y, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(3, 400),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
+    def test_features_equal_direct_formula(self, seed, n, kinds):
+        # untied, tied and categorical-coded columns: the rank-table gather
+        # computes every cell exactly as the direct formula does
+        X = _columns(np.random.default_rng(seed), n, kinds)
+        assert np.array_equal(_rdc_features(X, seed), reference_rdc_features(X, seed))
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(3, 400),
            kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=6))
@@ -142,6 +161,47 @@ class TestRdc:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * learn.RDC_CHUNK
+
+
+def _graded_table(r, n):
+    """A base column, 10 columns mixing it with noise at weights 0.05 to
+    0.95, and 3 noise columns: coefficients across the whole of (0, 1)."""
+    x = r.normal(size=n)
+    mixed = [t * x + (1.0 - t) * r.normal(size=n) for t in np.linspace(0.05, 0.95, 10)]
+    return np.column_stack([x] + mixed + [r.normal(size=n) for _ in range(3)])
+
+
+class TestTraceScreen:
+    """Pairs whose trace tr(B^T B) is below alpha^2 skip the eigen-solve
+    and read 0; every other coefficient, and every decision, is exact."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(800, 1200))
+    def test_screen_keeps_every_edge_and_exact_values(self, seed, n):
+        feats = _rdc_features(_graded_table(np.random.default_rng(seed), n), seed)
+        exact = _canonical_corrs(feats.copy())
+        skipped = False
+        for alpha in (0.2, 0.4, 0.6, 0.8):
+            screened = _canonical_corrs(feats.copy(), alpha)
+            assert np.array_equal(screened >= alpha, exact >= alpha)
+            kept = screened != 0.0
+            assert np.array_equal(screened[kept], exact[kept])
+            assert (exact[~kept] < alpha).all()
+            skipped |= bool((exact[~kept] > 0.0).any())
+        assert skipped
+
+    # planted n = 30 and categorical n = 20; at alpha 0.4 the categorical
+    # table has edges whose trace is below alpha but above alpha^2
+    @pytest.mark.parametrize("alpha", [0.4, 0.6])
+    @pytest.mark.parametrize("table", [2, 3])
+    def test_learns_the_model_of_the_exact_path(self, monkeypatch, table, alpha):
+        dataset, seed = _skip_tables()[table]
+        config = LearnConfig(alpha=alpha, seed=seed)
+        screened = to_dict(learn_spn(dataset, config))
+        canonical_corrs = learn._canonical_corrs
+        monkeypatch.setattr(learn, "_canonical_corrs",
+                            lambda F, at_least=0.0: canonical_corrs(F))
+        assert to_dict(learn_spn(dataset, config)) == screened
 
 
 def _block_data(rng, n=600):
@@ -410,6 +470,14 @@ class TestLearnSpn:
     def test_min_slice_rows_below_three_rejected(self):
         with pytest.raises(ValueError, match="min_slice_rows must be >= 3"):
             LearnConfig(min_slice_rows=2)
+
+    @pytest.mark.parametrize("value", [3.5, 200.0, True, "200", None])
+    def test_min_slice_rows_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="min_slice_rows must be an integer"):
+            LearnConfig(min_slice_rows=value)
+
+    def test_numpy_integer_min_slice_rows_accepted(self):
+        assert LearnConfig(min_slice_rows=np.int64(200)).min_slice_rows == 200
 
     def test_three_row_slices_learn(self):
         # with min_slice_rows=2 this table reached split_columns with a
