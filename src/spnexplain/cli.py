@@ -7,7 +7,8 @@ import dataclasses
 import sys
 
 from . import datagen, metrics
-from .data import format_float, load_csv, load_schema, read_json_lines, require, save_csv
+from .data import (INTEGER, format_float, load_csv, load_schema, read_json_lines,
+                   require, save_csv)
 from .errors import DataError, ModelFormatError, UsageError
 from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -20,12 +21,13 @@ def _add_learn_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_explain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=("forward", "backward"), default="backward")
-    p.add_argument("--selection", choices=("elbow", "zscore"), default="elbow")
-    p.add_argument("--beam-width", type=int, default=ExplainConfig.beam_width)
-    p.add_argument("--max-depth", type=int, default=None,
+    cfg = ExplainConfig
+    p.add_argument("--strategy", choices=("forward", "backward"), default=cfg.strategy)
+    p.add_argument("--selection", choices=("elbow", "zscore"), default=cfg.selection)
+    p.add_argument("--beam-width", type=int, default=cfg.beam_width)
+    p.add_argument("--max-depth", type=int, default=cfg.max_depth,
                    help="forward search depth S (default: number of features)")
-    p.add_argument("--kappa", type=float, default=ExplainConfig.kappa)
+    p.add_argument("--kappa", type=float, default=cfg.kappa)
 
 
 def _config(cls, args):
@@ -175,8 +177,8 @@ def cmd_eval(args) -> None:
     seen = set()
     for i, rec in enumerate(records, start=1):
         at = f"{args.explanations}: record {i}"
-        row = require(rec, "row", at, int)
-        selected = require(rec, "selected", at, list, int)
+        row = require(rec, "row", at, INTEGER)
+        selected = require(rec, "selected", at, list, INTEGER)
         if not selected:
             raise DataError(f"{at}: field 'selected' is empty")
         bad = [d for d in selected if not 0 <= d < dataset.n_features]

@@ -1,4 +1,4 @@
-"""Column-typed tabular datasets, CSV/schema I/O, and the input-file readers.
+"""Column-typed datasets, CSV/schema I/O, input-file readers and the number rule.
 
 A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Missing
@@ -19,8 +19,9 @@ import numpy as np
 from .errors import DataError
 
 FLOAT_FMT = ".17g"
-NUMBER = (int, float)
-_TYPE_NAMES = {int: "int", NUMBER: "number", str: "string", list: "list"}
+INTEGER = (int, np.integer)
+NUMBER = (int, float, np.integer, np.floating)
+_TYPE_NAMES = {INTEGER: "int", NUMBER: "number", str: "string", list: "list"}
 
 
 def format_float(x: float) -> str:
@@ -117,9 +118,24 @@ def read_json_lines(path: str, what: str) -> list:
             for i, line in enumerate(lines, start=1) if line.strip()]
 
 
-def _json_is(value, kind) -> bool:
-    """isinstance, but a JSON true or false, loaded as a bool, is no int."""
+def is_a(value, kind) -> bool:
+    """isinstance, except that a bool (a JSON true or false, too) is no number."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_fields(config, kind, *names: str) -> None:
+    """Raise ValueError naming the first of the fields `names` of `config`
+    that is not a `kind` (INTEGER or NUMBER) under `is_a`."""
+    for name in names:
+        value = getattr(config, name)
+        if not is_a(value, kind):
+            what = "an integer" if kind is INTEGER else "a number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def fold_seed(seed) -> int:
+    """A Python or numpy integer seed as a Python int in [0, 2**63)."""
+    return int(seed) % (1 << 63)
 
 
 def require(doc, key: str, where: str, kind=object, item=None):
@@ -130,8 +146,8 @@ def require(doc, key: str, where: str, kind=object, item=None):
     if key not in doc:
         raise DataError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if (kind is not object and not _json_is(value, kind)) or (
-            item is not None and not all(_json_is(v, item) for v in value)):
+    if (kind is not object and not is_a(value, kind)) or (
+            item is not None and not all(is_a(v, item) for v in value)):
         expected = _TYPE_NAMES[kind] if item is None else f"list of {_TYPE_NAMES[item]}"
         raise DataError(f"{where}: field {key!r} must be of type {expected}")
     return value

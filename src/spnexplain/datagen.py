@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, Dataset, read_json, require
+from .data import (INTEGER, NUMBER, Column, Dataset, check_fields, fold_seed, read_json,
+                   require)
 from .errors import DataError
 
 JOINT_PERCENTILE = 1.0
@@ -38,6 +39,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, INTEGER, "n_features", "n_samples", "n_outliers", "subspace_min",
+                     "subspace_max", "clusters_per_subspace", "seed")
+        check_fields(self, NUMBER, "noise_sigma")
         if self.n_features < 2:
             raise ValueError("n_features must be >= 2")
         if not (0 < self.n_outliers < self.n_samples):
@@ -97,7 +101,7 @@ def _mixture_log_marginals(points: np.ndarray, centers: np.ndarray,
 
 def generate(config: GenConfig) -> LabeledDataset:
     """Deterministic labeled dataset with planted-subspace outliers."""
-    rng = np.random.default_rng(config.seed % (1 << 63))
+    rng = np.random.default_rng(fold_seed(config.seed))
     n, m = config.n_features, config.n_samples
     perm = rng.permutation(n)
 
@@ -181,8 +185,8 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
     truth: dict[int, tuple[int, ...]] = {}
     for i, entry in enumerate(outliers):
         at = f"{where}: outliers[{i}]"
-        row = require(entry, "row", at, int)
-        sub = tuple(sorted(require(entry, "subspace", at, list, int)))
+        row = require(entry, "row", at, INTEGER)
+        sub = tuple(sorted(require(entry, "subspace", at, list, INTEGER)))
         if not (0 <= row < dataset.n_rows):
             raise DataError(f"{at} row {row} outside dataset of {dataset.n_rows} rows")
         if not sub or sub[0] < 0 or sub[-1] >= dataset.n_features:

@@ -15,14 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import INTEGER, NUMBER, check_fields, is_a
 from .model import EvalCounter, SpnModel, TableMarginals, log_marginal
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -34,10 +30,10 @@ class ExplainConfig:
     selection: str = "elbow"      # "elbow" | "zscore"
 
     def __post_init__(self):
-        if not _is_int(self.beam_width):
-            raise ValueError(f"beam_width must be an integer, got {self.beam_width!r}")
-        if self.max_depth is not None and not _is_int(self.max_depth):
-            raise ValueError(f"max_depth must be an integer, got {self.max_depth!r}")
+        check_fields(self, INTEGER, "beam_width")
+        if self.max_depth is not None:
+            check_fields(self, INTEGER, "max_depth")
+        check_fields(self, NUMBER, "kappa")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
@@ -211,7 +207,7 @@ def explain_rows(model: SpnModel, X, rows,
     raises ValueError."""
     X = np.asarray(X, dtype=np.float64)
     for r in rows:
-        if not _is_int(r):
+        if not is_a(r, INTEGER):
             raise ValueError(f"row {r!r} is not an integer")
         if not 0 <= r < len(X):
             raise ValueError(f"row {r} outside table of {len(X)} rows")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, Dataset
+from .data import INTEGER, NUMBER, Column, Dataset, check_fields, fold_seed
 from .errors import DataError
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
                     SumNode, _logsumexp, validate)
@@ -42,18 +42,12 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, INTEGER, "min_slice_rows", "seed")
+        check_fields(self, NUMBER, "alpha")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if (isinstance(self.min_slice_rows, bool)
-                or not isinstance(self.min_slice_rows, (int, np.integer))):
-            raise ValueError(
-                f"min_slice_rows must be an integer, got {self.min_slice_rows!r}")
         if self.min_slice_rows < 3:  # the RDC needs 3 rows
             raise ValueError("min_slice_rows must be >= 3")
-
-
-def _mask_seed(seed: int) -> int:
-    return seed % (1 << 63)
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -160,7 +154,7 @@ def split_columns(X: np.ndarray, rows: np.ndarray, cols: list[int],
     share one feature draw per learn seed."""
     if len(cols) < 2:
         raise ValueError("split_columns needs at least 2 columns")
-    F = _rdc_features(X[np.ix_(rows, cols)], (_mask_seed(config.seed), 7))
+    F = _rdc_features(X[np.ix_(rows, cols)], (fold_seed(config.seed), 7))
     reach = _canonical_corrs(F, config.alpha) >= config.alpha
     reach |= np.eye(len(cols), dtype=bool)
     for _ in range(len(cols).bit_length()):  # t squarings join paths of 2^t edges
@@ -298,7 +292,7 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
             ids = [build(rows, g, depth + 1, path + (gi,), may_split=False)
                    for gi, g in enumerate(groups)]
             return add(ProductNode(tuple(ids)))
-        rng = np.random.default_rng((_mask_seed(config.seed), 11, len(path)) + path)
+        rng = np.random.default_rng((fold_seed(config.seed), 11, len(path)) + path)
         assign, weights = cluster_rows(X[np.ix_(rows, cols)], rng)
         ids = [build(rows[~assign], cols, depth + 1, path + (0,)),
                build(rows[assign], cols, depth + 1, path + (1,))]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, format_float
+from .data import NUMBER, Dataset, format_float, is_a
 from .datagen import LabeledDataset
 from .explain import ExplainConfig, ExplanationTrace, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -37,7 +37,7 @@ def detect(model: SpnModel, dataset: Dataset,
     rows scoring at or above it are flagged (so ties, including the
     all-identical degenerate case, flag every tied row).
     """
-    if not (0.0 < contamination < 1.0):
+    if not (is_a(contamination, NUMBER) and 0.0 < contamination < 1.0):
         raise ValueError(f"contamination must be in (0,1), got {contamination}")
     scores = -eval_log_density(model, dataset.values)
     threshold = np.quantile(scores, 1.0 - contamination)

@@ -17,7 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .data import NUMBER, Column, columns_from_json, columns_to_json, read_json, require
+from .data import (INTEGER, NUMBER, Column, columns_from_json, columns_to_json, read_json,
+                   require)
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -477,21 +478,21 @@ def to_dict(model: SpnModel) -> dict:
 
 def from_dict(doc) -> SpnModel:
     try:
-        version = require(doc, "version", "document")
+        version = require(doc, "version", "document", INTEGER)
         if version != FORMAT_VERSION:
             raise ModelFormatError(f"document: unsupported version {version!r}")
         schema = columns_from_json(require(doc, "schema", "document", list), "schema")
-        root = require(doc, "root", "document", int)
+        root = require(doc, "root", "document", INTEGER)
         raw_nodes = require(doc, "nodes", "document", list)
         nodes: list[Node] = []
         for i, nd in enumerate(raw_nodes):
             where = f"nodes[{i}]"
-            if require(nd, "id", where) != i:
+            if require(nd, "id", where, INTEGER) != i:
                 raise ModelFormatError(f"{where}: id {nd['id']!r} must equal "
                                        f"arena position {i}")
             ntype = require(nd, "type", where)
             if ntype == "sum":
-                children = tuple(require(nd, "children", where, list, int))
+                children = tuple(require(nd, "children", where, list, INTEGER))
                 weights = [float(w) for w in require(nd, "weights", where, list, NUMBER)]
                 total = sum(weights)
                 if abs(total - 1.0) > WEIGHT_TOL:
@@ -503,14 +504,15 @@ def from_dict(doc) -> SpnModel:
                     weights = [w / total for w in weights]
                 nodes.append(SumNode(children, tuple(weights)))
             elif ntype == "product":
-                nodes.append(ProductNode(tuple(require(nd, "children", where, list, int))))
+                children = tuple(require(nd, "children", where, list, INTEGER))
+                nodes.append(ProductNode(children))
             elif ntype == "gaussian":
-                nodes.append(GaussianLeaf(require(nd, "feature", where, int),
+                nodes.append(GaussianLeaf(require(nd, "feature", where, INTEGER),
                                           float(require(nd, "mu", where, NUMBER)),
                                           float(require(nd, "sigma", where, NUMBER))))
             elif ntype == "categorical":
                 nodes.append(CategoricalLeaf(
-                    require(nd, "feature", where, int),
+                    require(nd, "feature", where, INTEGER),
                     tuple(float(p) for p in require(nd, "probs", where, list, NUMBER))))
             else:
                 raise ModelFormatError(f"{where}: unknown node type {ntype!r}")

@@ -260,6 +260,23 @@ class TestExitCodes:
                          "--data", workspace["data"]]) == 4
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "explain"])
+    def test_non_integer_version_or_id_exits_4(self, workspace, tmp_path, capsys,
+                                               command):
+        doc = json.load(open(workspace["model"]))
+        rows = ["--rows", "0"] if command == "explain" else []
+        for field, corrupt in [("version", lambda d: d.__setitem__("version", 1.0)),
+                               ("id", lambda d: d["nodes"][1].__setitem__("id", True))]:
+            bad_doc = json.loads(json.dumps(doc))
+            corrupt(bad_doc)
+            bad = tmp_path / f"bad_{field}.json"
+            bad.write_text(json.dumps(bad_doc))
+            assert main([command, "--model", str(bad), "--data", workspace["data"],
+                         *rows]) == 4
+            err = capsys.readouterr().err
+            assert f"field '{field}' must be of type int" in err
+            assert "Traceback" not in err
+
     def test_non_utf8_model_exits_4(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad_model.json"
         bad.write_bytes(b"\xff\xfe{}")

@@ -10,9 +10,9 @@ from scipy.stats import rankdata
 
 from conftest import reference_canonical_corrs, reference_rdc_features
 from spnexplain import learn
-from spnexplain.data import Column, Dataset
+from spnexplain.data import Column, Dataset, fold_seed as _mask_seed
 from spnexplain.datagen import GenConfig, generate
-from spnexplain.learn import (LearnConfig, _canonical_corrs, _mask_seed,
+from spnexplain.learn import (LearnConfig, _canonical_corrs,
                               _rdc_features, average_ranks, cluster_rows, fit_leaf,
                               learn_spn, rdc, sigma_floor_for, split_columns)
 from spnexplain.model import (GaussianLeaf, ProductNode, SpnModel, SumNode,

@@ -61,6 +61,14 @@ class TestDetect:
             with pytest.raises(ValueError):
                 detect(m, ds, bad)
 
+    def test_non_number_contamination_rejected(self):
+        # "0.1" and None would raise a bare TypeError in the range comparison
+        m = _std_model(1)
+        ds = Dataset(m.schema, np.zeros((5, 1)))
+        for bad in ("0.1", None, [0.1]):
+            with pytest.raises(ValueError, match="contamination must be in"):
+                detect(m, ds, bad)
+
     def test_recovers_planted_outliers(self):
         labeled = generate(GenConfig(n_features=10, seed=1))
         model = learn_spn(labeled.dataset, LearnConfig(seed=1))

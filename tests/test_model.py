@@ -533,6 +533,23 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="version"):
             from_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("version", True), ("version", 1.0),
+        ("id", True), ("id", 0.0), ("id", 2.0)])
+    def test_version_and_ids_must_be_integers(self, field, value):
+        # True == 1 and 2.0 == 2, so only the type check rejects these
+        model = SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+                          SumNode((0, 1), (0.5, 0.5))], 2, [Column("a", "real")])
+        doc = to_dict(model)
+        if field == "version":
+            doc["version"], where = value, "document"
+        else:
+            node = 1 if value is True else int(value)
+            doc["nodes"][node]["id"], where = value, rf"nodes\[{node}\]"
+        with pytest.raises(ModelFormatError,
+                           match=f"{where}: field '{field}' must be of type int"):
+            from_dict(doc)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1,\n "schema": [}\n')
