@@ -186,44 +186,46 @@ def validate(model: SpnModel) -> list[str]:
 
 
 class _Circuit:
-    """The arena compiled into level-ordered arrays.
+    """The nodes under `top` (the model's root if None) compiled into
+    level-ordered arrays.
 
     Row r of the value matrix holds one node's log-density for every query
     of a batch: Gaussian leaves first, then categorical leaves, then each
     level's products followed by its sums. One extra row of zeros pads the
     child slots, so the nodes of a group share one gather whatever their
     arity. `groups` holds each level's products and its sums as (first
-    row, child slots, log-weights, None for products), bottom-up;
-    `scope[r]` marks the features under row r's node (as float64, for one
-    BLAS product) and `scope_size[r]` counts them. Built only from a model
-    that `validate` accepts.
+    row, child slots, log-weights, None for products), bottom-up. Queries
+    keep the model's full width; the circuit reads only the features under
+    `top`. Built only from a model that `validate` accepts.
     """
 
-    def __init__(self, model: SpnModel):
+    def __init__(self, model: SpnModel, top: int | None = None):
         nodes = model.nodes
+        top = model.root if top is None else top
+        under = {top}  # children come before their parents
+        for i in range(top, -1, -1):
+            if i in under and isinstance(nodes[i], (SumNode, ProductNode)):
+                under.update(nodes[i].children)
+        under = sorted(under)
         self.schema = model.schema  # for the query checks
         cat_cols = [j for j, c in enumerate(self.schema) if c.kind == "categorical"]
         self.cat_cols = np.array(cat_cols, dtype=np.intp)
         self.cat_sizes = np.array([len(self.schema[j].categories) for j in cat_cols])
         level = [0] * len(nodes)
-        for i, node in enumerate(nodes):
-            if isinstance(node, (SumNode, ProductNode)):
-                level[i] = 1 + max(level[c] for c in node.children)
-        gauss = [i for i, node in enumerate(nodes) if isinstance(node, GaussianLeaf)]
-        cats = [i for i, node in enumerate(nodes) if isinstance(node, CategoricalLeaf)]
-        inner = [([], []) for _ in range(max(level, default=0))]  # (products, sums)
-        for i, node in enumerate(nodes):
-            if isinstance(node, (SumNode, ProductNode)):
-                inner[level[i] - 1][isinstance(node, SumNode)].append(i)
+        for i in under:
+            if isinstance(nodes[i], (SumNode, ProductNode)):
+                level[i] = 1 + max(level[c] for c in nodes[i].children)
+        gauss = [i for i in under if isinstance(nodes[i], GaussianLeaf)]
+        cats = [i for i in under if isinstance(nodes[i], CategoricalLeaf)]
+        inner = [([], []) for _ in range(level[top])]  # (products, sums)
+        for i in under:
+            if isinstance(nodes[i], (SumNode, ProductNode)):
+                inner[level[i] - 1][isinstance(nodes[i], SumNode)].append(i)
         order = gauss + cats + [i for prods, sums in inner for i in prods + sums]
         row = np.empty(len(nodes), dtype=np.intp)
         row[order] = np.arange(len(order))
         self.n_rows = len(order) + 1  # the last row is the zero padding
-        self.root = row[model.root]
-        self.scope = np.zeros((self.n_rows, model.n_features))
-        for i, features in enumerate(_compute_scopes(nodes)):
-            self.scope[row[i], list(features)] = 1.0
-        self.scope_size = self.scope.sum(axis=1)
+        self.root = row[top]
 
         gauss = [nodes[i] for i in gauss]
         self.gauss_feature = np.array([g.feature for g in gauss], dtype=np.intp)
@@ -282,31 +284,18 @@ class _Circuit:
         obs = ~np.isnan(x)
         lp = self.cat_log_probs[self.cat_rows, np.where(obs, x, 0.0).astype(np.intp)]
         vals[hi:hi + len(self.cat_feature)] = np.where(obs, lp, 0.0)
-        self.update(vals)
-        return vals
-
-    def update(self, vals: np.ndarray, redo: np.ndarray | None = None) -> None:
-        """Recompute internal nodes of the value matrix `vals` bottom-up, in
-        place: those at the sorted rows `redo`, or all of them if None."""
         for lo, idx, log_w in self.groups:
-            hi = lo + idx.shape[1]
-            if redo is None:
-                rows, cols = slice(lo, hi), slice(None)
-            else:
-                a, b = np.searchsorted(redo, (lo, hi))
-                if a == b:
-                    continue
-                rows = redo[a:b]
-                cols = rows - lo
-            stack = vals[idx[:, cols]]
-            vals[rows] = (_add_slots(stack) if log_w is None
-                          else _logsumexp(stack + log_w[:, cols]))
+            stack = vals[idx]
+            vals[lo:lo + idx.shape[1]] = (_add_slots(stack) if log_w is None
+                                         else _logsumexp(stack + log_w))
+        return vals
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
     """stack[0] + stack[1] + ... in slot order, never pairwise, so that a
-    row's sum does not depend on the rest of its batch. The stack is
-    (slots, nodes, batch) and is overwritten."""
+    row's sum does not depend on the rest of its batch. The stack is a
+    (slots, nodes, batch) array or a list of equal-shape arrays, and its
+    first slot may be overwritten."""
     if stack[0].size <= 512:
         # one call that walks the slots of each output element in turn:
         # quick for narrow batches, slow per element for wide ones
@@ -400,35 +389,43 @@ def log_marginal(model: SpnModel, x, keep,
 class TableMarginals:
     """log p(x_S) of every row x of one fixed table X, for many subspaces S.
 
-    A node's value depends on S only through S ∩ scope(node). The table
-    keeps the circuit's value matrix for the last subspace asked, and a new
-    subspace recomputes only the nodes whose scope holds a feature that
-    entered or left S. Of these, a node whose scope lies inside S takes its
-    value under full evidence and one whose scope misses S its fully
-    marginalized value, the same for every row; both come from one pass
-    over X and one over a fully marginalized row. The internal nodes that
-    straddle S go through the circuit's own level loop, so the result
-    equals `log_marginal(model, X, keep)` bit for bit.
+    The marginal of a decomposable product is the sum of its children's
+    marginals, each on S ∩ scope(child). Each child of the root product (a
+    root that is not a product is its own one child) is compiled into its
+    own sub-circuit, and keeps a memo from the features of S in its scope
+    to its values over the rows of X. A new entry costs one sub-circuit
+    pass over X (sub-circuit size × rows node evaluations) and holds a copy
+    of one row of that pass, len(X) floats. `log_marginal` adds the
+    children's entries in the root's slot order with the circuit's own
+    adds, so the result equals `log_marginal(model, X, keep)` bit for bit.
+    The full-evidence entries are filled on construction. A sum root is one
+    child, so there each new subspace costs a full pass, and a wide child
+    repeats its subsets rarely.
     """
 
     def __init__(self, model: SpnModel, X):
         X = np.asarray(X, dtype=np.float64)
-        self._circuit = _compiled(model, X)
+        _compiled(model, X)
         if X.shape[0] == 0:
             raise ValueError("reference table has no rows")
         self.model = model
-        self.n_rows = X.shape[0]
-        self._full = self._circuit.node_values(X)
-        self._empty = self._circuit.node_values(np.full((1, model.n_features), np.nan))
-        self._values = self._full.copy()  # the value matrix for the subspace `_keep`
-        self._keep = np.ones(model.n_features, dtype=bool)
+        self._X = X
+        root = model.nodes[model.root]
+        tops = root.children if isinstance(root, ProductNode) else (model.root,)
+        self._children = []  # (sub-circuit, its features, memo)
+        for top in tops:
+            circuit = _Circuit(model, top)
+            features = np.union1d(circuit.gauss_feature, circuit.cat_feature)
+            self._children.append((circuit, features, {}))
         missing = np.isnan(X)
         self._missing = missing if missing.any() else None
+        self.log_marginal(np.ones(model.n_features, dtype=bool))
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
         """log p(x_S) for each row of the table, S the features that the
         boolean mask `keep` (n,) marks True. The counter gets one query per
-        row, and one node evaluation per row for each recomputed node."""
+        row, and one node evaluation per row for each node of a sub-circuit
+        that fills a new entry."""
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != (self.model.n_features,):
             raise ValueError(f"keep must be a boolean mask of shape "
@@ -436,19 +433,21 @@ class TableMarginals:
         if not keep.any() or (self._missing is not None
                               and self._missing[:, keep].all(axis=1).any()):
             raise ValueError("query marginalizes every feature")
-        circuit, vals = self._circuit, self._values
-        changed = circuit.scope @ (keep != self._keep) > 0
-        inside = circuit.scope @ keep  # features of each node's scope in S
-        covered = changed & (inside == circuit.scope_size)
-        missed = changed & (inside == 0)
-        vals[covered] = self._full[covered]
-        vals[missed] = self._empty[missed]
-        redo = np.flatnonzero(changed & ~covered & ~missed)
-        circuit.update(vals, redo)
-        self._keep = keep.copy()
+        rows = len(self._X)
+        q, node_evals, parts = None, 0, []
+        for circuit, features, memo in self._children:
+            key = keep[features].tobytes()
+            if key not in memo:
+                if q is None:
+                    q = np.where(keep, self._X, np.nan)
+                # a copy, so the entry does not keep the pass's whole matrix
+                memo[key] = circuit.node_values(q)[circuit.root].copy()
+                node_evals += (circuit.n_rows - 1) * rows
+            parts.append(memo[key])
         if counter is not None:
-            counter.add(self.n_rows, len(redo) * self.n_rows)
-        return vals[circuit.root].copy()
+            counter.add(rows, node_evals)
+        # `_add_slots` adds into the first slot: a copy, not the memo's entry
+        return _add_slots([parts[0].copy()] + parts[1:])
 
 
 # --- serialization -------------------------------------------------------

@@ -11,8 +11,10 @@ from scipy.special import logsumexp
 from scipy.stats import rankdata
 
 from spnexplain.data import Column
+from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import ExplanationTrace, SizeBest, elbow_select
-from spnexplain.learn import RDC_CHUNK, RDC_FEATURES, RDC_RIDGE, RDC_SCALE
+from spnexplain.learn import (RDC_CHUNK, RDC_FEATURES, RDC_RIDGE, RDC_SCALE, LearnConfig,
+                              learn_spn)
 from spnexplain.model import (LOG_2PI, CategoricalLeaf, EvalCounter, GaussianLeaf,
                               ProductNode, SpnModel, SumNode, log_marginal)
 
@@ -21,6 +23,13 @@ def _random_probs(rng: np.random.Generator, k: int) -> tuple[float, ...]:
     p = rng.uniform(0.1, 1.0, size=k)
     p /= p.sum()
     return tuple(float(v) for v in p)
+
+
+def random_table(rng: np.random.Generator, model: SpnModel, rows: int) -> np.ndarray:
+    """Rows of valid values for the model's schema, N(0, 3²) in real columns."""
+    return np.array([rng.normal(0.0, 3.0, rows) if c.kind == "real"
+                     else rng.integers(0, len(c.categories), rows).astype(float)
+                     for c in model.schema]).T
 
 
 def _random_sum_product(rng: np.random.Generator, schema: list[Column], leaf,
@@ -172,6 +181,53 @@ def reference_log_density(model: SpnModel, queries) -> np.ndarray:
     return vals[model.root]
 
 
+def root_children(model: SpnModel) -> list[tuple[int, list[int], list[int]]]:
+    """(node id, sorted node ids under it, sorted features under it) of
+    each child of the root product, in stored order; a root that is not a
+    product is its own one child."""
+    root = model.nodes[model.root]
+    out = []
+    for top in root.children if isinstance(root, ProductNode) else (model.root,):
+        under, stack = {top}, [top]
+        while stack:
+            for c in getattr(model.nodes[stack.pop()], "children", ()):
+                if c not in under:
+                    under.add(c)
+                    stack.append(c)
+        features = {model.nodes[i].feature for i in under
+                    if isinstance(model.nodes[i], (GaussianLeaf, CategoricalLeaf))}
+        out.append((top, sorted(under), sorted(features)))
+    return out
+
+
+def per_size_optimum(model: SpnModel, X) -> np.ndarray:
+    """The exact minimum of log p(x_S) over all subspaces S of each size,
+    for each row x of X, as a (rows, n + 1) matrix indexed by size. The
+    marginal of the root product is the sum of its children's, so this
+    tabulates each child's best value for each count of its features kept
+    (every subset, through `reference_log_density`) and combines the
+    children by a min-plus convolution over the counts. Exponential in the
+    widest child's features only."""
+    X = np.asarray(X, dtype=np.float64)
+    rows, n = X.shape
+    best = np.zeros((rows, 1))  # by count of features kept so far
+    for top, _, features in root_children(model):
+        k = len(features)
+        subsets = np.array(list(itertools.product([False, True], repeat=k)), dtype=bool)
+        q = np.full((rows, len(subsets), n), np.nan)
+        q[:, :, features] = np.where(subsets, X[:, None, features], np.nan)
+        child = SpnModel(model.nodes, top, model.schema)
+        values = reference_log_density(child, q.reshape(-1, n)).reshape(rows, -1)
+        counts = subsets.sum(axis=1)
+        combined = np.full((rows, best.shape[1] + k), np.inf)
+        for j in range(k + 1):
+            child_best = values[:, counts == j].min(axis=1, keepdims=True)
+            combined[:, j:j + best.shape[1]] = np.minimum(
+                combined[:, j:j + best.shape[1]], best + child_best)
+        best = combined
+    return best
+
+
 def log_marginal_subspace(model: SpnModel, x, subspace,
                           counter: EvalCounter | None = None) -> float:
     """log p(x_D) for the projection of a full sample onto a feature subset
@@ -316,6 +372,13 @@ def brute_force_marginal(model: SpnModel, partial: dict[int, float]) -> float:
             x[j] = v
         total += direct_prob(model, model.root, x)
     return total
+
+
+@pytest.fixture(scope="session")
+def planted20():
+    """The planted n = 20, seed 0 table and the model learned from it."""
+    labeled = generate(GenConfig(n_features=20, seed=0))
+    return labeled, learn_spn(labeled.dataset, LearnConfig(seed=0))
 
 
 @pytest.fixture

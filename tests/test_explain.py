@@ -7,16 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (greedy_backward_oracle, log_marginal_subspace,
-                      random_gaussian_model, random_mixed_model, reference_explain,
-                      reference_forward_beam_search)
+from conftest import (greedy_backward_oracle, log_marginal_subspace, per_size_optimum,
+                      random_gaussian_model, random_mixed_model, random_table,
+                      reference_explain, reference_forward_beam_search)
 from spnexplain.data import Column
-from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
                                 elbow_select, explain, explain_rows,
                                 forward_beam_search, subspace_score_stats,
                                 zscore_select)
-from spnexplain.learn import LearnConfig, learn_spn
 from spnexplain.model import (EvalCounter, GaussianLeaf, ProductNode, SpnModel,
                               SumNode, TableMarginals, log_marginal)
 
@@ -45,13 +43,6 @@ def tied_model(rng, n):
         factors.append(len(nodes) - 1)
     nodes.append(ProductNode(tuple(factors)))
     return SpnModel(nodes, len(nodes) - 1, [Column(f"f{j}", "real") for j in range(n)])
-
-
-@pytest.fixture(scope="module")
-def planted20():
-    """The planted n = 20, seed 0 table and the model learned from it."""
-    labeled = generate(GenConfig(n_features=20, seed=0))
-    return labeled, learn_spn(labeled.dataset, LearnConfig(seed=0))
 
 
 def exhaustive_best(model, x, k):
@@ -309,8 +300,8 @@ class TestZscoreSelect:
         assert zscore_select(sizes, table) == sizes[2]
 
     def test_node_evals_count_only_recomputed_nodes(self, planted20):
-        # only nodes that straddle a subspace and changed since the last one
-        # are recomputed; queries keep the logical count of one per
+        # only a root child's part of a subspace not asked before is
+        # evaluated, once; queries keep the logical count of one per
         # reference row and subspace
         labeled, m = planted20
         X = labeled.dataset.values
@@ -330,6 +321,35 @@ class TestZscoreSelect:
         m = factorized_model([(0.0, 1.0)])
         with pytest.raises(ValueError, match="no rows"):
             TableMarginals(m, np.empty((0, 1)))
+
+
+class TestPerSizeOptimum:
+    """The exact per-size optimum from the root product's children, against
+    the exhaustive oracle and as a floor under both searches."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), builder=st.sampled_from(["mixed", "gaussian"]))
+    def test_equals_exhaustive_oracle(self, seed, builder):
+        rng = np.random.default_rng(seed)
+        m = (random_mixed_model(rng, max_features=8) if builder == "mixed"
+             else random_gaussian_model(rng, int(rng.integers(1, 9))))
+        X = random_table(rng, m, 3)
+        for x, best in zip(X, per_size_optimum(m, X)):
+            for k in range(1, m.n_features + 1):
+                assert best[k] == pytest.approx(exhaustive_best(m, x, k)[1], rel=1e-9)
+
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    def test_no_search_beats_the_optimum(self, planted20, strategy):
+        labeled, m = planted20
+        X = labeled.dataset.values[list(labeled.outlier_rows)]
+        config = ExplainConfig(strategy=strategy)
+        for x, best in zip(X, per_size_optimum(m, X)):
+            per_size = explain(m, x, config).per_size
+            for sb in per_size:
+                assert sb.log_density >= best[sb.size] - 1e-9 * abs(best[sb.size])
+            # the one step that tries every subspace of its size finds the optimum
+            whole = per_size[0] if strategy == "forward" else per_size[-1]
+            assert whole.log_density == pytest.approx(best[whole.size], rel=1e-9)
 
 
 class TestExplain:

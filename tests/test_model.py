@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy.integrate import quad
 
 from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_categorical_model, random_gaussian_model,
-                      random_mixed_model, reference_log_density)
+                      random_mixed_model, random_table, reference_log_density,
+                      root_children)
 from spnexplain.data import Column
 from spnexplain.errors import ModelFormatError
 from spnexplain.explain import subspace_score_stats
@@ -260,9 +262,7 @@ class TestDistributionProperties:
 def random_queries(rng, model, batch: int) -> np.ndarray:
     """Rows of valid values with a random share marginalized (NaN); every
     row keeps at least one feature."""
-    q = np.array([rng.normal(0.0, 3.0, batch) if c.kind == "real"
-                  else rng.integers(0, len(c.categories), batch).astype(float)
-                  for c in model.schema]).T
+    q = random_table(rng, model, batch)
     drop = rng.random(q.shape) < rng.uniform(0.0, 0.9)
     drop[np.arange(batch), rng.integers(0, model.n_features, batch)] = False
     return np.where(drop, np.nan, q)
@@ -329,28 +329,30 @@ def off_one_weights(rng, model: SpnModel) -> SpnModel:
 
 
 class TestTableMarginals:
-    """Marginals of one table, updated from the last subspace asked, against
-    a full pass per subspace."""
+    """Marginals of one table, memoized per child of the root product,
+    against a full pass per subspace."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and 1e300 inputs
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), builder=st.sampled_from(["mixed", "gaussian"]),
+    @given(seed=st.integers(0, 10**6),
+           builder=st.sampled_from(["mixed", "gaussian", "planted20"]),
            rows=st.sampled_from([1, 2, 7, 60, 700]))
-    def test_memoized_stats_equal_full_passes(self, seed, builder, rows):
+    def test_memoized_stats_equal_full_passes(self, planted20, seed, builder, rows):
         rng = np.random.default_rng(seed)
+        # the learned model's root product has more than two children, so
+        # their order shows in the sum, and sums below them
         m = off_one_weights(rng, random_mixed_model(rng) if builder == "mixed"
+                            else planted20[1] if builder == "planted20"
                             else random_gaussian_model(rng, int(rng.integers(1, 12))))
         assert validate(m) == []
         n = m.n_features
-        X = np.array([rng.normal(0.0, 3.0, rows) if c.kind == "real"
-                      else rng.integers(0, len(c.categories), rows).astype(float)
-                      for c in m.schema]).T
+        X = random_table(rng, m, rows)
         real = np.array([c.kind == "real" for c in m.schema])
         extreme = (rng.random(X.shape) < 0.05) & real
         X[extreme] = rng.choice([np.inf, -np.inf, 1e300, -1e300], int(extreme.sum()))
         # random masks, the full set, every singleton and a backward-style
-        # chain that drops one feature at a time from the full set: nodes
-        # inside S, outside S and straddling it
+        # chain that drops one feature at a time from the full set: root
+        # children inside S, outside S and straddling it
         masks = rng.random((12, n)) < rng.uniform(0.2, 0.8)
         masks[np.arange(12), rng.integers(0, n, 12)] = True
         chain = ~np.tri(n - 1, n, dtype=bool)[:, rng.permutation(n)]
@@ -358,7 +360,7 @@ class TestTableMarginals:
                            chain])
         table = TableMarginals(m, X)
         # each counted call repeats the mask asked just before it, so it
-        # recomputes no node, in either round
+        # evaluates no node, in either round
         for _ in range(2):
             counter = EvalCounter()
             for keep in masks:
@@ -370,6 +372,50 @@ class TestTableMarginals:
                                       [(-want).mean(), (-want).std()], equal_nan=True)
             assert counter.queries == rows * len(masks)
         assert counter.node_evals == 0
+
+    @pytest.mark.parametrize("builder", ["planted20", "mixed"])
+    def test_node_evals_count_each_new_child_entry(self, planted20, rng, builder):
+        m = planted20[1] if builder == "planted20" else random_mixed_model(rng, 6)
+        n = m.n_features
+        X = random_table(rng, m, 40)
+        children = root_children(m)
+        table = TableMarginals(m, X)
+        filled = {(top, (True,) * len(features)) for top, _, features in children}
+        full = np.ones(n, dtype=bool)
+        masks = rng.random((20, n)) < rng.uniform(0.2, 0.8, (20, 1))
+        masks[:, 0] = True
+        for keep in np.vstack([masks, masks[::-1], full]):
+            want = 0
+            for top, under, features in children:
+                if (top, tuple(keep[features])) not in filled:
+                    filled.add((top, tuple(keep[features])))
+                    want += len(under) * len(X)
+            counter = EvalCounter()
+            table.log_marginal(keep, counter)
+            assert (counter.queries, counter.node_evals) == (len(X), want)
+        assert want == 0  # the full mask was filled on construction
+
+    def test_entries_keep_only_their_own_rows(self, planted20, rng):
+        # an entry is a copy of one row of its pass; a view of the row would
+        # keep the pass's whole value matrix alive
+        labeled, m = planted20
+        X = labeled.dataset.values
+        masks = rng.random((40, m.n_features)) < 0.5
+        masks[:, 0] = True
+        log_marginal(m, X[:2], masks[0])  # the model's own circuit is compiled
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = TableMarginals(m, X)
+            for keep in masks:
+                table.log_marginal(keep)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        asked = np.vstack([masks, np.ones((1, m.n_features), dtype=bool)])
+        entries = len({(top, tuple(keep[features])) for keep in asked
+                       for top, _, features in root_children(m)})
+        assert kept <= 2 * entries * len(X) * 8
 
     def test_wide_product_of_one_row_sums_in_child_order(self, rng):
         # numpy would sum a one-row (30, 1) stack pairwise, not in order
@@ -403,9 +449,7 @@ class TestTableMarginals:
     def test_repeated_and_full_masks_recompute_nothing(self, rng):
         m = random_mixed_model(rng)
         n = m.n_features
-        X = np.array([rng.normal(0.0, 3.0, 50) if c.kind == "real"
-                      else rng.integers(0, len(c.categories), 50).astype(float)
-                      for c in m.schema]).T
+        X = random_table(rng, m, 50)
         table = TableMarginals(m, X)
         full = np.ones(n, dtype=bool)
         for keep in rng.random((10, n)) < 0.5:
