@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,18 +57,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return len(self.schema)
-
-
-def _parse_real(cell: str) -> float | None:
-    try:
-        v = float(cell)
-    except ValueError:
-        return None
-    # "nan"/"inf" strings count as non-numeric: NaN is the marginalization
-    # sentinel and must never enter via data.
-    if math.isnan(v) or math.isinf(v):
-        return None
-    return v
 
 
 def columns_to_json(schema: list[Column]) -> list[dict]:
@@ -183,31 +170,27 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
 
     With a schema the header must match its column names, real cells
     must parse as numbers, and categorical cells must be among the
-    schema's categories, coded by their position there. Without one a
-    column is real iff every cell parses as a decimal number; otherwise
-    it is categorical with categories in first-appearance order.
+    schema's categories, coded by their position there. A number is what
+    Python's `float` reads, and finite. Without a schema a column is real
+    iff every cell is a number; otherwise it is categorical with
+    categories in first-appearance order. The table is decoded by column.
+    Errors name the file line of the offending record: the first ragged
+    row or empty cell in file order, else the first bad cell of the
+    leftmost column that has one.
     """
-    reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
-    records, starts = [], [1]  # starts[i]: the file line that record i starts on
+    text = read_text(path, "data")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for record in reader:
-            records.append(record)
-            starts.append(reader.line_num + 1)
+        records = list(reader)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: empty file, expected a header row")
-    header, rows, row_lines = records[0], records[1:], starts[1:-1]
-    for lineno, row in zip(row_lines, rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{lineno}: ragged row, {len(row)} cells but {len(header)} columns"
-            )
-        for j, cell in enumerate(row):
-            if cell == "":
-                raise DataError(
-                    f"{path}:{lineno}: missing value in column {header[j]!r} (index {j})"
-                )
+    header, rows = records[0], records[1:]
+    ragged = bool(set(map(len, rows)) - {len(header)})
+    columns = [] if ragged else list(zip(*rows))
+    if ragged or any("" in cells for cells in columns):
+        _raise_first_fault(path, header, rows, _record_lines(text))
     if not rows:
         raise DataError(f"{path}: no data rows")
     if schema is not None:
@@ -217,47 +200,77 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
                 f"{path}: header {header} does not match schema columns {names}"
             )
 
-    columns: list[Column] = []
+    encoded: list[Column] = []
     values = np.empty((len(rows), len(header)), dtype=np.float64)
-    for j, name in enumerate(header):
-        cells = [r[j] for r in rows]
+    for j, (name, cells) in enumerate(zip(header, columns)):
         col = schema[j] if schema is not None else None
-        parsed = ([_parse_real(c) for c in cells]
-                  if col is None or col.kind == "real" else None)
+        parsed = _parse_reals(cells) if col is None or col.kind == "real" else None
         if col is None:
-            col = (Column(name, "real") if None not in parsed
+            col = (Column(name, "real") if parsed is not None
                    else Column(name, "categorical", tuple(dict.fromkeys(cells))))
         if col.kind == "real":
-            if None in parsed:
-                i = parsed.index(None)
+            if parsed is None:
+                i = next(i for i, c in enumerate(cells) if _parse_reals((c,)) is None)
                 raise DataError(
-                    f"{path}:{row_lines[i]}: column {name!r} declared real "
+                    f"{path}:{_record_lines(text)[i]}: column {name!r} declared real "
                     f"but cell {cells[i]!r} is not numeric"
                 )
             values[:, j] = parsed
         else:
             index = {c: k for k, c in enumerate(col.categories)}
-            codes = [index.get(c) for c in cells]
+            codes = list(map(index.get, cells))
             if None in codes:
                 i = codes.index(None)
                 raise DataError(
-                    f"{path}:{row_lines[i]}: value {cells[i]!r} not among declared "
-                    f"categories of column {name!r}"
+                    f"{path}:{_record_lines(text)[i]}: value {cells[i]!r} not among "
+                    f"declared categories of column {name!r}"
                 )
             values[:, j] = codes
-        columns.append(col)
-    return Dataset(columns, values)
+        encoded.append(col)
+    return Dataset(encoded, values)
+
+
+def _parse_reals(cells: tuple[str, ...]) -> np.ndarray | None:
+    """The cells as float64, or None if one of them is not a number. "nan"
+    and "inf" are not numbers: NaN is the marginalization sentinel and must
+    never enter via data."""
+    try:
+        parsed = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+    return parsed if np.isfinite(parsed).all() else None
+
+
+def _record_lines(text: str) -> list[int]:
+    """The file line that each data record of the CSV `text` starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts = [1]
+    for _ in reader:
+        starts.append(reader.line_num + 1)
+    return starts[1:-1]
+
+
+def _raise_first_fault(path: str, header: list[str], rows: list[list[str]],
+                       lines: list[int]) -> None:
+    """Raise DataError for the first ragged row or empty cell in file order."""
+    for lineno, row in zip(lines, rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: ragged row, {len(row)} cells but {len(header)} columns"
+            )
+        for j, cell in enumerate(row):
+            if cell == "":
+                raise DataError(
+                    f"{path}:{lineno}: missing value in column {header[j]!r} (index {j})"
+                )
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
+    columns = [[format(v, FLOAT_FMT) for v in values.tolist()] if col.kind == "real"
+               else [col.categories[int(v)] for v in values.tolist()]
+               for col, values in zip(dataset.schema, dataset.values.T)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in dataset.schema])
-        for row in dataset.values:
-            out = []
-            for col, v in zip(dataset.schema, row):
-                if col.kind == "real":
-                    out.append(format_float(v))
-                else:
-                    out.append(col.categories[int(v)])
-            writer.writerow(out)
+        # a table without columns still writes one empty line per row
+        writer.writerows(zip(*columns) if columns else [()] * dataset.n_rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import INTEGER, NUMBER, check_fields, is_a
-from .model import EvalCounter, SpnModel, TableMarginals, log_marginal
+from .model import EvalCounter, SpnModel, TableMarginals, _compiled
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -73,6 +73,14 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"sample value {x[j]} of feature {j} "
+                         f"(column {model.schema[j].name!r}) is not finite")
+    # x is checked once here: each masked batch below keeps at least one
+    # of its features, so the batches need no query check of their own
+    circuit = _compiled(model, x[None])
     eye = np.eye(n, dtype=bool)
     beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
     results: list[SizeBest] = []
@@ -88,7 +96,7 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             _, first = np.unique(keys, return_index=True)
             flipped = flipped[first]
         keep = flipped if grow else ~flipped
-        logps = log_marginal(model, x, keep, counter)
+        logps = circuit.log_density(np.where(keep, x, np.nan), counter)
         order = np.argsort(logps, kind="stable")  # ties stay lexicographic
         beam = flipped[order[:beam_width]]
         subspace = tuple(np.flatnonzero(keep[order[0]]).tolist())

@@ -23,7 +23,7 @@ import numpy as np
 from .data import INTEGER, NUMBER, Column, Dataset, check_fields, fold_seed
 from .errors import DataError
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
-                    SumNode, _logsumexp, validate)
+                    SumNode, _compile, _logsumexp, validate)
 
 MAX_RECURSION_DEPTH = 64
 VAR_FLOOR = 1e-6
@@ -303,4 +303,4 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
     issues = validate(model)
     if issues:  # structural bug guard; learned models must always validate
         raise RuntimeError("learned model failed validation: " + "; ".join(issues))
-    return model
+    return _compile(model)

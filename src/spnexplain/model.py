@@ -269,6 +269,14 @@ class _Circuit:
                 col = self.schema[self.cat_cols[int(np.argmax(bad.any(axis=0)))]]
                 raise ValueError(f"categorical value out of range for column {col.name!r}")
 
+    def log_density(self, q: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
+        """The root's log-density for each row of a checked (batch, n) query
+        matrix; the counter gets one query and one evaluation of every node
+        per row."""
+        if counter is not None:
+            counter.add(q.shape[0], (self.n_rows - 1) * q.shape[0])
+        return self.node_values(q)[self.root]
+
     def node_values(self, q: np.ndarray) -> np.ndarray:
         """The value matrix of one pass: each node's log-density (the root's
         is row `root`) for each row of a checked (batch, n) query matrix."""
@@ -323,15 +331,22 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _compile(model: SpnModel) -> SpnModel:
+    """`model`, compiled; only for a model that `validate` has just accepted,
+    so that its first evaluation does not validate it again."""
+    model._circuit = _Circuit(model)
+    return model
+
+
 def _compiled(model: SpnModel, q: np.ndarray) -> _Circuit:
     """The model's circuit, once the (batch, n) query matrix q has passed
-    the query checks. A model is compiled on first use, and only if
+    the query checks. A model not yet compiled is compiled here, and only if
     `validate` accepts it; otherwise this raises ValueError."""
     if model._circuit is None:
         issues = validate(model)
         if issues:
             raise ValueError("invalid model: " + "; ".join(issues))
-        model._circuit = _Circuit(model)
+        _compile(model)
     model._circuit.check_query(q)
     return model._circuit
 
@@ -352,10 +367,7 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
             raise ValueError(f"query must be a ({model.n_features},) sample or a "
                              f"(batch, {model.n_features}) matrix, got shape {q.shape}")
         q = q[None, :]
-    circuit = _compiled(model, q)
-    out = circuit.node_values(q)[circuit.root]
-    if counter is not None:
-        counter.add(q.shape[0], len(model.nodes) * q.shape[0])
+    out = _compiled(model, q).log_density(q, counter)
     return out[0] if squeeze else out
 
 
@@ -519,7 +531,7 @@ def from_dict(doc) -> SpnModel:
         issues = validate(model)
         if issues:
             raise ModelFormatError("invalid model: " + "; ".join(issues))
-        return model
+        return _compile(model)
     except DataError as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -1,7 +1,10 @@
-"""Shared random-model builders and independent evaluation oracles."""
+"""Shared random-model builders, independent evaluation oracles and the
+row-by-row CSV codec that the columnar one is checked against."""
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -10,8 +13,9 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import rankdata
 
-from spnexplain.data import Column
+from spnexplain.data import Column, Dataset, format_float, read_text
 from spnexplain.datagen import GenConfig, generate
+from spnexplain.errors import DataError
 from spnexplain.explain import ExplanationTrace, SizeBest, elbow_select
 from spnexplain.learn import (RDC_CHUNK, RDC_FEATURES, RDC_RIDGE, RDC_SCALE, LearnConfig,
                               learn_spn)
@@ -372,6 +376,91 @@ def brute_force_marginal(model: SpnModel, partial: dict[int, float]) -> float:
             x[j] = v
         total += direct_prob(model, model.root, x)
     return total
+
+
+# --- row-by-row CSV codec --------------------------------------------------
+
+def _reference_parse_real(cell: str) -> float | None:
+    try:
+        v = float(cell)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def reference_load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
+    """`load_csv` decoded row by row and cell by cell: the same schema, values
+    and DataError messages, checked in file order."""
+    reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
+    records, starts = [], [1]  # starts[i]: the file line that record i starts on
+    try:
+        for record in reader:
+            records.append(record)
+            starts.append(reader.line_num + 1)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not records:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header, rows, row_lines = records[0], records[1:], starts[1:-1]
+    for lineno, row in zip(row_lines, rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{lineno}: ragged row, {len(row)} cells but {len(header)} columns"
+            )
+        for j, cell in enumerate(row):
+            if cell == "":
+                raise DataError(
+                    f"{path}:{lineno}: missing value in column {header[j]!r} (index {j})"
+                )
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if schema is not None:
+        names = [c.name for c in schema]
+        if names != header:
+            raise DataError(
+                f"{path}: header {header} does not match schema columns {names}"
+            )
+    columns: list[Column] = []
+    values = np.empty((len(rows), len(header)), dtype=np.float64)
+    for j, name in enumerate(header):
+        cells = [r[j] for r in rows]
+        col = schema[j] if schema is not None else None
+        parsed = ([_reference_parse_real(c) for c in cells]
+                  if col is None or col.kind == "real" else None)
+        if col is None:
+            col = (Column(name, "real") if None not in parsed
+                   else Column(name, "categorical", tuple(dict.fromkeys(cells))))
+        if col.kind == "real":
+            if None in parsed:
+                i = parsed.index(None)
+                raise DataError(
+                    f"{path}:{row_lines[i]}: column {name!r} declared real "
+                    f"but cell {cells[i]!r} is not numeric"
+                )
+            values[:, j] = parsed
+        else:
+            index = {c: k for k, c in enumerate(col.categories)}
+            codes = [index.get(c) for c in cells]
+            if None in codes:
+                i = codes.index(None)
+                raise DataError(
+                    f"{path}:{row_lines[i]}: value {cells[i]!r} not among declared "
+                    f"categories of column {name!r}"
+                )
+            values[:, j] = codes
+        columns.append(col)
+    return Dataset(columns, values)
+
+
+def reference_save_csv(dataset: Dataset, path: str) -> None:
+    """`save_csv` written row by row and cell by cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in dataset.schema])
+        for row in dataset.values:
+            writer.writerow([format_float(v) if col.kind == "real"
+                             else col.categories[int(v)]
+                             for col, v in zip(dataset.schema, row)])
 
 
 @pytest.fixture(scope="session")

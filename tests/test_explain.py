@@ -11,12 +11,14 @@ from conftest import (greedy_backward_oracle, log_marginal_subspace, per_size_op
                       random_gaussian_model, random_mixed_model, random_table,
                       reference_explain, reference_forward_beam_search)
 from spnexplain.data import Column
+from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
                                 elbow_select, explain, explain_rows,
                                 forward_beam_search, subspace_score_stats,
                                 zscore_select)
-from spnexplain.model import (EvalCounter, GaussianLeaf, ProductNode, SpnModel,
-                              SumNode, TableMarginals, log_marginal)
+from spnexplain.learn import LearnConfig, learn_spn
+from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf, ProductNode,
+                              SpnModel, SumNode, TableMarginals, log_marginal)
 
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 # the module itself: the package's `explain` name is the function
@@ -416,6 +418,32 @@ class TestExplain:
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
         with pytest.raises(ValueError, match="shape"):
             explain(m, [0.0], ExplainConfig())
+
+    def test_non_finite_sample_value_rejected_by_both_strategies(self):
+        labeled = generate(GenConfig(n_features=6, seed=0))
+        model = learn_spn(labeled.dataset, LearnConfig(seed=0))
+        row = labeled.dataset.values[labeled.outlier_rows[0]]
+        for j in range(6):
+            for bad in (np.nan, np.inf):
+                x = row.copy()
+                x[j] = bad
+                messages = set()
+                for strategy in ("forward", "backward"):
+                    with pytest.raises(ValueError, match=rf"of feature {j} \(column 'f{j}'\) "
+                                                         r"is not finite") as exc:
+                        explain(model, x, ExplainConfig(strategy=strategy))
+                    messages.add(str(exc.value))
+                assert len(messages) == 1
+
+    def test_categorical_code_out_of_range_rejected_by_both_strategies(self):
+        model = SpnModel([GaussianLeaf(0, 0.0, 1.0), CategoricalLeaf(1, (0.5, 0.5)),
+                          ProductNode((0, 1))], 2,
+                         [Column("g", "real"), Column("c", "categorical", ("u", "v"))])
+        for code in (2.0, -1.0, 0.5):
+            for strategy in ("forward", "backward"):
+                with pytest.raises(ValueError, match="categorical value out of range "
+                                                     "for column 'c'"):
+                    explain(model, [0.0, code], ExplainConfig(strategy=strategy))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

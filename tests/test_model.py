@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -14,15 +15,18 @@ from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_categorical_model, random_gaussian_model,
                       random_mixed_model, random_table, reference_log_density,
                       root_children)
-from spnexplain.data import Column
+from spnexplain.data import Column, Dataset
 from spnexplain.errors import ModelFormatError
 from spnexplain.explain import subspace_score_stats
+from spnexplain.learn import LearnConfig, learn_spn
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
                               ProductNode, SpnModel, SumNode, TableMarginals,
                               eval_log_density, from_dict, load_model, log_marginal,
                               save_model, to_dict, validate)
 
 REAL2 = [Column("a", "real"), Column("b", "real")]
+model_module = importlib.import_module("spnexplain.model")
+learn_module = importlib.import_module("spnexplain.learn")
 
 
 def std_normal_leaf():
@@ -536,6 +540,26 @@ class TestValidityGate:
         circuit = m._circuit
         eval_log_density(m, np.ones((4, 3)))
         assert m._circuit is circuit
+
+    def test_loaded_or_learned_model_is_validated_once(self, rng, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return validate(model)
+
+        for module in (model_module, learn_module):
+            monkeypatch.setattr(module, "validate", counted)
+        path = str(tmp_path / "model.json")
+        save_model(random_mixed_model(rng), path)
+        loaded = load_model(path)
+        eval_log_density(loaded, random_table(rng, loaded, 5))
+        assert calls == [loaded]
+        calls.clear()
+        X = random_table(rng, loaded, 60)
+        learned = learn_spn(Dataset(loaded.schema, X), LearnConfig(seed=0))
+        eval_log_density(learned, X)
+        assert calls == [learned]
 
 
 class TestSerialization:
