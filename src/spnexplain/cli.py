@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import datagen, metrics
 from .data import (INTEGER, format_float, load_csv, load_schema, read_json_lines,
                    require, save_csv)
-from .errors import DataError, ModelFormatError, UsageError
+from .errors import DataError, ModelFormatError
 from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
 from .model import eval_log_density, load_model, save_model
@@ -155,9 +156,9 @@ def cmd_explain(args) -> None:
     try:
         rows = sorted({int(tok) for tok in args.rows.split(",") if tok.strip()})
     except ValueError as exc:
-        raise UsageError(f"--rows must be comma-separated integers: {exc}") from exc
+        raise ValueError(f"--rows must be comma-separated integers: {exc}") from exc
     if not rows:
-        raise UsageError("--rows selected no rows")
+        raise ValueError("--rows selected no rows")
     for r in rows:
         if not (0 <= r < dataset.n_rows):
             raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
@@ -217,11 +218,17 @@ COMMANDS = {"gen": cmd_gen, "train": cmd_train, "score": cmd_score,
             "explain": cmd_explain, "eval": cmd_eval, "bench": cmd_bench}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on first use and kept: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         COMMANDS[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # a failed read raises DataError or ModelFormatError, so an
         # OSError here is an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: DataError -> 3,
-ModelFormatError -> 4, UsageError -> 2.
+ModelFormatError -> 4; a ValueError (a usage error) exits 2.
 """
 
 
 class SpnExplainError(Exception):
-    pass
-
-
-class UsageError(SpnExplainError):
     pass
 
 

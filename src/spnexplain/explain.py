@@ -185,7 +185,8 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     explanation, z-scores against the rows of the `reference` table.
     eval_count is the paper's logical count of marginal queries (z-score
     selection asks one per reference row and subspace), not the node
-    evaluations performed to answer them."""
+    evaluations performed to answer them. z-score selection without a
+    reference, or with one built for another model, raises ValueError."""
     n = model.n_features
     if config.selection == "zscore" and reference is None:
         raise ValueError("zscore selection requires training data")

@@ -23,7 +23,7 @@ import numpy as np
 from .data import INTEGER, NUMBER, Column, Dataset, check_fields, fold_seed
 from .errors import DataError
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
-                    SumNode, _compile, _logsumexp, validate)
+                    SumNode, _compile, _logsumexp)
 
 MAX_RECURSION_DEPTH = 64
 VAR_FLOOR = 1e-6
@@ -300,7 +300,5 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
 
     root = build(np.arange(X.shape[0]), list(range(X.shape[1])), 0, ())
     model = SpnModel(nodes, root, list(schema))
-    issues = validate(model)
-    if issues:  # structural bug guard; learned models must always validate
-        raise RuntimeError("learned model failed validation: " + "; ".join(issues))
-    return _compile(model)
+    _compile(model, RuntimeError)  # a learned model always validates
+    return model

@@ -33,14 +33,15 @@ def detect(model: SpnModel, dataset: Dataset,
            contamination: float) -> tuple[list[int], np.ndarray]:
     """Flag the most outlying rows by full-joint negative log-density.
 
-    The threshold is the (1 - contamination) quantile of all row scores;
+    The threshold is the score at the (1 - contamination) quantile rounded
+    up to an order statistic, so it is one of the scores, +inf included;
     rows scoring at or above it are flagged (so ties, including the
     all-identical degenerate case, flag every tied row).
     """
     if not (is_a(contamination, NUMBER) and 0.0 < contamination < 1.0):
         raise ValueError(f"contamination must be in (0,1), got {contamination}")
     scores = -eval_log_density(model, dataset.values)
-    threshold = np.quantile(scores, 1.0 - contamination)
+    threshold = np.quantile(scores, 1.0 - contamination, method="higher")
     flagged = [int(i) for i in np.flatnonzero(scores >= threshold)]
     return flagged, scores
 

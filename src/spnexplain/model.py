@@ -72,8 +72,8 @@ class SpnModel:
     nodes: list[Node]
     root: int
     schema: list[Column]
-    # built on the first evaluation; nothing changes `nodes` or `root` after
-    # construction
+    # set by `_compile` when the model is learned, loaded or first evaluated;
+    # nothing changes `nodes` or `root` after construction
     _circuit: _Circuit | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -84,7 +84,7 @@ class SpnModel:
 
 def _compute_scopes(nodes: list[Node]) -> list[frozenset[int]]:
     # Defensive: forward references (non-topological arenas) and nodes of
-    # unknown type get an empty scope here and are reported by validate().
+    # unknown type get an empty scope here and are reported by `validate`.
     scopes: list[frozenset[int]] = []
     for i, node in enumerate(nodes):
         sc: set[int] = set()
@@ -271,15 +271,10 @@ class _Circuit:
 
     def log_density(self, q: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
         """The root's log-density for each row of a checked (batch, n) query
-        matrix; the counter gets one query and one evaluation of every node
-        per row."""
+        matrix, in one pass; the counter gets one query and one evaluation of
+        every node per row. The result is a row of the pass's value matrix."""
         if counter is not None:
             counter.add(q.shape[0], (self.n_rows - 1) * q.shape[0])
-        return self.node_values(q)[self.root]
-
-    def node_values(self, q: np.ndarray) -> np.ndarray:
-        """The value matrix of one pass: each node's log-density (the root's
-        is row `root`) for each row of a checked (batch, n) query matrix."""
         vals = np.empty((self.n_rows, q.shape[0]))
         vals[-1] = 0.0
         x = q.T[self.gauss_feature]
@@ -296,7 +291,7 @@ class _Circuit:
             stack = vals[idx]
             vals[lo:lo + idx.shape[1]] = (_add_slots(stack) if log_w is None
                                          else _logsumexp(stack + log_w))
-        return vals
+        return vals[self.root]
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
@@ -331,24 +326,25 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compile(model: SpnModel) -> SpnModel:
-    """`model`, compiled; only for a model that `validate` has just accepted,
-    so that its first evaluation does not validate it again."""
-    model._circuit = _Circuit(model)
-    return model
+def _compile(model: SpnModel, error: type[Exception] = ValueError) -> _Circuit:
+    """The model's circuit: the one place where a model is validated. A
+    model not yet compiled is compiled and cached here, and only if
+    `validate` accepts it; otherwise this raises `error("invalid model:
+    ...")` listing the issues, and caches nothing."""
+    if model._circuit is None:
+        issues = validate(model)
+        if issues:
+            raise error("invalid model: " + "; ".join(issues))
+        model._circuit = _Circuit(model)
+    return model._circuit
 
 
 def _compiled(model: SpnModel, q: np.ndarray) -> _Circuit:
     """The model's circuit, once the (batch, n) query matrix q has passed
-    the query checks. A model not yet compiled is compiled here, and only if
-    `validate` accepts it; otherwise this raises ValueError."""
-    if model._circuit is None:
-        issues = validate(model)
-        if issues:
-            raise ValueError("invalid model: " + "; ".join(issues))
-        _compile(model)
-    model._circuit.check_query(q)
-    return model._circuit
+    the query checks; a model that `validate` rejects raises ValueError."""
+    circuit = _compile(model)
+    circuit.check_query(q)
+    return circuit
 
 
 def eval_log_density(model: SpnModel, queries: np.ndarray,
@@ -410,9 +406,9 @@ class TableMarginals:
     of one row of that pass, len(X) floats. `log_marginal` adds the
     children's entries in the root's slot order with the circuit's own
     adds, so the result equals `log_marginal(model, X, keep)` bit for bit.
-    The full-evidence entries are filled on construction. A sum root is one
-    child, so there each new subspace costs a full pass, and a wide child
-    repeats its subsets rarely.
+    The full-evidence entries are filled on construction, and a table with
+    no rows raises ValueError. A sum root is one child, so there each new
+    subspace costs a full pass, and a wide child repeats its subsets rarely.
     """
 
     def __init__(self, model: SpnModel, X):
@@ -453,7 +449,7 @@ class TableMarginals:
                 if q is None:
                     q = np.where(keep, self._X, np.nan)
                 # a copy, so the entry does not keep the pass's whole matrix
-                memo[key] = circuit.node_values(q)[circuit.root].copy()
+                memo[key] = circuit.log_density(q).copy()
                 node_evals += (circuit.n_rows - 1) * rows
             parts.append(memo[key])
         if counter is not None:
@@ -528,10 +524,8 @@ def from_dict(doc) -> SpnModel:
             else:
                 raise ModelFormatError(f"{where}: unknown node type {ntype!r}")
         model = SpnModel(nodes, root, schema)
-        issues = validate(model)
-        if issues:
-            raise ModelFormatError("invalid model: " + "; ".join(issues))
-        return _compile(model)
+        _compile(model, ModelFormatError)
+        return model
     except DataError as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -70,6 +70,42 @@ class TestPipeline:
                      "--labels", workspace["labels"], "--seed", "5"]) == 0
         assert "n_features=6" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["score"], ["score", "--contamination", "0.03"],
+        ["explain", "--rows", "0,3", "--selection", "zscore"]])
+    def test_stdout_has_the_bytes_of_the_out_file(self, workspace, argv, capsysbinary):
+        out = workspace["dir"] / "out.txt"
+        argv = argv + ["--model", workspace["model"], "--data", workspace["data"]]
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert printed and printed == out.read_bytes()
+
+    def test_parser_is_built_once_and_parses_each_call_afresh(self, workspace, tmp_path,
+                                                               monkeypatch):
+        builds, build = [], cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        model = ["--model", workspace["model"], "--data", workspace["data"]]
+        paths = [str(tmp_path / name) for name in ("a.tsv", "a.jsonl", "b.tsv", "b.jsonl")]
+        assert main(["score", *model, "--contamination", "0.1", "--out", paths[0]]) == 0
+        assert main(["explain", *model, "--rows", "0", "--strategy", "forward",
+                     "--max-depth", "2", "--out", paths[1]]) == 0
+        assert main(["score", *model, "--out", paths[2]]) == 0
+        assert main(["explain", *model, "--rows", "0", "--out", paths[3]]) == 0
+        assert len(builds) == 1
+        # a flag given to one call is not a default of the next
+        assert open(paths[0]).readline() == "row\tscore\tflagged\n"
+        assert open(paths[2]).readline() == "row\tscore\n"
+        first, second = (json.loads(open(p).read()) for p in paths[1::2])
+        assert (first["strategy"], len(first["per_size"])) == ("forward", 2)
+        assert (second["strategy"], len(second["per_size"])) == ("backward", 5)
+
     def test_explain_forward_zscore_variant(self, workspace):
         assert main(["explain", "--model", workspace["model"],
                      "--data", workspace["data"], "--rows", "0",
@@ -110,6 +146,15 @@ class TestExitCodes:
         assert main(["gen", "--n-features", "1", "--seed", "0",
                      "--out", "x", "--labels", "y"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("rows,message", [
+        (",", "--rows selected no rows"),
+        ("a,b", "--rows must be comma-separated integers: "
+                "invalid literal for int() with base 10: 'a'")])
+    def test_bad_rows_exit_2(self, workspace, rows, message, capsys):
+        assert main(["explain", "--model", workspace["model"],
+                     "--data", workspace["data"], "--rows", rows]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_min_slice_rows_two_exits_2(self, workspace, tmp_path, capsys):
         assert main(["train", "--data", workspace["data"], "--seed", "0",
@@ -227,6 +272,17 @@ class TestExitCodes:
             assert message in captured.err
             assert captured.out == "" and "Traceback" not in captured.err
 
+    def test_eval_of_unlabeled_row_exits_3(self, workspace, capsys):
+        outliers = {e["row"] for e in json.load(open(workspace["labels"]))["outliers"]}
+        row = min(set(range(500)) - outliers)
+        expl = workspace["dir"] / "unlabeled.jsonl"
+        assert main(["explain", "--model", workspace["model"], "--data", workspace["data"],
+                     "--rows", str(row), "--out", str(expl)]) == 0
+        assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
+                     "--labels", workspace["labels"]]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: explained row {row} has no ground-truth label\n"
+
     def test_repeated_explanation_row_exits_3(self, workspace, capsys):
         row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
         rec = json.dumps({"row": row, "selected": [0]})
@@ -259,6 +315,17 @@ class TestExitCodes:
             assert main(["score", "--model", str(bad),
                          "--data", workspace["data"]]) == 4
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_invalid_model_file_exits_4(self, workspace, tmp_path, capsys):
+        doc = json.load(open(workspace["model"]))
+        doc["root"] = len(doc["nodes"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["score", "--model", str(bad), "--data", workspace["data"]]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"model error: invalid model: root id {doc['root']} "
+                              "out of range")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["score", "explain"])
     def test_non_integer_version_or_id_exits_4(self, workspace, tmp_path, capsys,

@@ -69,6 +69,23 @@ class TestDetect:
             with pytest.raises(ValueError, match="contamination must be in"):
                 detect(m, ds, bad)
 
+    @pytest.mark.parametrize("contamination", [0.03, 0.2])
+    def test_flags_every_infinite_score(self, contamination):
+        # 20 of 300 rows hold a cell so far out that their scores are +inf;
+        # the threshold is then +inf or a finite score, never inf - inf
+        labeled = generate(GenConfig(n_features=4, n_samples=300, seed=0))
+        model = learn_spn(labeled.dataset, LearnConfig(seed=0))
+        X = labeled.dataset.values.copy()
+        far = np.arange(0, 300, 15)
+        X[far, 1] = 1e300
+        flagged, scores = detect(model, Dataset(model.schema, X), contamination)
+        assert np.array_equal(np.flatnonzero(np.isinf(scores)), far)
+        assert set(far) <= set(flagged)
+        if contamination * len(X) <= len(far):
+            assert flagged == list(far)
+        else:
+            assert len(flagged) == round(contamination * len(X))
+
     def test_recovers_planted_outliers(self):
         labeled = generate(GenConfig(n_features=10, seed=1))
         model = learn_spn(labeled.dataset, LearnConfig(seed=1))

@@ -26,7 +26,6 @@ from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf,
 
 REAL2 = [Column("a", "real"), Column("b", "real")]
 model_module = importlib.import_module("spnexplain.model")
-learn_module = importlib.import_module("spnexplain.learn")
 
 
 def std_normal_leaf():
@@ -548,16 +547,17 @@ class TestValidityGate:
             calls.append(model)
             return validate(model)
 
-        for module in (model_module, learn_module):
-            monkeypatch.setattr(module, "validate", counted)
+        monkeypatch.setattr(model_module, "validate", counted)
         path = str(tmp_path / "model.json")
         save_model(random_mixed_model(rng), path)
         loaded = load_model(path)
+        assert calls == [loaded]  # validated and compiled on load
         eval_log_density(loaded, random_table(rng, loaded, 5))
         assert calls == [loaded]
         calls.clear()
         X = random_table(rng, loaded, 60)
         learned = learn_spn(Dataset(loaded.schema, X), LearnConfig(seed=0))
+        assert calls == [learned]  # validated and compiled on learn
         eval_log_density(learned, X)
         assert calls == [learned]
 
@@ -655,3 +655,48 @@ class TestSerialization:
             corrupt(doc)
             with pytest.raises(ModelFormatError, match=where):
                 from_dict(doc)
+
+
+def _set_node(node, field, value):
+    return lambda doc: doc["nodes"][node].__setitem__(field, value)
+
+
+class TestModelFileRejections:
+    """Each structural check on a model file, reached through `load_model`."""
+
+    MODEL = SpnModel(
+        [GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+         SumNode((0, 1), (0.5, 0.5)), CategoricalLeaf(1, (0.25, 0.75)),
+         ProductNode((2, 3))], 4,
+        [Column("a", "real"), Column("c", "categorical", ("x", "y"))])
+
+    CASES = [
+        (lambda d: d.__setitem__("nodes", []), "invalid model: model has no nodes"),
+        (lambda d: d.__setitem__("root", 7), "root id 7 out of range"),
+        (_set_node(4, "children", []), "node 4: no children"),
+        (_set_node(4, "children", [2, 9]), "node 4: child id 9 out of range"),
+        (_set_node(2, "weights", [1.5, -0.5]), "node 2: weight 1.5 outside (0,1]"),
+        (_set_node(0, "feature", 1), "node 0: gaussian leaf on non-real column"),
+        (_set_node(1, "mu", float("nan")), "node 1: mu nan not finite"),
+        (_set_node(3, "feature", 2), "node 3: feature 2 out of range"),
+        (_set_node(3, "feature", 0), "node 3: categorical leaf on non-categorical column"),
+        (_set_node(3, "probs", [0.2, 0.3, 0.5]), "node 3: 3 probs for 2 categories"),
+        (_set_node(3, "probs", [0.0, 1.0]), "node 3: zero or negative category probability"),
+        (_set_node(3, "probs", [0.5, 0.6]), "node 3: probs sum to"),
+        (_set_node(3, "type", "bernoulli"), "nodes[3]: unknown node type 'bernoulli'"),
+    ]
+
+    def test_base_document_loads(self, tmp_path):
+        path = str(tmp_path / "model.json")
+        save_model(self.MODEL, path)
+        assert validate(load_model(path)) == []
+
+    @pytest.mark.parametrize("corrupt,issue", CASES, ids=[c[1] for c in CASES])
+    def test_load_rejects(self, tmp_path, corrupt, issue):
+        doc = to_dict(self.MODEL)
+        corrupt(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # a NaN is written as NaN, which json reads
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(str(path))
+        assert issue in str(exc.value)
