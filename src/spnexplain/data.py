@@ -1,9 +1,11 @@
-"""Column-typed datasets, CSV/schema I/O, input-file readers and the number rule.
+"""Column-typed datasets, CSV/schema I/O, input-file readers, the number
+rule and the row rule.
 
 A Dataset stores all cells as float64: real columns hold their values
-directly, categorical columns hold integer category codes. Missing
-values are rejected at load time so NaN can safely serve as the
-"marginalized" sentinel during inference.
+directly, categorical columns hold integer category codes. Every table
+that is learned from, explained or explained against keeps the row rule
+(`check_rows`): each cell is finite and each categorical cell a code of
+its column. NaN is then free to mark a marginalized cell of a query.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class Column:
 
 @dataclass
 class Dataset:
+    """A table of the columns of `schema`, one float64 row per sample.
+    `load_csv` returns tables that keep the row rule (`check_rows`); a
+    Dataset built from an array is checked where it is used."""
+
     schema: list[Column]
     values: np.ndarray = field(repr=False)  # (n_rows, n_cols) float64
 
@@ -228,6 +234,41 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
             values[:, j] = codes
         encoded.append(col)
     return Dataset(encoded, values)
+
+
+def check_rows(X: np.ndarray, schema: list[Column]) -> None:
+    """The row rule: every cell of X, one sample (n,) or a table (m, n) of
+    the n columns of `schema`, is a finite number, and every cell of a
+    categorical column is a code 0..k-1 of its k categories. `load_csv`
+    keeps it by construction; `learn_spn`, the searches and
+    `TableMarginals` check their rows here. A query keeps only the code
+    half (`check_codes`), where NaN marks a marginalized cell. ValueError
+    names the first bad cell."""
+    if not np.isfinite(X).all():  # only then locate the first bad cell
+        i, j = np.argwhere(~np.isfinite(np.atleast_2d(X)))[0]
+        raise ValueError(f"{_cell(X, i, j)} (column {schema[j].name!r}) is not finite")
+    check_codes(X, schema)
+
+
+def check_codes(X: np.ndarray, schema: list[Column]) -> None:
+    """Raise ValueError unless every cell of a categorical column of X (a
+    sample or a table) is NaN or a code 0..k-1 of the column's k categories."""
+    cats = [j for j, c in enumerate(schema) if c.kind == "categorical"]
+    vals = X[..., cats]
+    sizes = [len(schema[j].categories) for j in cats]
+    bad = ~np.isnan(vals) & ((vals != np.floor(vals)) | (vals < 0) | (vals >= sizes))
+    if bad.any():
+        i, k = np.argwhere(np.atleast_2d(bad))[0]
+        raise ValueError(f"categorical value out of range for column "
+                         f"{schema[cats[k]].name!r}: {_cell(X, i, cats[k])}")
+
+
+def _cell(X: np.ndarray, i: int, j: int) -> str:
+    """'<where> value <v> of feature j' for the cell (i, j) of X: of row i
+    of a table, or of a sample (n,) when i is 0."""
+    v = np.atleast_2d(X)[i, j]
+    where = "sample" if X.ndim == 1 else f"row {i}"
+    return f"{where} value {'NaN' if np.isnan(v) else repr(float(v))} of feature {j}"
 
 
 def _parse_reals(cells: tuple[str, ...]) -> np.ndarray | None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import INTEGER, NUMBER, check_fields, is_a
-from .model import EvalCounter, SpnModel, TableMarginals, _compiled
+from .data import INTEGER, NUMBER, check_fields, check_rows, is_a
+from .model import EvalCounter, SpnModel, TableMarginals, _compile
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -73,14 +73,10 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"sample value {x[j]} of feature {j} "
-                         f"(column {model.schema[j].name!r}) is not finite")
-    # x is checked once here: each masked batch below keeps at least one
-    # of its features, so the batches need no query check of their own
-    circuit = _compiled(model, x[None])
+    # x keeps the row rule, checked once here: each masked batch below keeps
+    # at least one of its features, so the batches need no query check
+    check_rows(x, model.schema)
+    circuit = _compile(model)
     eye = np.eye(n, dtype=bool)
     beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
     results: list[SizeBest] = []
@@ -213,7 +209,9 @@ def explain_rows(model: SpnModel, X, rows,
     """Explain the given rows of the table X, one `explain` call per row;
     z-score selection measures against all rows of X, which are evaluated
     once for the whole run. A row that is not an integer in 0..len(X)-1
-    raises ValueError."""
+    raises ValueError, and so does, before any row is explained, a z-score
+    table X that breaks the row rule (`check_rows`); each explained row is
+    checked against that rule by its search."""
     X = np.asarray(X, dtype=np.float64)
     for r in rows:
         if not is_a(r, INTEGER):

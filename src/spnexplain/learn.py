@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import INTEGER, NUMBER, Column, Dataset, check_fields, fold_seed
+from .data import INTEGER, NUMBER, Column, Dataset, check_fields, check_rows, fold_seed
 from .errors import DataError
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
                     SumNode, _compile, _logsumexp)
@@ -240,8 +240,9 @@ def fit_leaf(values: np.ndarray, column: Column, feature: int,
     if values.size == 0:
         raise ValueError(f"cannot fit a leaf on empty column {column.name!r}")
     if column.kind == "real":
-        mu = float(values.mean())
-        sigma = max(float(values.std()), sigma_floor)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            mu = float(values.mean())
+            sigma = max(float(values.std()), sigma_floor)
         if not (math.isfinite(mu) and math.isfinite(sigma)):
             raise DataError(f"column {column.name!r}: its mean or spread overflows")
         return GaussianLeaf(feature, mu, sigma)
@@ -252,14 +253,15 @@ def fit_leaf(values: np.ndarray, column: Column, feature: int,
 
 
 def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
-    """Learn SPN structure and parameters; deterministic given config.seed."""
+    """Learn SPN structure and parameters; deterministic given config.seed.
+    The table must keep the row rule of `check_rows` (ValueError naming
+    the first bad cell), and a real column whose mean or spread overflows
+    raises DataError."""
     X = dataset.values
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError("cannot learn from an empty dataset")
-    if np.isnan(X).any():
-        bad = int(np.flatnonzero(np.isnan(X).any(axis=0))[0])
-        raise ValueError(f"column {dataset.schema[bad].name!r} contains NaN values")
     schema = dataset.schema
+    check_rows(X, schema)
     floors = [sigma_floor_for(X[:, j]) if c.kind == "real" else 0.0
               for j, c in enumerate(schema)]
     for c, floor in zip(schema, floors):

@@ -17,8 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .data import (INTEGER, NUMBER, Column, columns_from_json, columns_to_json, read_json,
-                   require)
+from .data import (INTEGER, NUMBER, Column, check_codes, check_rows, columns_from_json,
+                   columns_to_json, is_a, read_json, require)
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -98,13 +98,37 @@ def _compute_scopes(nodes: list[Node]) -> list[frozenset[int]]:
     return scopes
 
 
+def _number_issues(model: SpnModel) -> list[str]:
+    """The root, child ids and features that are not integers, and the
+    weights, mu, sigma and probs that are not numbers, under `is_a`."""
+    fields = [("root id", model.root, INTEGER)]
+    for i, node in enumerate(model.nodes):
+        if isinstance(node, (SumNode, ProductNode)):
+            fields += [(f"node {i}: child id", c, INTEGER) for c in node.children]
+        if isinstance(node, SumNode):
+            fields += [(f"node {i}: weight", w, NUMBER) for w in node.weights]
+        elif isinstance(node, GaussianLeaf):
+            fields += [(f"node {i}: feature", node.feature, INTEGER),
+                       (f"node {i}: mu", node.mu, NUMBER),
+                       (f"node {i}: sigma", node.sigma, NUMBER)]
+        elif isinstance(node, CategoricalLeaf):
+            fields += [(f"node {i}: feature", node.feature, INTEGER)]
+            fields += [(f"node {i}: probability", p, NUMBER) for p in node.probs]
+    return [f"{name} {value!r} is not {'an integer' if kind is INTEGER else 'a number'}"
+            for name, value, kind in fields if not is_a(value, kind)]
+
+
 def validate(model: SpnModel) -> list[str]:
-    """Return every structural violation; an empty list means the model is valid."""
-    issues: list[str] = []
+    """Return every structural violation; an empty list means the model is
+    valid. A model that breaks the number rule gets only those issues: the
+    structural checks need integer ids and numeric parameters."""
     n_nodes = len(model.nodes)
     n_features = len(model.schema)
     if n_nodes == 0:
         return ["model has no nodes"]
+    issues = _number_issues(model)
+    if issues:
+        return issues
     if not (0 <= model.root < n_nodes):
         issues.append(f"root id {model.root} out of range")
 
@@ -207,10 +231,6 @@ class _Circuit:
             if i in under and isinstance(nodes[i], (SumNode, ProductNode)):
                 under.update(nodes[i].children)
         under = sorted(under)
-        self.schema = model.schema  # for the query checks
-        cat_cols = [j for j, c in enumerate(self.schema) if c.kind == "categorical"]
-        self.cat_cols = np.array(cat_cols, dtype=np.intp)
-        self.cat_sizes = np.array([len(self.schema[j].categories) for j in cat_cols])
         level = [0] * len(nodes)
         for i in under:
             if isinstance(nodes[i], (SumNode, ProductNode)):
@@ -254,20 +274,6 @@ class _Circuit:
                     log_w[:len(nodes[i].weights), j] = np.log(np.asarray(nodes[i].weights))
                 log_w = log_w[:, :, None]
             self.groups.append((int(row[ids[0]]), idx, log_w))
-
-    def check_query(self, q: np.ndarray) -> None:
-        if q.ndim != 2 or q.shape[1] != len(self.schema):
-            raise ValueError(f"query must be a (batch, {len(self.schema)}) matrix, "
-                             f"got shape {q.shape}")
-        if np.isnan(q).all(axis=1).any():
-            raise ValueError("query marginalizes every feature")
-        if self.cat_cols.size:
-            vals = q[:, self.cat_cols]
-            bad = ~np.isnan(vals) & ((vals != np.floor(vals)) | (vals < 0)
-                                     | (vals >= self.cat_sizes))
-            if bad.any():
-                col = self.schema[self.cat_cols[int(np.argmax(bad.any(axis=0)))]]
-                raise ValueError(f"categorical value out of range for column {col.name!r}")
 
     def log_density(self, q: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
         """The root's log-density for each row of a checked (batch, n) query
@@ -339,12 +345,9 @@ def _compile(model: SpnModel, error: type[Exception] = ValueError) -> _Circuit:
     return model._circuit
 
 
-def _compiled(model: SpnModel, q: np.ndarray) -> _Circuit:
-    """The model's circuit, once the (batch, n) query matrix q has passed
-    the query checks; a model that `validate` rejects raises ValueError."""
-    circuit = _compile(model)
-    circuit.check_query(q)
-    return circuit
+def _check_width(q: np.ndarray, n: int) -> None:
+    if q.ndim != 2 or q.shape[1] != n:
+        raise ValueError(f"query must be a (batch, {n}) matrix, got shape {q.shape}")
 
 
 def eval_log_density(model: SpnModel, queries: np.ndarray,
@@ -353,8 +356,11 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
 
     One bottom-up pass over the compiled circuit: each node is computed
     exactly once per batch, and a row's result does not depend on the
-    other rows of its batch. A model that `validate` rejects raises
-    ValueError.
+    other rows of its batch. The query rule: a NaN cell is marginalized,
+    every row keeps at least one feature, and every categorical cell is
+    NaN or a code of its column (`check_codes`); an infinite cell reads as
+    far out in its leaves' tails. A query that breaks it, or a model that
+    `validate` rejects, raises ValueError.
     """
     q = np.asarray(queries, dtype=np.float64)
     squeeze = q.ndim == 1
@@ -363,7 +369,12 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
             raise ValueError(f"query must be a ({model.n_features},) sample or a "
                              f"(batch, {model.n_features}) matrix, got shape {q.shape}")
         q = q[None, :]
-    out = _compiled(model, q).log_density(q, counter)
+    circuit = _compile(model)
+    _check_width(q, model.n_features)
+    if np.isnan(q).all(axis=1).any():
+        raise ValueError("query marginalizes every feature")
+    check_codes(q, model.schema)
+    out = circuit.log_density(q, counter)
     return out[0] if squeeze else out
 
 
@@ -406,14 +417,18 @@ class TableMarginals:
     of one row of that pass, len(X) floats. `log_marginal` adds the
     children's entries in the root's slot order with the circuit's own
     adds, so the result equals `log_marginal(model, X, keep)` bit for bit.
-    The full-evidence entries are filled on construction, and a table with
-    no rows raises ValueError. A sum root is one child, so there each new
-    subspace costs a full pass, and a wide child repeats its subsets rarely.
+    The full-evidence entries are filled on construction. The table keeps
+    the row rule of `check_rows`, so no cell is marginalized but by the
+    mask; a table that breaks it, or has no rows, raises ValueError. A sum
+    root is one child, so there each new subspace costs a full pass, and a
+    wide child repeats its subsets rarely.
     """
 
     def __init__(self, model: SpnModel, X):
         X = np.asarray(X, dtype=np.float64)
-        _compiled(model, X)
+        _compile(model)
+        _check_width(X, model.n_features)
+        check_rows(X, model.schema)
         if X.shape[0] == 0:
             raise ValueError("reference table has no rows")
         self.model = model
@@ -425,8 +440,6 @@ class TableMarginals:
             circuit = _Circuit(model, top)
             features = np.union1d(circuit.gauss_feature, circuit.cat_feature)
             self._children.append((circuit, features, {}))
-        missing = np.isnan(X)
-        self._missing = missing if missing.any() else None
         self.log_marginal(np.ones(model.n_features, dtype=bool))
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
@@ -438,8 +451,7 @@ class TableMarginals:
         if keep.dtype != bool or keep.shape != (self.model.n_features,):
             raise ValueError(f"keep must be a boolean mask of shape "
                              f"({self.model.n_features},)")
-        if not keep.any() or (self._missing is not None
-                              and self._missing[:, keep].all(axis=1).any()):
+        if not keep.any():
             raise ValueError("query marginalizes every feature")
         rows = len(self._X)
         q, node_evals, parts = None, 0, []
@@ -480,7 +492,7 @@ def to_dict(model: SpnModel) -> dict:
             nodes.append({"id": i, "type": "categorical", "feature": int(node.feature),
                           "probs": [float(p) for p in node.probs]})
     return {"version": FORMAT_VERSION, "schema": columns_to_json(model.schema),
-            "root": model.root, "nodes": nodes}
+            "root": int(model.root), "nodes": nodes}
 
 
 def from_dict(doc) -> SpnModel:

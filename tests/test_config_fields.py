@@ -79,6 +79,15 @@ def test_range_messages_unchanged():
         GenConfig(n_features=1)
 
 
+@pytest.mark.parametrize("cls,name,value,message", [
+    (GenConfig, "clusters_per_subspace", 0, "clusters_per_subspace must be >= 1"),
+    (ExplainConfig, "max_depth", 0, "max_depth must be >= 1"),
+], ids=lambda p: getattr(p, "__name__", p))
+def test_integer_field_below_its_least_value_rejected(cls, name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _build(cls, name, value)
+
+
 @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5), np.uint8(5)])
 def test_numpy_seed_gives_the_python_int_seed_outputs(seed):
     # np.int64(5) % (1 << 63) overflows a C long, so the seed fold goes through int

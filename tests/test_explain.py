@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,10 @@ class TestElbowSelect:
         with pytest.raises(ValueError, match="contiguous"):
             elbow_select(bad, math.e)
 
+    def test_rejects_no_candidates(self):
+        with pytest.raises(ValueError, match="per_size is empty"):
+            elbow_select([], math.e)
+
 
 class TestZscoreSelect:
     def test_stats_match_numpy(self, rng):
@@ -250,6 +255,11 @@ class TestZscoreSelect:
         scores = HALF_LN_2PI + X[:, 0] ** 2 / 2.0
         assert stats.mean == pytest.approx(scores.mean(), abs=1e-12)
         assert stats.std == pytest.approx(scores.std(), abs=1e-12)
+
+    def test_rejects_no_candidates(self, rng):
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        with pytest.raises(ValueError, match="per_size is empty"):
+            zscore_select([], TableMarginals(m, rng.normal(size=(10, 2))))
 
     def test_subspace_outside_schema_or_other_model_rejected(self, rng):
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
@@ -497,6 +507,23 @@ class TestExplainRows:
             with pytest.raises(ValueError, match="not an integer"):
                 explain_rows(m, X, rows, ExplainConfig())
         assert len(explain_rows(m, X, [np.int64(2)], ExplainConfig())) == 1
+
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    @pytest.mark.parametrize("bad,shown", [(np.nan, "NaN"), (np.inf, "inf")])
+    def test_reference_cell_breaking_the_row_rule_raises_before_any_row(
+            self, rng, monkeypatch, strategy, bad, shown):
+        # the reference table keeps the row rule: a NaN cell used to raise
+        # partway through a run, once a candidate was covered by NaN cells,
+        # and an infinite cell made its candidates' z-scores NaN
+        explained = []
+        monkeypatch.setattr(explain_module, "explain", lambda *args: explained.append(args))
+        m = random_gaussian_model(rng, 6)
+        X = rng.normal(size=(30, 6))
+        X[12, 4] = bad
+        want = f"row 12 value {shown} of feature 4 (column 'g4') is not finite"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            explain_rows(m, X, [0, 3], ExplainConfig(strategy=strategy, selection="zscore"))
+        assert explained == []
 
     @pytest.mark.parametrize("strategy", ["backward", "forward"])
     def test_searches_are_reached_through_module_names(self, rng, monkeypatch,

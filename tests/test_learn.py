@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import reference_canonical_corrs, reference_rdc_features
 from spnexplain import learn
 from spnexplain.data import Column, Dataset, fold_seed as _mask_seed
 from spnexplain.datagen import GenConfig, generate
+from spnexplain.errors import DataError
 from spnexplain.learn import (LearnConfig, _canonical_corrs,
                               _rdc_features, average_ranks, cluster_rows, fit_leaf,
                               learn_spn, rdc, sigma_floor_for, split_columns)
@@ -214,6 +217,10 @@ def _block_data(rng, n=600):
 
 
 class TestSplitColumns:
+    def test_needs_two_columns(self, rng):
+        with pytest.raises(ValueError, match="at least 2 columns"):
+            split_columns(rng.normal(size=(50, 2)), np.arange(50), [1], CFG)
+
     def test_independent_columns_become_singletons(self, rng):
         X = rng.normal(size=(800, 2))
         groups = split_columns(X, np.arange(800), [0, 1], CFG)
@@ -318,6 +325,14 @@ class TestFitLeaf:
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fit_leaf(np.array([]), Column("a", "real"), 0, 1e-9)
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e200, -1e200, 1e200]])
+    def test_overflowing_mean_or_spread_rejected_without_warning(self, values):
+        # the mean's sum overflows, or the spread's squares do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 'a': its mean or spread overflows"):
+                fit_leaf(np.array(values), Column("a", "real"), 0, 1e-6)
 
 
 def _dataset(X):
@@ -488,6 +503,26 @@ class TestLearnSpn:
                              z ** 2 + 0.1 * r.normal(size=40), -z])
         model = learn_spn(_dataset(X), LearnConfig(seed=0, min_slice_rows=3))
         assert validate(model) == []
+
+    CODE = "categorical value out of range for column 'c': row 40 value "
+
+    @pytest.mark.parametrize("j,value,message", [
+        (1, 7.0, CODE + "7.0 of feature 1"),
+        (1, 1.5, CODE + "1.5 of feature 1"),
+        (1, -1.0, CODE + "-1.0 of feature 1"),
+        (0, np.inf, "row 40 value inf of feature 0 (column 'a') is not finite"),
+        (0, -np.inf, "row 40 value -inf of feature 0 (column 'a') is not finite"),
+    ])
+    def test_cell_breaking_the_row_rule_is_named(self, j, value, message):
+        # a code of 7 used to fail validation of the learned model, 1.5 was
+        # truncated to a category, -1 failed inside numpy's bincount and an
+        # infinite cell read as a spread that overflows
+        r = np.random.default_rng(0)
+        schema = [Column("a", "real"), Column("c", "categorical", ("x", "y", "z"))]
+        X = np.column_stack([r.normal(size=300), r.integers(3, size=300)]).astype(float)
+        X[40, j] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            learn_spn(Dataset(schema, X), CFG)
 
     def test_rejects_empty_and_nan(self):
         with pytest.raises(ValueError, match="empty"):

@@ -335,7 +335,7 @@ class TestTableMarginals:
     """Marginals of one table, memoized per child of the root product,
     against a full pass per subspace."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and 1e300 inputs
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e300 inputs
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6),
            builder=st.sampled_from(["mixed", "gaussian", "planted20"]),
@@ -352,7 +352,9 @@ class TestTableMarginals:
         X = random_table(rng, m, rows)
         real = np.array([c.kind == "real" for c in m.schema])
         extreme = (rng.random(X.shape) < 0.05) & real
-        X[extreme] = rng.choice([np.inf, -np.inf, 1e300, -1e300], int(extreme.sum()))
+        # the table keeps the row rule, so its extreme cells are finite: a
+        # cell of ±1e300 still gives -inf densities and NaN z-scores
+        X[extreme] = rng.choice([1e300, -1e300], int(extreme.sum()))
         # random masks, the full set, every singleton and a backward-style
         # chain that drops one feature at a time from the full set: root
         # children inside S, outside S and straddling it
@@ -491,13 +493,20 @@ class TestTableMarginals:
                     eval_log_density(m, X)
 
     def test_missing_values_and_bad_masks_raise_like_log_marginal(self, rng):
+        # a NaN or infinite cell breaks the row rule when the table is built;
+        # only the mask marginalizes
         m = random_gaussian_model(rng, 3)
-        X = np.array([[0.0, np.nan, 1.0], [np.nan, np.nan, 2.0]])
+        X = np.array([[0.0, 0.5, 1.0], [-1.0, 1.5, 2.0]])
+        for bad, shown in ((np.nan, "NaN"), (np.inf, "inf"), (-np.inf, "-inf")):
+            Y = X.copy()
+            Y[1, 1] = bad
+            with pytest.raises(ValueError, match=re.escape(
+                    f"row 1 value {shown} of feature 1 (column 'g1') is not finite")):
+                TableMarginals(m, Y)
         table = TableMarginals(m, X)
-        keep = np.array([True, True, False])
         for fn in (lambda k: log_marginal(m, X, k), table.log_marginal):
             with pytest.raises(ValueError, match="marginalizes every feature"):
-                fn(keep)
+                fn(np.zeros(3, dtype=bool))
             with pytest.raises(ValueError, match="boolean"):
                 fn(np.array([1, 0, 1]))
         keep = np.array([True, False, True])
@@ -520,6 +529,23 @@ class TestValidityGate:
         (SpnModel([ProductNode((1, 2)), GaussianLeaf(0, 0.0, 1.0),
                    GaussianLeaf(1, 0.0, 1.0)], 0, REAL2), "not before parent"),
         (SpnModel([object()], 0, A), "unknown node type object"),
+        # the number rule, checked before any check that needs it
+        (SpnModel([GaussianLeaf("0", 0.0, 1.0)], 0, A),
+         "node 0: feature '0' is not an integer"),
+        (SpnModel([GaussianLeaf(0, "x", 1.0)], 0, A), "node 0: mu 'x' is not a number"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(1, 0.0, 1.0),
+                   ProductNode((0, 1.0))], 2, REAL2),
+         "node 2: child id 1.0 is not an integer"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(1, 0.0, 1.0),
+                   ProductNode((0, 1))], 2.0, REAL2), "root id 2.0 is not an integer"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), ProductNode((0,))], True, A),
+         "root id True is not an integer"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+                   SumNode((0, 1), ("0.5", 0.5))], 2, A),
+         "node 2: weight '0.5' is not a number"),
+        (SpnModel([CategoricalLeaf(0, (None, 1.0))], 0,
+                  [Column("c", "categorical", ("x", "y"))]),
+         "node 0: probability None is not a number"),
     ]
 
     @pytest.mark.parametrize("model,issue", INVALID)
@@ -571,6 +597,16 @@ class TestSerialization:
         queries = rng.normal(size=(1000, 4))
         for q in queries[:50]:
             assert eval_log_density(m2, list(q)) == eval_log_density(m, list(q))
+
+    def test_numpy_integer_root_saves_and_loads(self, rng, tmp_path):
+        m = random_gaussian_model(rng, 4)
+        m = SpnModel(m.nodes, np.int64(m.root), m.schema)
+        path = str(tmp_path / "model.json")
+        save_model(m, path)
+        loaded = load_model(path)
+        X = rng.normal(size=(20, 4))
+        assert loaded.root == m.root
+        assert np.array_equal(eval_log_density(loaded, X), eval_log_density(m, X))
 
     def test_weights_renormalized_within_tolerance(self):
         doc = to_dict(SpnModel(
