@@ -165,12 +165,6 @@ def load_schema(path: str) -> list[Column]:
     return columns_from_json(columns, f"schema {path}: columns")
 
 
-def save_schema(schema: list[Column], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump({"columns": columns_to_json(schema)}, fh, indent=2)
-        fh.write("\n")
-
-
 def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     """Load a header-ed CSV, encoded with `schema` or with inferred kinds.
 
@@ -240,8 +234,8 @@ def check_rows(X: np.ndarray, schema: list[Column]) -> None:
     """The row rule: every cell of X, one sample (n,) or a table (m, n) of
     the n columns of `schema`, is a finite number, and every cell of a
     categorical column is a code 0..k-1 of its k categories. `load_csv`
-    keeps it by construction; `learn_spn`, the searches and
-    `TableMarginals` check their rows here. A query keeps only the code
+    keeps it by construction; `learn_spn`, the searches, `TableMarginals`
+    and `detect` check their rows here. A query keeps only the code
     half (`check_codes`), where NaN marks a marginalized cell. ValueError
     names the first bad cell."""
     if not np.isfinite(X).all():  # only then locate the first bad cell

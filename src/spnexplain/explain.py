@@ -68,7 +68,9 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     """The one greedy step loop of both strategies. Each step flips one
     not-yet-flipped feature of every hypothesis (adds it to the subspace
     when `grow`, else drops it from the full set), keeps the beam_width
-    most outlying candidates and records the best; results in ascending size."""
+    most outlying candidates and records the best; results in ascending
+    size. The leaf values of x are computed once, and each step's pass
+    masks them."""
     n = model.n_features
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
@@ -77,6 +79,7 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     # at least one of its features, so the batches need no query check
     check_rows(x, model.schema)
     circuit = _compile(model)
+    leaves = circuit.leaf_log_density(x[None])
     eye = np.eye(n, dtype=bool)
     beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
     results: list[SizeBest] = []
@@ -92,7 +95,7 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             _, first = np.unique(keys, return_index=True)
             flipped = flipped[first]
         keep = flipped if grow else ~flipped
-        logps = circuit.log_density(np.where(keep, x, np.nan), counter)
+        logps = circuit.masked_log_density(leaves, keep, counter)
         order = np.argsort(logps, kind="stable")  # ties stay lexicographic
         beam = flipped[order[:beam_width]]
         subspace = tuple(np.flatnonzero(keep[order[0]]).tolist())

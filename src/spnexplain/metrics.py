@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMBER, Dataset, format_float, is_a
+from .data import NUMBER, Dataset, check_rows, format_float, is_a
 from .datagen import LabeledDataset
 from .explain import ExplainConfig, ExplanationTrace, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -36,10 +36,13 @@ def detect(model: SpnModel, dataset: Dataset,
     The threshold is the score at the (1 - contamination) quantile rounded
     up to an order statistic, so it is one of the scores, +inf included;
     rows scoring at or above it are flagged (so ties, including the
-    all-identical degenerate case, flag every tied row).
+    all-identical degenerate case, flag every tied row). The rows keep the
+    row rule (`check_rows`), so no cell is marginalized and every score is
+    a joint density; a row that breaks it raises ValueError.
     """
     if not (is_a(contamination, NUMBER) and 0.0 < contamination < 1.0):
         raise ValueError(f"contamination must be in (0,1), got {contamination}")
+    check_rows(dataset.values, dataset.schema)
     scores = -eval_log_density(model, dataset.values)
     threshold = np.quantile(scores, 1.0 - contamination, method="higher")
     flagged = [int(i) for i in np.flatnonzero(scores >= threshold)]

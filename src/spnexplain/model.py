@@ -57,7 +57,11 @@ Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 class EvalCounter:
     """Instrumentation for inference cost accounting: `queries` counts the
     marginal queries asked, `node_evals` the node evaluations performed to
-    answer them."""
+    answer them. A pass evaluates every node of its circuit once per query,
+    and a leaf that the query's mask marginalizes counts as evaluated, though
+    it only reads 0; leaf values that a search or a z-score table computes
+    once and then masks count in each pass that masks them, not when they
+    are computed."""
 
     queries: int = 0
     node_evals: int = 0
@@ -98,30 +102,41 @@ def _compute_scopes(nodes: list[Node]) -> list[frozenset[int]]:
     return scopes
 
 
+_SEQUENCE = (tuple, list)
+_KIND_NAMES = {INTEGER: "an integer", NUMBER: "a number", _SEQUENCE: "a sequence"}
+
+
 def _number_issues(model: SpnModel) -> list[str]:
-    """The root, child ids and features that are not integers, and the
-    weights, mu, sigma and probs that are not numbers, under `is_a`."""
+    """The root, child ids and features that are not integers, the weights,
+    mu, sigma and probs that are not numbers, and the children, weights and
+    probs that are not sequences, under `is_a`."""
     fields = [("root id", model.root, INTEGER)]
     for i, node in enumerate(model.nodes):
+        lists = []  # (field, its values, the name and kind of one value)
         if isinstance(node, (SumNode, ProductNode)):
-            fields += [(f"node {i}: child id", c, INTEGER) for c in node.children]
+            lists.append(("children", node.children, "child id", INTEGER))
         if isinstance(node, SumNode):
-            fields += [(f"node {i}: weight", w, NUMBER) for w in node.weights]
+            lists.append(("weights", node.weights, "weight", NUMBER))
         elif isinstance(node, GaussianLeaf):
             fields += [(f"node {i}: feature", node.feature, INTEGER),
                        (f"node {i}: mu", node.mu, NUMBER),
                        (f"node {i}: sigma", node.sigma, NUMBER)]
         elif isinstance(node, CategoricalLeaf):
             fields += [(f"node {i}: feature", node.feature, INTEGER)]
-            fields += [(f"node {i}: probability", p, NUMBER) for p in node.probs]
-    return [f"{name} {value!r} is not {'an integer' if kind is INTEGER else 'a number'}"
+            lists.append(("probs", node.probs, "probability", NUMBER))
+        for name, values, item, kind in lists:
+            fields.append((f"node {i}: {name}", values, _SEQUENCE))
+            if is_a(values, _SEQUENCE):
+                fields += [(f"node {i}: {item}", v, kind) for v in values]
+    return [f"{name} {value!r} is not {_KIND_NAMES[kind]}"
             for name, value, kind in fields if not is_a(value, kind)]
 
 
 def validate(model: SpnModel) -> list[str]:
     """Return every structural violation; an empty list means the model is
     valid. A model that breaks the number rule gets only those issues: the
-    structural checks need integer ids and numeric parameters."""
+    structural checks need sequences of integer ids and of numeric
+    parameters."""
     n_nodes = len(model.nodes)
     n_features = len(model.schema)
     if n_nodes == 0:
@@ -221,6 +236,14 @@ class _Circuit:
     row, child slots, log-weights, None for products), bottom-up. Queries
     keep the model's full width; the circuit reads only the features under
     `top`. Built only from a model that `validate` accepts.
+
+    A pass has two halves. The leaf half (`leaf_log_density`) gives each
+    leaf's value on fully observed rows; an observed leaf's value does not
+    depend on which other features a query keeps. The internal half
+    (`masked_log_density`) sets the leaves that a query's mask marginalizes
+    to log 1 = 0 and runs the groups. The explain phase computes the leaf
+    values of a searched row, or of a z-score table, once and then only
+    masks them; a NaN query (`log_density`) runs both halves at once.
     """
 
     def __init__(self, model: SpnModel, top: int | None = None):
@@ -254,6 +277,7 @@ class _Circuit:
         self.log_sigma = np.array([math.log(g.sigma) for g in gauss])[:, None]
         cats = [nodes[i] for i in cats]
         self.cat_feature = np.array([c.feature for c in cats], dtype=np.intp)
+        self.leaf_feature = np.concatenate([self.gauss_feature, self.cat_feature])
         self.cat_rows = np.arange(len(cats))[:, None]
         self.cat_log_probs = np.zeros((len(cats), max((len(c.probs) for c in cats),
                                                       default=0)))
@@ -275,29 +299,53 @@ class _Circuit:
                 log_w = log_w[:, :, None]
             self.groups.append((int(row[ids[0]]), idx, log_w))
 
-    def log_density(self, q: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-        """The root's log-density for each row of a checked (batch, n) query
-        matrix, in one pass; the counter gets one query and one evaluation of
-        every node per row. The result is a row of the pass's value matrix."""
-        if counter is not None:
-            counter.add(q.shape[0], (self.n_rows - 1) * q.shape[0])
-        vals = np.empty((self.n_rows, q.shape[0]))
-        vals[-1] = 0.0
-        x = q.T[self.gauss_feature]
-        with np.errstate(over="ignore"):  # a cell far out in a tail reads -inf
-            z = (x - self.mu) / self.sigma  # NaN where marginalized
-            lp = -0.5 * z * z - self.log_sigma - 0.5 * LOG_2PI
+    def leaf_log_density(self, X: np.ndarray) -> np.ndarray:
+        """The leaf half of a pass: each leaf's log-density, one row per
+        leaf, on each row of a (rows, n) matrix with no NaN cell and every
+        categorical cell a code of its column."""
+        out = np.empty((len(self.leaf_feature), len(X)))
         hi = len(self.gauss_feature)
-        vals[:hi] = np.where(np.isnan(x), 0.0, lp)
-        x = q.T[self.cat_feature]
-        obs = ~np.isnan(x)
-        lp = self.cat_log_probs[self.cat_rows, np.where(obs, x, 0.0).astype(np.intp)]
-        vals[hi:hi + len(self.cat_feature)] = np.where(obs, lp, 0.0)
+        # -0.5 * z * z - log_sigma - 0.5 * log(2 pi), in place
+        z = X.T[self.gauss_feature]
+        with np.errstate(over="ignore"):  # a cell far out in a tail reads -inf
+            z -= self.mu
+            z /= self.sigma
+            lp = np.multiply(z, -0.5, out=out[:hi])
+            lp *= z
+        lp -= self.log_sigma
+        lp -= 0.5 * LOG_2PI
+        out[hi:] = self.cat_log_probs[self.cat_rows, X.T[self.cat_feature].astype(np.intp)]
+        return out
+
+    def masked_log_density(self, leaves: np.ndarray, keep: np.ndarray,
+                           counter: EvalCounter | None = None) -> np.ndarray:
+        """The internal half of a pass: the root's log-density for a batch
+        of queries, each one row of `leaf_log_density` under a boolean mask
+        `keep` (batch, n) of the features it keeps. `leaves` (leaves, batch)
+        or one row's (leaves, 1) broadcasts against the masks, and a mask of
+        one row (1, n) against the rows; a marginalized leaf reads log 1 =
+        0. The counter gets one query and one evaluation of every node, a
+        masked leaf included, per query. The result is a row of the pass's
+        value matrix."""
+        observed = keep.T[self.leaf_feature]
+        batch = np.broadcast_shapes(observed.shape, leaves.shape)[1]
+        if counter is not None:
+            counter.add(batch, (self.n_rows - 1) * batch)
+        vals = np.empty((self.n_rows, batch))
+        vals[-1] = 0.0
+        vals[:len(self.leaf_feature)] = np.where(observed, leaves, 0.0)
         for lo, idx, log_w in self.groups:
             stack = vals[idx]
             vals[lo:lo + idx.shape[1]] = (_add_slots(stack) if log_w is None
                                          else _logsumexp(stack + log_w))
         return vals[self.root]
+
+    def log_density(self, q: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
+        """The root's log-density for each row of a checked (batch, n) query
+        matrix, NaN marking a marginalized cell: both halves of one pass."""
+        observed = ~np.isnan(q)
+        return self.masked_log_density(
+            self.leaf_log_density(np.where(observed, q, 0.0)), observed, counter)
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
@@ -411,11 +459,12 @@ class TableMarginals:
     The marginal of a decomposable product is the sum of its children's
     marginals, each on S ∩ scope(child). Each child of the root product (a
     root that is not a product is its own one child) is compiled into its
-    own sub-circuit, and keeps a memo from the features of S in its scope
-    to its values over the rows of X. A new entry costs one sub-circuit
-    pass over X (sub-circuit size × rows node evaluations) and holds a copy
-    of one row of that pass, len(X) floats. `log_marginal` adds the
-    children's entries in the root's slot order with the circuit's own
+    own sub-circuit, and keeps its leaf values over the rows of X, computed
+    on construction, and a memo from the features of S in its scope to its
+    values over the rows of X. A new entry masks the leaf values and runs
+    the sub-circuit's internal half over X (sub-circuit size × rows node
+    evaluations), and holds a copy of one row of that pass, len(X) floats.
+    `log_marginal` adds the children's entries in the root's slot order with the circuit's own
     adds, so the result equals `log_marginal(model, X, keep)` bit for bit.
     The full-evidence entries are filled on construction. The table keeps
     the row rule of `check_rows`, so no cell is marginalized but by the
@@ -432,14 +481,13 @@ class TableMarginals:
         if X.shape[0] == 0:
             raise ValueError("reference table has no rows")
         self.model = model
-        self._X = X
         root = model.nodes[model.root]
         tops = root.children if isinstance(root, ProductNode) else (model.root,)
-        self._children = []  # (sub-circuit, its features, memo)
+        self._children = []  # (sub-circuit, its features, its leaves over X, memo)
         for top in tops:
             circuit = _Circuit(model, top)
-            features = np.union1d(circuit.gauss_feature, circuit.cat_feature)
-            self._children.append((circuit, features, {}))
+            self._children.append((circuit, np.unique(circuit.leaf_feature),
+                                   circuit.leaf_log_density(X), {}))
         self.log_marginal(np.ones(model.n_features, dtype=bool))
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
@@ -453,19 +501,15 @@ class TableMarginals:
                              f"({self.model.n_features},)")
         if not keep.any():
             raise ValueError("query marginalizes every feature")
-        rows = len(self._X)
-        q, node_evals, parts = None, 0, []
-        for circuit, features, memo in self._children:
+        fills, parts = EvalCounter(), []
+        for circuit, features, leaves, memo in self._children:
             key = keep[features].tobytes()
             if key not in memo:
-                if q is None:
-                    q = np.where(keep, self._X, np.nan)
                 # a copy, so the entry does not keep the pass's whole matrix
-                memo[key] = circuit.log_density(q).copy()
-                node_evals += (circuit.n_rows - 1) * rows
+                memo[key] = circuit.masked_log_density(leaves, keep[None], fills).copy()
             parts.append(memo[key])
         if counter is not None:
-            counter.add(rows, node_evals)
+            counter.add(len(parts[0]), fills.node_evals)
         # `_add_slots` adds into the first slot: a copy, not the memo's entry
         return _add_slots([parts[0].copy()] + parts[1:])
 

@@ -470,6 +470,36 @@ def planted20():
     return labeled, learn_spn(labeled.dataset, LearnConfig(seed=0))
 
 
+@pytest.fixture(scope="session")
+def root_shapes(planted20):
+    """Learned models of four root shapes, each with its table and five of
+    its planted outlier rows: a root product of narrow children (planted
+    n = 20), the same over real and categorical leaves (planted n = 12 and
+    4 categorical noise columns), a sum root over all 16 features (one
+    subspace of all of them) and a root product with children of 11-12
+    features (subspaces of 10-12 of 40 features)."""
+    def shape(labeled, dataset, model):
+        return model, dataset.values, list(labeled.outlier_rows[:5])
+
+    labeled, model = planted20
+    shapes = {"planted": shape(labeled, labeled.dataset, model)}
+    labeled = generate(GenConfig(n_features=12, seed=0))
+    levels = ("a", "b", "c", "d")
+    codes = np.random.default_rng(0).integers(0, len(levels), (labeled.dataset.n_rows, 4))
+    dataset = Dataset(labeled.dataset.schema + [Column(f"c{j}", "categorical", levels)
+                                                for j in range(4)],
+                      np.hstack([labeled.dataset.values, codes]))
+    shapes["mixed"] = shape(labeled, dataset, learn_spn(dataset, LearnConfig(seed=0)))
+    for name, config in (("sum_root", GenConfig(n_features=16, subspace_min=16,
+                                                subspace_max=16, seed=0)),
+                         ("wide_children", GenConfig(n_features=40, subspace_min=10,
+                                                     subspace_max=12, seed=0))):
+        labeled = generate(config)
+        shapes[name] = shape(labeled, labeled.dataset,
+                             learn_spn(labeled.dataset, LearnConfig(seed=0)))
+    return shapes
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

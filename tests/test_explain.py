@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (greedy_backward_oracle, log_marginal_subspace, per_size_optimum,
                       random_gaussian_model, random_mixed_model, random_table,
-                      reference_explain, reference_forward_beam_search)
+                      reference_explain, reference_forward_beam_search, root_children)
 from spnexplain.data import Column
 from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
@@ -24,6 +24,7 @@ from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf, Produc
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 # the module itself: the package's `explain` name is the function
 explain_module = importlib.import_module("spnexplain.explain")
+model_module = importlib.import_module("spnexplain.model")
 
 
 def factorized_model(mus_sigmas):
@@ -559,3 +560,44 @@ class TestExplainRows:
         want = [reference_explain(m, X[r], config, X) for r in labeled.outlier_rows]
         assert [(t.per_size, t.selected, t.eval_count) for t in got] == \
             [(t.per_size, t.selected, t.eval_count) for t in want]
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children"])
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    def test_each_root_shape_equals_reference_oracles(self, root_shapes, shape, strategy):
+        # backward search against `greedy_backward_oracle`, forward search
+        # against the tuple reference, and z-score selection against a full
+        # NaN-query pass of the table per subspace
+        m, X, rows = root_shapes[shape]
+        config = ExplainConfig(strategy=strategy, selection="zscore")
+        got = explain_rows(m, X, rows, config)
+        want = [reference_explain(m, X[r], config, X) for r in rows]
+        assert [(t.per_size, t.selected, t.eval_count) for t in got] == \
+            [(t.per_size, t.selected, t.eval_count) for t in want]
+
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    @pytest.mark.parametrize("selection", ["elbow", "zscore"])
+    def test_explain_phase_masks_leaf_values_and_builds_no_nan_query(
+            self, root_shapes, monkeypatch, strategy, selection):
+        # each explained row's leaf values are computed once, and the z-score
+        # table's once per root child; search steps and table fills only mask
+        # them, and never pass a NaN query through the circuit
+        m, X, rows = root_shapes["mixed"]
+        config = ExplainConfig(strategy=strategy, selection=selection)
+        want = explain_rows(m, X, rows, config)
+
+        def nan_query(*args, **kwargs):
+            raise AssertionError("the explain phase evaluated a NaN query")
+
+        leaf_log_density = model_module._Circuit.leaf_log_density
+        leaf_rows = []
+
+        def counting(circuit, values):
+            leaf_rows.append(len(values))
+            return leaf_log_density(circuit, values)
+
+        monkeypatch.setattr(model_module._Circuit, "log_density", nan_query)
+        monkeypatch.setattr(model_module, "eval_log_density", nan_query)
+        monkeypatch.setattr(model_module._Circuit, "leaf_log_density", counting)
+        assert explain_rows(m, X, rows, config) == want
+        tables = len(root_children(m)) if selection == "zscore" else 0
+        assert leaf_rows == [len(X)] * tables + [1] * len(rows)

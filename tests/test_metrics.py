@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -85,6 +86,18 @@ class TestDetect:
             assert flagged == list(far)
         else:
             assert len(flagged) == round(contamination * len(X))
+
+    def test_cell_breaking_the_row_rule_is_named(self):
+        # a NaN cell is not marginalized: planted row 73 with 5 of its 6
+        # cells NaN would score a marginal density, -0.17, and go unflagged
+        labeled = generate(GenConfig(n_features=6, seed=0))
+        model = learn_spn(labeled.dataset, LearnConfig(seed=0))
+        for bad, shown in ((np.nan, "NaN"), (np.inf, "inf"), (-np.inf, "-inf")):
+            X = labeled.dataset.values.copy()
+            X[73, 1:] = bad
+            want = f"row 73 value {shown} of feature 1 (column 'f1') is not finite"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                detect(model, Dataset(model.schema, X), 0.03)
 
     def test_recovers_planted_outliers(self):
         labeled = generate(GenConfig(n_features=10, seed=1))

@@ -322,6 +322,54 @@ class TestCompiledCircuit:
         assert list(np.isneginf(got)) == [True, True, False]
 
 
+class TestMaskedPass:
+    """The two halves of a pass, each row's leaf values computed once and
+    masked per query, against the NaN queries they stand for."""
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children",
+                                       "random_mixed"])
+    def test_equals_nan_queries_bit_for_bit(self, root_shapes, shape):
+        rng = np.random.default_rng(7)
+        m = (random_mixed_model(rng, max_features=8) if shape == "random_mixed"
+             else root_shapes[shape][0])
+        n = m.n_features
+        X = random_table(rng, m, 60)
+        real = np.array([c.kind == "real" for c in m.schema])
+        extreme = (rng.random(X.shape) < 0.05) & real
+        X[extreme] = rng.choice([1e300, -1e300], int(extreme.sum()))
+        masks = rng.random((60, n)) < rng.uniform(0.1, 0.9, (60, 1))
+        masks[np.arange(60), rng.integers(0, n, 60)] = True
+        circuit = model_module._compile(m)
+        leaves = circuit.leaf_log_density(X)
+
+        def check(got, q):
+            assert np.array_equal(got, eval_log_density(m, q))
+            with np.errstate(over="ignore"):  # the oracle squares 1e300
+                assert np.array_equal(got, reference_log_density(m, q))
+
+        # a search step: one row's leaves under a stack of masks
+        for i in range(5):
+            check(circuit.masked_log_density(circuit.leaf_log_density(X[i:i + 1]), masks),
+                  np.where(masks, X[i], np.nan))
+        # a table fill: one mask over every row's leaves
+        for keep in masks[:5]:
+            check(circuit.masked_log_density(leaves, keep[None]),
+                  np.where(keep, X, np.nan))
+        # a mask for each row
+        check(circuit.masked_log_density(leaves, masks), np.where(masks, X, np.nan))
+        assert extreme.any() or not real.any()
+
+    def test_counts_a_masked_leaf_as_a_node_evaluation(self, root_shapes):
+        m = root_shapes["planted"][0]
+        circuit = model_module._compile(m)
+        leaves = circuit.leaf_log_density(np.zeros((1, m.n_features)))
+        masks = np.eye(m.n_features, dtype=bool)
+        counter = EvalCounter()
+        circuit.masked_log_density(leaves, masks, counter)
+        assert (counter.queries, counter.node_evals) == (m.n_features,
+                                                        m.n_features * len(m.nodes))
+
+
 def off_one_weights(rng, model: SpnModel) -> SpnModel:
     """The model with each sum node's weights scaled to add up to 1 within
     1e-9 but not exactly, so a fully marginalized sum is not log(1) = 0."""
@@ -546,6 +594,10 @@ class TestValidityGate:
         (SpnModel([CategoricalLeaf(0, (None, 1.0))], 0,
                   [Column("c", "categorical", ("x", "y"))]),
          "node 0: probability None is not a number"),
+        (SpnModel([GaussianLeaf(0, 0.0, 1.0), ProductNode(0)], 1, A),
+         "node 1: children 0 is not a sequence"),
+        (SpnModel([CategoricalLeaf(0, 0.5)], 0, [Column("c", "categorical", ("x", "y"))]),
+         "node 0: probs 0.5 is not a sequence"),
     ]
 
     @pytest.mark.parametrize("model,issue", INVALID)
