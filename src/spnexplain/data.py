@@ -40,6 +40,10 @@ class Column:
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == "categorical" and not self.categories:
             raise DataError(f"column {self.name!r}: categorical column needs categories")
+        if len(set(self.categories)) < len(self.categories):
+            twice = next(c for i, c in enumerate(self.categories)
+                         if c in self.categories[:i])
+            raise DataError(f"column {self.name!r}: category {twice!r} listed twice")
 
 
 @dataclass
@@ -77,10 +81,11 @@ def columns_to_json(schema: list[Column]) -> list[dict]:
 
 
 def read_text(path: str, what: str) -> str:
-    """The text of the file at `path` as UTF-8, line ends kept; every input is
-    read here. A failed read raises DataError naming `what` and the path."""
+    """The text of the file at `path` as UTF-8 without a leading byte order
+    mark, line ends kept; every input is read here. A failed read raises
+    DataError naming `what` and the path."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except FileNotFoundError as exc:
         raise DataError(f"{what} {path} not found: no such file") from exc

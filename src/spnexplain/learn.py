@@ -302,5 +302,5 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
 
     root = build(np.arange(X.shape[0]), list(range(X.shape[1])), 0, ())
     model = SpnModel(nodes, root, list(schema))
-    _compile(model, RuntimeError)  # a learned model always validates
+    _compile(model)  # a learned model always validates
     return model

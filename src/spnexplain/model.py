@@ -52,6 +52,21 @@ class CategoricalLeaf:
 
 Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
+# Each node type's name in a model file and its fields in dataclass order,
+# as (field, kind, the name of one item, or None for a field that is not a
+# sequence). The model file's writer and reader and the number rule read it.
+_NODE_FIELDS = {
+    SumNode: ("sum", (("children", INTEGER, "child id"), ("weights", NUMBER, "weight"))),
+    ProductNode: ("product", (("children", INTEGER, "child id"),)),
+    GaussianLeaf: ("gaussian", (("feature", INTEGER, None), ("mu", NUMBER, None),
+                                ("sigma", NUMBER, None))),
+    CategoricalLeaf: ("categorical", (("feature", INTEGER, None),
+                                      ("probs", NUMBER, "probability"))),
+}
+_NODE_TYPES = {name: cls for cls, (name, _) in _NODE_FIELDS.items()}
+_NORMALIZED = ("weights", "probs")  # the fields that sum to 1
+_CAST = {INTEGER: int, NUMBER: float}
+
 
 @dataclass
 class EvalCounter:
@@ -107,27 +122,18 @@ _KIND_NAMES = {INTEGER: "an integer", NUMBER: "a number", _SEQUENCE: "a sequence
 
 
 def _number_issues(model: SpnModel) -> list[str]:
-    """The root, child ids and features that are not integers, the weights,
-    mu, sigma and probs that are not numbers, and the children, weights and
-    probs that are not sequences, under `is_a`."""
+    """The root and the node fields that are not of their kind under
+    `is_a`: an integer, a number, or a sequence of either."""
     fields = [("root id", model.root, INTEGER)]
     for i, node in enumerate(model.nodes):
-        lists = []  # (field, its values, the name and kind of one value)
-        if isinstance(node, (SumNode, ProductNode)):
-            lists.append(("children", node.children, "child id", INTEGER))
-        if isinstance(node, SumNode):
-            lists.append(("weights", node.weights, "weight", NUMBER))
-        elif isinstance(node, GaussianLeaf):
-            fields += [(f"node {i}: feature", node.feature, INTEGER),
-                       (f"node {i}: mu", node.mu, NUMBER),
-                       (f"node {i}: sigma", node.sigma, NUMBER)]
-        elif isinstance(node, CategoricalLeaf):
-            fields += [(f"node {i}: feature", node.feature, INTEGER)]
-            lists.append(("probs", node.probs, "probability", NUMBER))
-        for name, values, item, kind in lists:
-            fields.append((f"node {i}: {name}", values, _SEQUENCE))
-            if is_a(values, _SEQUENCE):
-                fields += [(f"node {i}: {item}", v, kind) for v in values]
+        for name, kind, item in _NODE_FIELDS.get(type(node), ("", ()))[1]:
+            value = getattr(node, name)
+            if item is None:
+                fields.append((f"node {i}: {name}", value, kind))
+                continue
+            fields.append((f"node {i}: {name}", value, _SEQUENCE))
+            if is_a(value, _SEQUENCE):
+                fields += [(f"node {i}: {item}", v, kind) for v in value]
     return [f"{name} {value!r} is not {_KIND_NAMES[kind]}"
             for name, value, kind in fields if not is_a(value, kind)]
 
@@ -380,15 +386,15 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compile(model: SpnModel, error: type[Exception] = ValueError) -> _Circuit:
+def _compile(model: SpnModel) -> _Circuit:
     """The model's circuit: the one place where a model is validated. A
     model not yet compiled is compiled and cached here, and only if
-    `validate` accepts it; otherwise this raises `error("invalid model:
-    ...")` listing the issues, and caches nothing."""
+    `validate` accepts it; otherwise this raises `ValueError("invalid
+    model: ...")` listing the issues, and caches nothing."""
     if model._circuit is None:
         issues = validate(model)
         if issues:
-            raise error("invalid model: " + "; ".join(issues))
+            raise ValueError("invalid model: " + "; ".join(issues))
         model._circuit = _Circuit(model)
     return model._circuit
 
@@ -522,24 +528,20 @@ FORMAT_VERSION = 1
 def to_dict(model: SpnModel) -> dict:
     nodes = []
     for i, node in enumerate(model.nodes):
-        if isinstance(node, SumNode):
-            nodes.append({"id": i, "type": "sum",
-                          "children": [int(c) for c in node.children],
-                          "weights": [float(w) for w in node.weights]})
-        elif isinstance(node, ProductNode):
-            nodes.append({"id": i, "type": "product",
-                          "children": [int(c) for c in node.children]})
-        elif isinstance(node, GaussianLeaf):
-            nodes.append({"id": i, "type": "gaussian", "feature": int(node.feature),
-                          "mu": float(node.mu), "sigma": float(node.sigma)})
-        else:
-            nodes.append({"id": i, "type": "categorical", "feature": int(node.feature),
-                          "probs": [float(p) for p in node.probs]})
+        ntype, fields = _NODE_FIELDS[type(node)]
+        nd = {"id": i, "type": ntype}
+        for name, kind, item in fields:
+            cast, value = _CAST[kind], getattr(node, name)
+            nd[name] = cast(value) if item is None else [cast(v) for v in value]
+        nodes.append(nd)
     return {"version": FORMAT_VERSION, "schema": columns_to_json(model.schema),
             "root": int(model.root), "nodes": nodes}
 
 
 def from_dict(doc) -> SpnModel:
+    """The model of a model-file document. A `weights` or `probs` sequence
+    whose sum misses 1 by more than WEIGHT_TOL but at most LOAD_WEIGHT_TOL
+    is renormalized; any other sum is kept, so `validate` judges it."""
     try:
         version = require(doc, "version", "document", INTEGER)
         if version != FORMAT_VERSION:
@@ -554,36 +556,30 @@ def from_dict(doc) -> SpnModel:
                 raise ModelFormatError(f"{where}: id {nd['id']!r} must equal "
                                        f"arena position {i}")
             ntype = require(nd, "type", where)
-            if ntype == "sum":
-                children = tuple(require(nd, "children", where, list, INTEGER))
-                weights = [float(w) for w in require(nd, "weights", where, list, NUMBER)]
-                total = sum(weights)
-                if abs(total - 1.0) > WEIGHT_TOL:
-                    # renormalize near-misses, keep already-valid weights bit-exact
-                    if abs(total - 1.0) > LOAD_WEIGHT_TOL:
-                        raise ModelFormatError(
-                            f"{where}: weights sum to {total!r}, beyond renormalization "
-                            f"tolerance {LOAD_WEIGHT_TOL}")
-                    weights = [w / total for w in weights]
-                nodes.append(SumNode(children, tuple(weights)))
-            elif ntype == "product":
-                children = tuple(require(nd, "children", where, list, INTEGER))
-                nodes.append(ProductNode(children))
-            elif ntype == "gaussian":
-                nodes.append(GaussianLeaf(require(nd, "feature", where, INTEGER),
-                                          float(require(nd, "mu", where, NUMBER)),
-                                          float(require(nd, "sigma", where, NUMBER))))
-            elif ntype == "categorical":
-                nodes.append(CategoricalLeaf(
-                    require(nd, "feature", where, INTEGER),
-                    tuple(float(p) for p in require(nd, "probs", where, list, NUMBER))))
-            else:
+            cls = _NODE_TYPES.get(ntype) if isinstance(ntype, str) else None
+            if cls is None:
                 raise ModelFormatError(f"{where}: unknown node type {ntype!r}")
+            values = []
+            for name, kind, item in _NODE_FIELDS[cls][1]:
+                cast = _CAST[kind]
+                if item is None:
+                    values.append(cast(require(nd, name, where, kind)))
+                    continue
+                seq = [cast(v) for v in require(nd, name, where, list, kind)]
+                # renormalize near-misses, keep already-valid sums bit-exact
+                total = sum(seq) if name in _NORMALIZED else 1.0
+                if WEIGHT_TOL < abs(total - 1.0) <= LOAD_WEIGHT_TOL:
+                    seq = [v / total for v in seq]
+                values.append(tuple(seq))
+            nodes.append(cls(*values))
         model = SpnModel(nodes, root, schema)
-        _compile(model, ModelFormatError)
-        return model
     except DataError as exc:
         raise ModelFormatError(str(exc)) from exc
+    try:
+        _compile(model)
+    except ValueError as exc:  # the gate's "invalid model: ..."
+        raise ModelFormatError(str(exc)) from exc
+    return model
 
 
 def save_model(model: SpnModel, path: str) -> None:

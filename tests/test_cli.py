@@ -586,6 +586,28 @@ class TestModelSchemaEncoding:
                 assert e["log_density"] == log_marginal_subspace(
                     model, X[rec["row"]], e["features"])
 
+    def test_category_listed_twice_exits_3_in_a_sidecar_and_4_in_a_model_file(
+            self, rare_first, capsys):
+        tmp_path, model_path = rare_first
+        sidecar = tmp_path / "schema.json"
+        sidecar.write_text(json.dumps({"columns": [
+            {"name": "a", "kind": "real"},
+            {"name": "c", "kind": "categorical", "categories": ["x", "x", "y"]}]}))
+        assert main(["train", "--data", str(tmp_path / "train.csv"), "--schema",
+                     str(sidecar), "--seed", "0", "--model", model_path]) == 3
+        assert "columns[1]: column 'c': category 'x' listed twice" in capsys.readouterr().err
+        # a model file that is valid but for the repeated category
+        doc = json.load(open(model_path))
+        doc["schema"][1]["categories"] = ["y", "x", "x"]
+        for nd in doc["nodes"]:
+            if nd["type"] == "categorical":
+                nd["probs"] = [nd["probs"][0], nd["probs"][1] / 2, nd["probs"][1] / 2]
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["score", "--model", str(bad), "--data", str(tmp_path / "train.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err == ("model error: schema[1]: column 'c': category 'x' listed twice\n")
+
     def test_unseen_category_or_header_mismatch_exits_3(self, rare_first, capsys):
         tmp_path, model_path = rare_first
         for name, text in (("unseen.csv", "a,c\n0.3,x\n0.3,z\n"),

@@ -69,6 +69,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv:3: field larger than field limit"):
             load_csv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,x\n")
+        assert [c.name for c in load_csv(str(path)).schema] == ["a", "b"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(str(tmp_path / "absent.csv"))
@@ -218,6 +223,11 @@ class TestSchemaSidecar:
             {"name": "c", "kind": "categorical", "categories": ["a", "b"]}]}))
         assert load_schema(path) == schema
 
+    def test_byte_order_mark_sidecar_loads(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_bytes(b'\xef\xbb\xbf{"columns": [{"name": "x", "kind": "real"}]}')
+        assert load_schema(str(path)) == [Column("x", "real")]
+
     def test_invalid_schema_json(self, tmp_path):
         with pytest.raises(DataError, match="not valid JSON"):
             load_schema(write(tmp_path, "schema.json", "{broken"))
@@ -285,6 +295,10 @@ class TestColumnAndDataset:
     def test_categorical_needs_categories(self):
         with pytest.raises(DataError, match="needs categories"):
             Column("x", "categorical")
+
+    def test_category_listed_twice_rejected(self):
+        with pytest.raises(DataError, match="column 'c': category 'x' listed twice"):
+            Column("c", "categorical", ("x", "y", "x"))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="shape"):

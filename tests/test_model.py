@@ -674,8 +674,59 @@ class TestSerialization:
             [GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
              SumNode((0, 1), (0.5, 0.5))], 2, [Column("a", "real")]))
         doc["nodes"][2]["weights"] = [0.5, 0.6]
-        with pytest.raises(ModelFormatError, match="nodes\\[2\\]"):
+        with pytest.raises(ModelFormatError) as exc:
             from_dict(doc)
+        assert str(exc.value) == "invalid model: node 2: weights sum to 1.1, not 1"
+
+    def test_probs_renormalized_within_tolerance(self):
+        doc = to_dict(SpnModel([CategoricalLeaf(0, (0.25, 0.75))], 0,
+                               [Column("c", "categorical", ("x", "y"))]))
+        doc["nodes"][0]["probs"] = near = [0.25, 0.75 + 5e-7]
+        probs = from_dict(doc).nodes[0].probs
+        assert probs == (near[0] / sum(near), near[1] / sum(near))
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    ALL_TYPES = ('{"version": 1, "schema": [{"name": "a", "kind": "real"}, '
+                 '{"name": "c", "kind": "categorical", "categories": ["x", "y"]}], '
+                 '"root": 4, "nodes": ['
+                 '{"id": 0, "type": "gaussian", "feature": 0, "mu": 0.25, "sigma": 1.5}, '
+                 '{"id": 1, "type": "gaussian", "feature": 0, "mu": -1.0, "sigma": 0.5}, '
+                 '{"id": 2, "type": "sum", "children": [0, 1], "weights": [0.375, 0.625]}, '
+                 '{"id": 3, "type": "categorical", "feature": 1, "probs": [0.125, 0.875]}, '
+                 '{"id": 4, "type": "product", "children": [2, 3]}]}\n')
+
+    @staticmethod
+    def all_types(i, f):
+        """A model of every node type, its integers of type i, its numbers of type f."""
+        return SpnModel(
+            [GaussianLeaf(i(0), f(0.25), f(1.5)), GaussianLeaf(i(0), f(-1.0), f(0.5)),
+             SumNode((i(0), i(1)), (f(0.375), f(0.625))),
+             CategoricalLeaf(i(1), (f(0.125), f(0.875))), ProductNode((i(2), i(3)))],
+            i(4), [Column("a", "real"), Column("c", "categorical", ("x", "y"))])
+
+    def test_numpy_scalars_save_as_python_scalars(self, tmp_path):
+        python = self.all_types(int, float)
+        for i, f in ((int, float), (np.int64, np.float32), (np.int32, np.float64)):
+            path = tmp_path / "model.json"
+            save_model(self.all_types(i, f), str(path))
+            assert path.read_text() == self.ALL_TYPES
+            loaded = load_model(str(path))
+            assert loaded.nodes == python.nodes and loaded.root == 4
+            assert loaded.schema == python.schema
+
+    def test_byte_order_mark_model_file_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xef\xbb\xbf" + self.ALL_TYPES.encode())
+        assert load_model(str(path)).nodes == self.all_types(int, float).nodes
+
+    def test_loaded_fields_have_python_types(self):
+        doc = json.loads(self.ALL_TYPES)
+        doc["nodes"][0].update(mu=1, sigma=2)  # numbers written as integers
+        for node in from_dict(doc).nodes:
+            for name, value in vars(node).items():
+                kind = int if name in ("feature", "children") else float
+                for v in value if isinstance(value, tuple) else (value,):
+                    assert type(v) is kind, (node, name)
 
     def test_id_mismatch_names_offending_node(self):
         doc = to_dict(std_normal_leaf())
