@@ -46,14 +46,14 @@ class ExplainConfig:
             raise ValueError(f"unknown selection {self.selection!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SizeBest:
     size: int
     subspace: Subspace
     log_density: float
 
 
-@dataclass
+@dataclass(slots=True)
 class ExplanationTrace:
     per_size: list[SizeBest]
     selected: Subspace
@@ -139,7 +139,7 @@ def elbow_select(per_size: list[SizeBest], kappa: float) -> SizeBest:
     return per_size[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreStats:
     mean: float
     std: float

@@ -52,20 +52,40 @@ class CategoricalLeaf:
 
 Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
+
+def _float(v) -> float:
+    """v as a float; an int too large for one reads as +-inf, as json reads
+    1e400."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+# The values a number field admits: a test on the value as a float, and what
+# a value that fails it is.
+_UNIT = (lambda x: 0.0 < x <= 1.0, "outside (0,1]")
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "must be positive and finite")
+_FINITE = (math.isfinite, "not finite")
+
 # Each node type's name in a model file and its fields in dataclass order,
-# as (field, kind, the name of one item, or None for a field that is not a
-# sequence). The model file's writer and reader and the number rule read it.
+# as (field, kind, the name of one item or None for a field that is not a
+# sequence, the values a number admits or None). The model file's writer
+# and reader and the field rule read it.
 _NODE_FIELDS = {
-    SumNode: ("sum", (("children", INTEGER, "child id"), ("weights", NUMBER, "weight"))),
-    ProductNode: ("product", (("children", INTEGER, "child id"),)),
-    GaussianLeaf: ("gaussian", (("feature", INTEGER, None), ("mu", NUMBER, None),
-                                ("sigma", NUMBER, None))),
-    CategoricalLeaf: ("categorical", (("feature", INTEGER, None),
-                                      ("probs", NUMBER, "probability"))),
+    SumNode: ("sum", (("children", INTEGER, "child id", None),
+                      ("weights", NUMBER, "weight", _UNIT))),
+    ProductNode: ("product", (("children", INTEGER, "child id", None),)),
+    GaussianLeaf: ("gaussian", (("feature", INTEGER, None, None),
+                                ("mu", NUMBER, None, _FINITE),
+                                ("sigma", NUMBER, None, _POSITIVE))),
+    CategoricalLeaf: ("categorical", (("feature", INTEGER, None, None),
+                                      ("probs", NUMBER, "probability", _UNIT))),
 }
 _NODE_TYPES = {name: cls for cls, (name, _) in _NODE_FIELDS.items()}
 _NORMALIZED = ("weights", "probs")  # the fields that sum to 1
-_CAST = {INTEGER: int, NUMBER: float}
+_CAST = {INTEGER: int, NUMBER: _float}
+_COLUMN_KIND = {GaussianLeaf: "real", CategoricalLeaf: "categorical"}  # of a leaf's column
 
 
 @dataclass
@@ -121,41 +141,52 @@ _SEQUENCE = (tuple, list)
 _KIND_NAMES = {INTEGER: "an integer", NUMBER: "a number", _SEQUENCE: "a sequence"}
 
 
-def _number_issues(model: SpnModel) -> list[str]:
-    """The root and the node fields that are not of their kind under
-    `is_a`: an integer, a number, or a sequence of either."""
-    fields = [("root id", model.root, INTEGER)]
+def _field_issues(model: SpnModel) -> tuple[list[str], list[str]]:
+    """The issues of the root and the node fields under `_NODE_FIELDS`, in
+    one list for kind (not an integer, a number, or a sequence of either,
+    under `is_a`) and one for value (a number its field's rule does not
+    admit)."""
+    fields = [("root id", model.root, INTEGER, None)]
     for i, node in enumerate(model.nodes):
-        for name, kind, item in _NODE_FIELDS.get(type(node), ("", ()))[1]:
+        for name, kind, item, rule in _NODE_FIELDS.get(type(node), ("", ()))[1]:
             value = getattr(node, name)
             if item is None:
-                fields.append((f"node {i}: {name}", value, kind))
+                fields.append((f"node {i}: {name}", value, kind, rule))
                 continue
-            fields.append((f"node {i}: {name}", value, _SEQUENCE))
+            fields.append((f"node {i}: {name}", value, _SEQUENCE, None))
             if is_a(value, _SEQUENCE):
-                fields += [(f"node {i}: {item}", v, kind) for v in value]
-    return [f"{name} {value!r} is not {_KIND_NAMES[kind]}"
-            for name, value, kind in fields if not is_a(value, kind)]
+                fields += [(f"node {i}: {item}", v, kind, rule) for v in value]
+    kinds, values = [], []
+    for name, value, kind, rule in fields:
+        if not is_a(value, kind):
+            kinds.append(f"{name} {value!r} is not {_KIND_NAMES[kind]}")
+        elif rule is not None and not rule[0](_float(value)):
+            values.append(f"{name} {value} {rule[1]}")
+    return kinds, values
 
 
 def validate(model: SpnModel) -> list[str]:
-    """Return every structural violation; an empty list means the model is
-    valid. A model that breaks the number rule gets only those issues: the
-    structural checks need sequences of integer ids and of numeric
-    parameters."""
+    """Return every violation; an empty list means the model is valid.
+    This function checks the graph and schema rules; the field rules (each
+    field's kind and, for a number, the values it admits) come from
+    `_NODE_FIELDS`. A model with a field of the wrong kind gets only those
+    issues: the graph checks need sequences of integer ids and of numbers."""
     n_nodes = len(model.nodes)
     n_features = len(model.schema)
     if n_nodes == 0:
         return ["model has no nodes"]
-    issues = _number_issues(model)
-    if issues:
-        return issues
+    kinds, issues = _field_issues(model)
+    if kinds:
+        return kinds
     if not (0 <= model.root < n_nodes):
         issues.append(f"root id {model.root} out of range")
 
     scopes = _compute_scopes(model.nodes)
     for i, node in enumerate(model.nodes):
         where = f"node {i}"
+        if type(node) not in _NODE_FIELDS:
+            issues.append(f"{where}: unknown node type {type(node).__name__}")
+            continue
         if isinstance(node, (SumNode, ProductNode)):
             if not node.children:
                 issues.append(f"{where}: no children")
@@ -164,53 +195,33 @@ def validate(model: SpnModel) -> list[str]:
                     issues.append(f"{where}: child id {c} out of range")
                 elif c >= i:
                     issues.append(f"{where}: child {c} not before parent (cycle risk)")
+            child_scopes = [scopes[c] for c in node.children if 0 <= c < i]
+        else:
+            kind = _COLUMN_KIND[type(node)]
+            col = model.schema[node.feature] if 0 <= node.feature < n_features else None
+            if col is None:
+                issues.append(f"{where}: feature {node.feature} out of range")
+            elif col.kind != kind:
+                issues.append(f"{where}: {_NODE_FIELDS[type(node)][0]} leaf on "
+                              f"non-{kind} column")
+            elif kind == "categorical" and len(node.probs) != len(col.categories):
+                issues.append(f"{where}: {len(node.probs)} probs for "
+                              f"{len(col.categories)} categories")
         if isinstance(node, SumNode):
             if len(node.weights) != len(node.children):
                 issues.append(f"{where}: {len(node.weights)} weights for "
                               f"{len(node.children)} children")
-            for w in node.weights:
-                if not (0.0 < w <= 1.0):
-                    issues.append(f"{where}: weight {w} outside (0,1]")
-            if node.weights and abs(sum(node.weights) - 1.0) > WEIGHT_TOL:
-                issues.append(f"{where}: weights sum to {sum(node.weights)!r}, not 1")
-            child_scopes = [scopes[c] for c in node.children if 0 <= c < i]
-            if child_scopes and any(s != child_scopes[0] for s in child_scopes[1:]):
+            if any(s != child_scopes[0] for s in child_scopes[1:]):
                 issues.append(f"{where}: completeness violated, children scopes differ")
         elif isinstance(node, ProductNode):
-            seen: set[int] = set()
-            for c in node.children:
-                if not (0 <= c < i):
-                    continue
-                if scopes[c] & seen:
-                    issues.append(f"{where}: decomposability violated, "
-                                  f"overlapping child scopes")
-                    break
-                seen |= scopes[c]
-        elif isinstance(node, GaussianLeaf):
-            if not (0 <= node.feature < n_features):
-                issues.append(f"{where}: feature {node.feature} out of range")
-            elif model.schema[node.feature].kind != "real":
-                issues.append(f"{where}: gaussian leaf on non-real column")
-            if not (node.sigma > 0.0) or not math.isfinite(node.sigma):
-                issues.append(f"{where}: sigma {node.sigma} must be positive and finite")
-            if not math.isfinite(node.mu):
-                issues.append(f"{where}: mu {node.mu} not finite")
-        elif isinstance(node, CategoricalLeaf):
-            if not (0 <= node.feature < n_features):
-                issues.append(f"{where}: feature {node.feature} out of range")
-            else:
-                col = model.schema[node.feature]
-                if col.kind != "categorical":
-                    issues.append(f"{where}: categorical leaf on non-categorical column")
-                elif len(node.probs) != len(col.categories):
-                    issues.append(f"{where}: {len(node.probs)} probs for "
-                                  f"{len(col.categories)} categories")
-            if any(p <= 0.0 for p in node.probs):
-                issues.append(f"{where}: zero or negative category probability")
-            if node.probs and abs(sum(node.probs) - 1.0) > WEIGHT_TOL:
-                issues.append(f"{where}: probs sum to {sum(node.probs)!r}, not 1")
-        else:
-            issues.append(f"{where}: unknown node type {type(node).__name__}")
+            if sum(map(len, child_scopes)) != len(frozenset().union(*child_scopes)):
+                issues.append(f"{where}: decomposability violated, "
+                              f"overlapping child scopes")
+        for name in _NORMALIZED:
+            seq = getattr(node, name, ())
+            total = sum(map(_float, seq))
+            if seq and abs(total - 1.0) > WEIGHT_TOL:
+                issues.append(f"{where}: {name} sum to {total!r}, not 1")
 
     if 0 <= model.root < n_nodes:
         if scopes[model.root] != frozenset(range(n_features)):
@@ -530,7 +541,7 @@ def to_dict(model: SpnModel) -> dict:
     for i, node in enumerate(model.nodes):
         ntype, fields = _NODE_FIELDS[type(node)]
         nd = {"id": i, "type": ntype}
-        for name, kind, item in fields:
+        for name, kind, item, _ in fields:
             cast, value = _CAST[kind], getattr(node, name)
             nd[name] = cast(value) if item is None else [cast(v) for v in value]
         nodes.append(nd)
@@ -541,7 +552,8 @@ def to_dict(model: SpnModel) -> dict:
 def from_dict(doc) -> SpnModel:
     """The model of a model-file document. A `weights` or `probs` sequence
     whose sum misses 1 by more than WEIGHT_TOL but at most LOAD_WEIGHT_TOL
-    is renormalized; any other sum is kept, so `validate` judges it."""
+    is renormalized; any other sum is kept, so `validate` judges it. A
+    number too large for a float reads as +-inf, which `validate` rejects."""
     try:
         version = require(doc, "version", "document", INTEGER)
         if version != FORMAT_VERSION:
@@ -560,7 +572,7 @@ def from_dict(doc) -> SpnModel:
             if cls is None:
                 raise ModelFormatError(f"{where}: unknown node type {ntype!r}")
             values = []
-            for name, kind, item in _NODE_FIELDS[cls][1]:
+            for name, kind, item, _ in _NODE_FIELDS[cls][1]:
                 cast = _CAST[kind]
                 if item is None:
                     values.append(cast(require(nd, name, where, kind)))

@@ -10,7 +10,9 @@ from conftest import log_marginal_subspace
 import spnexplain
 from spnexplain import cli, metrics
 from spnexplain.cli import main
-from spnexplain.model import eval_log_density, load_model
+from spnexplain.data import Column
+from spnexplain.model import (CategoricalLeaf, GaussianLeaf, ProductNode, SpnModel,
+                              SumNode, eval_log_density, load_model, to_dict)
 
 
 @pytest.fixture
@@ -364,6 +366,31 @@ class TestExitCodes:
         assert open(data2, "rb").read() == open(workspace["data"], "rb").read()
         assert open(labels2, "rb").read() == open(workspace["labels"], "rb").read()
         assert open(model2, "rb").read() == open(workspace["model"], "rb").read()
+
+
+@pytest.mark.parametrize("node,field,value,issue", [
+    (3, "probs", [float("nan"), 1.0], "node 3: probability nan outside (0,1]"),
+    (1, "mu", 10**400, "node 1: mu inf not finite"),
+    (2, "weights", [10**400, 0.5], "node 2: weight inf outside (0,1]"),
+], ids=["nan-probability", "huge-mu", "huge-weight"])
+def test_model_number_its_field_does_not_admit_exits_4(tmp_path, capsys, node, field,
+                                                       value, issue):
+    # json writes NaN as NaN and 10**400 as its 401 digits, and reads both back
+    doc = to_dict(SpnModel(
+        [GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
+         SumNode((0, 1), (0.5, 0.5)), CategoricalLeaf(1, (0.25, 0.75)),
+         ProductNode((2, 3))], 4,
+        [Column("a", "real"), Column("c", "categorical", ("x", "y"))]))
+    doc["nodes"][node][field] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    data = tmp_path / "data.csv"
+    data.write_text("a,c\n0.3,x\n0.5,y\n")
+    assert main(["score", "--model", str(model), "--data", str(data)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("model error: invalid model: ") and issue in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -15,7 +16,7 @@ from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_categorical_model, random_gaussian_model,
                       random_mixed_model, random_table, reference_log_density,
                       root_children)
-from spnexplain.data import Column, Dataset
+from spnexplain.data import NUMBER, Column, Dataset
 from spnexplain.errors import ModelFormatError
 from spnexplain.explain import subspace_score_stats
 from spnexplain.learn import LearnConfig, learn_spn
@@ -800,6 +801,16 @@ def _set_node(node, field, value):
     return lambda doc: doc["nodes"][node].__setitem__(field, value)
 
 
+# the values that no number field admits, and each number field's values
+# outside its range; a number field without an entry fails collection
+NOT_FINITE = {"nan": float("nan"), "inf": math.inf, "-inf": -math.inf,
+              "10**400": 10**400, "-10**400": -10**400}
+OUT_OF_RANGE = {"weights": (0.0, -0.5, 1.5), "probs": (0.0, -0.25, 1.5),
+                "mu": (), "sigma": (0.0, -1.0)}
+NUMBER_FIELDS = [(cls, name, item) for cls, (_, fields) in model_module._NODE_FIELDS.items()
+                 for name, kind, item, _ in fields if kind is NUMBER]
+
+
 class TestModelFileRejections:
     """Each structural check on a model file, reached through `load_model`."""
 
@@ -820,7 +831,10 @@ class TestModelFileRejections:
         (_set_node(3, "feature", 2), "node 3: feature 2 out of range"),
         (_set_node(3, "feature", 0), "node 3: categorical leaf on non-categorical column"),
         (_set_node(3, "probs", [0.2, 0.3, 0.5]), "node 3: 3 probs for 2 categories"),
-        (_set_node(3, "probs", [0.0, 1.0]), "node 3: zero or negative category probability"),
+        (_set_node(3, "probs", [0.0, 1.0]), "node 3: probability 0.0 outside (0,1]"),
+        (_set_node(3, "probs", [float("nan"), 1.0]), "node 3: probability nan outside (0,1]"),
+        (_set_node(1, "mu", 10**400), "node 1: mu inf not finite"),
+        (_set_node(2, "weights", [10**400, 0.5]), "node 2: weight inf outside (0,1]"),
         (_set_node(3, "probs", [0.5, 0.6]), "node 3: probs sum to"),
         (_set_node(3, "type", "bernoulli"), "nodes[3]: unknown node type 'bernoulli'"),
     ]
@@ -839,3 +853,23 @@ class TestModelFileRejections:
         with pytest.raises(ModelFormatError) as exc:
             load_model(str(path))
         assert issue in str(exc.value)
+
+    @pytest.mark.parametrize("cls,name,item,bad", [
+        pytest.param(cls, name, item, bad, id=f"{name}={shown}")
+        for cls, name, item in NUMBER_FIELDS
+        for shown, bad in [*NOT_FINITE.items(), *((repr(v), v) for v in OUT_OF_RANGE[name])]])
+    def test_number_field_rule_names_node_and_field(self, tmp_path, cls, name, item, bad):
+        i = next(i for i, nd in enumerate(self.MODEL.nodes) if type(nd) is cls)
+        value = getattr(self.MODEL.nodes[i], name)
+        value = bad if item is None else (bad,) + value[1:]
+        nodes = list(self.MODEL.nodes)
+        nodes[i] = dataclasses.replace(nodes[i], **{name: value})
+        named = f"node {i}: {item or name} "
+        assert any(issue.startswith(named) for issue in
+                   validate(SpnModel(nodes, self.MODEL.root, self.MODEL.schema)))
+        doc = to_dict(self.MODEL)
+        doc["nodes"][i][name] = bad if item is None else list(value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=re.escape(f"invalid model: {named}")):
+            load_model(str(path))
