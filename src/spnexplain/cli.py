@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import os
 import sys
 
 from . import datagen, metrics
@@ -99,15 +101,28 @@ def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _create_outputs(*paths: str | None) -> None:
-    """Create each output file, not truncated, so a bad path fails before the work."""
-    for path in paths:
-        if path is not None:
+@contextlib.contextmanager
+def _outputs(*paths: str | None):
+    """Open each output file for appending before the work, so a bad path
+    fails first and a file that exists keeps its bytes; if the work or a
+    write then fails, the files that did not exist before are removed."""
+    made = []
+    try:
+        for path in (p for p in paths if p is not None):
+            with contextlib.suppress(FileExistsError):
+                open(path, "x").close()
+                made.append(path)
             open(path, "a").close()
+        yield
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _load_data(args):
@@ -117,9 +132,11 @@ def _load_data(args):
 
 
 def cmd_gen(args) -> None:
-    labeled = datagen.generate(_config(datagen.GenConfig, args))
-    save_csv(labeled.dataset, args.out)
-    datagen.write_labels(labeled, args.labels)
+    config = _config(datagen.GenConfig, args)
+    with _outputs(args.out, args.labels):
+        labeled = datagen.generate(config)
+        save_csv(labeled.dataset, args.out)
+        datagen.write_labels(labeled, args.labels)
     print(f"wrote {labeled.dataset.n_rows} rows x {labeled.dataset.n_features} "
           f"features to {args.out}, {len(labeled.outlier_rows)} outliers to {args.labels}")
 
@@ -127,26 +144,27 @@ def cmd_gen(args) -> None:
 def cmd_train(args) -> None:
     config = _config(LearnConfig, args)
     dataset = _load_data(args)
-    _create_outputs(args.model)
-    model = learn_spn(dataset, config)
-    save_model(model, args.model)
+    with _outputs(args.model):
+        model = learn_spn(dataset, config)
+        save_model(model, args.model)
     print(f"trained model with {len(model.nodes)} nodes -> {args.model}")
 
 
 def cmd_score(args) -> None:
     model = load_model(args.model)
     dataset = load_csv(args.data, model.schema)
-    if args.contamination is not None:
-        flagged, scores = metrics.detect(model, dataset, args.contamination)
-        flags = set(flagged)
-        lines = ["row\tscore\tflagged"]
-        lines += [f"{i}\t{format_float(s)}\t{int(i in flags)}"
-                  for i, s in enumerate(scores)]
-    else:
-        scores = -eval_log_density(model, dataset.values)
-        lines = ["row\tscore"]
-        lines += [f"{i}\t{format_float(s)}" for i, s in enumerate(scores)]
-    _write("\n".join(lines) + "\n", args.out)
+    with _outputs(args.out):
+        if args.contamination is not None:
+            flagged, scores = metrics.detect(model, dataset, args.contamination)
+            flags = set(flagged)
+            lines = ["row\tscore\tflagged"]
+            lines += [f"{i}\t{format_float(s)}\t{int(i in flags)}"
+                      for i, s in enumerate(scores)]
+        else:
+            scores = -eval_log_density(model, dataset.values)
+            lines = ["row\tscore"]
+            lines += [f"{i}\t{format_float(s)}" for i, s in enumerate(scores)]
+        _write("\n".join(lines) + "\n", args.out)
 
 
 def cmd_explain(args) -> None:
@@ -162,9 +180,9 @@ def cmd_explain(args) -> None:
     for r in rows:
         if not (0 <= r < dataset.n_rows):
             raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
-    _create_outputs(args.out)
-    traces = explain_rows(model, dataset.values, rows, config)
-    _write(metrics.format_explanations(rows, traces), args.out)
+    with _outputs(args.out):
+        traces = explain_rows(model, dataset.values, rows, config)
+        _write(metrics.format_explanations(rows, traces), args.out)
 
 
 def cmd_eval(args) -> None:
@@ -205,10 +223,10 @@ def cmd_bench(args) -> None:
     learn_config = _config(LearnConfig, args)
     explain_config = _config(ExplainConfig, args)
     labeled = datagen.read_labels(_load_data(args), args.labels)
-    _create_outputs(args.explanations, args.summary)
-    report = metrics.run_benchmark(labeled, learn_config, explain_config,
-                                   explanations_path=args.explanations,
-                                   summary_path=args.summary)
+    with _outputs(args.explanations, args.summary):
+        report = metrics.run_benchmark(labeled, learn_config, explain_config,
+                                       explanations_path=args.explanations,
+                                       summary_path=args.summary)
     print(f"n_features={report.n_features} strategy={report.strategy} "
           f"selection={report.selection} mean_f1={report.mean_f1:.4f} "
           f"train_s={report.train_seconds:.2f} explain_s={report.explain_seconds:.2f}")

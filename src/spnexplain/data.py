@@ -309,7 +309,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
     columns = [[format(v, FLOAT_FMT) for v in values.tolist()] if col.kind == "real"
                else [col.categories[int(v)] for v in values.tolist()]
                for col, values in zip(dataset.schema, dataset.values.T)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in dataset.schema])
         # a table without columns still writes one empty line per row

@@ -172,7 +172,7 @@ def generate(config: GenConfig) -> LabeledDataset:
 def write_labels(labeled: LabeledDataset, path: str) -> None:
     doc = {"outliers": [{"row": r, "subspace": list(labeled.ground_truth[r])}
                         for r in labeled.outlier_rows]}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

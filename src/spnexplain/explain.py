@@ -209,13 +209,15 @@ def explain(model: SpnModel, x, config: ExplainConfig,
 
 def explain_rows(model: SpnModel, X, rows,
                  config: ExplainConfig) -> list[ExplanationTrace]:
-    """Explain the given rows of the table X, one `explain` call per row;
-    z-score selection measures against all rows of X, which are evaluated
-    once for the whole run. A row that is not an integer in 0..len(X)-1
-    raises ValueError, and so does, before any row is explained, a z-score
-    table X that breaks the row rule (`check_rows`); each explained row is
-    checked against that rule by its search."""
+    """Explain the given rows of the table X (any iterable, read once), one
+    `explain` call per row; z-score selection measures against all rows of
+    X, which are evaluated once for the whole run. A row that is not an
+    integer in 0..len(X)-1 raises ValueError, and so does, before any row
+    is explained, a z-score table X that breaks the row rule
+    (`check_rows`); each explained row is checked against that rule by its
+    search."""
     X = np.asarray(X, dtype=np.float64)
+    rows = list(rows)  # the check below would use up an iterator
     for r in rows:
         if not is_a(r, INTEGER):
             raise ValueError(f"row {r!r} is not an integer")

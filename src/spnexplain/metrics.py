@@ -106,7 +106,7 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
                         train_s, explain_s, dataset.n_features,
                         explain_config.strategy, explain_config.selection)
     if explanations_path is not None:
-        with open(explanations_path, "w") as fh:
+        with open(explanations_path, "w", encoding="utf-8") as fh:
             fh.write(format_explanations(rows, traces))
     if summary_path is not None:
         write_summary([report], summary_path)
@@ -119,7 +119,7 @@ SUMMARY_COLUMNS = ("n_features", "strategy", "selection", "mean_f1",
 
 def write_summary(reports: list[EvalReport], path: str) -> None:
     """Plot-ready TSV: one row per benchmark report."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(SUMMARY_COLUMNS) + "\n")
         for r in reports:
             fh.write("\t".join([

@@ -121,20 +121,20 @@ class SpnModel:
         return len(self.schema)
 
 
-def _compute_scopes(nodes: list[Node]) -> list[frozenset[int]]:
-    # Defensive: forward references (non-topological arenas) and nodes of
-    # unknown type get an empty scope here and are reported by `validate`.
-    scopes: list[frozenset[int]] = []
-    for i, node in enumerate(nodes):
-        sc: set[int] = set()
-        if isinstance(node, (GaussianLeaf, CategoricalLeaf)):
-            sc.add(node.feature)
-        elif isinstance(node, (SumNode, ProductNode)):
+def _under(nodes: list[Node], top: int) -> list[int]:
+    """`top` and every node reached from it through the child ids of sum
+    and product nodes that lie inside the arena, ascending. The walk keeps
+    a visited set, so a cycle or a child id at or after its parent ends it
+    safely. `validate`'s reachability rule and `_Circuit` read it."""
+    under, stack = {top}, [top]
+    while stack:
+        node = nodes[stack.pop()]
+        if isinstance(node, (SumNode, ProductNode)):
             for c in node.children:
-                if 0 <= c < i:
-                    sc |= scopes[c]
-        scopes.append(frozenset(sc))
-    return scopes
+                if 0 <= c < len(nodes) and c not in under:
+                    under.add(c)
+                    stack.append(c)
+    return sorted(under)
 
 
 _SEQUENCE = (tuple, list)
@@ -170,7 +170,10 @@ def validate(model: SpnModel) -> list[str]:
     This function checks the graph and schema rules; the field rules (each
     field's kind and, for a number, the values it admits) come from
     `_NODE_FIELDS`. A model with a field of the wrong kind gets only those
-    issues: the graph checks need sequences of integer ids and of numbers."""
+    issues: the graph checks need sequences of integer ids and of numbers.
+    A node's scope is its leaf's feature or the union of its children's
+    scopes, each child id in 0..i-1 of node i; the nodes reachable from the
+    root are those of `_under`, the walk that `_Circuit` compiles."""
     n_nodes = len(model.nodes)
     n_features = len(model.schema)
     if n_nodes == 0:
@@ -181,13 +184,18 @@ def validate(model: SpnModel) -> list[str]:
     if not (0 <= model.root < n_nodes):
         issues.append(f"root id {model.root} out of range")
 
-    scopes = _compute_scopes(model.nodes)
+    scopes: list[frozenset[int]] = []
     for i, node in enumerate(model.nodes):
         where = f"node {i}"
+        inner = isinstance(node, (SumNode, ProductNode))
+        child_scopes = [scopes[c] for c in node.children if 0 <= c < i] if inner else []
+        leaf = isinstance(node, (GaussianLeaf, CategoricalLeaf))
+        scopes.append(frozenset((node.feature,)) if leaf
+                      else frozenset().union(*child_scopes))
         if type(node) not in _NODE_FIELDS:
             issues.append(f"{where}: unknown node type {type(node).__name__}")
             continue
-        if isinstance(node, (SumNode, ProductNode)):
+        if inner:
             if not node.children:
                 issues.append(f"{where}: no children")
             for c in node.children:
@@ -195,7 +203,6 @@ def validate(model: SpnModel) -> list[str]:
                     issues.append(f"{where}: child id {c} out of range")
                 elif c >= i:
                     issues.append(f"{where}: child {c} not before parent (cycle risk)")
-            child_scopes = [scopes[c] for c in node.children if 0 <= c < i]
         else:
             kind = _COLUMN_KIND[type(node)]
             col = model.schema[node.feature] if 0 <= node.feature < n_features else None
@@ -214,7 +221,7 @@ def validate(model: SpnModel) -> list[str]:
             if any(s != child_scopes[0] for s in child_scopes[1:]):
                 issues.append(f"{where}: completeness violated, children scopes differ")
         elif isinstance(node, ProductNode):
-            if sum(map(len, child_scopes)) != len(frozenset().union(*child_scopes)):
+            if sum(map(len, child_scopes)) != len(scopes[i]):
                 issues.append(f"{where}: decomposability violated, "
                               f"overlapping child scopes")
         for name in _NORMALIZED:
@@ -226,24 +233,16 @@ def validate(model: SpnModel) -> list[str]:
     if 0 <= model.root < n_nodes:
         if scopes[model.root] != frozenset(range(n_features)):
             issues.append("root scope does not cover all features")
-        reachable = {model.root}
-        stack = [model.root]
-        while stack:
-            node = model.nodes[stack.pop()]
-            if isinstance(node, (SumNode, ProductNode)):
-                for c in node.children:
-                    if 0 <= c < n_nodes and c not in reachable:
-                        reachable.add(c)
-                        stack.append(c)
-        for i in range(n_nodes):
-            if i not in reachable:
-                issues.append(f"node {i} unreachable from root")
+        reachable = set(_under(model.nodes, model.root))
+        issues += [f"node {i} unreachable from root" for i in range(n_nodes)
+                   if i not in reachable]
     return issues
 
 
 class _Circuit:
-    """The nodes under `top` (the model's root if None) compiled into
-    level-ordered arrays.
+    """The nodes under `top` (the model's root if None), as `_under` walks
+    them for `validate`'s reachability rule, compiled into level-ordered
+    arrays.
 
     Row r of the value matrix holds one node's log-density for every query
     of a batch: Gaussian leaves first, then categorical leaves, then each
@@ -266,11 +265,7 @@ class _Circuit:
     def __init__(self, model: SpnModel, top: int | None = None):
         nodes = model.nodes
         top = model.root if top is None else top
-        under = {top}  # children come before their parents
-        for i in range(top, -1, -1):
-            if i in under and isinstance(nodes[i], (SumNode, ProductNode)):
-                under.update(nodes[i].children)
-        under = sorted(under)
+        under = _under(nodes, top)
         level = [0] * len(nodes)
         for i in under:
             if isinstance(nodes[i], (SumNode, ProductNode)):
@@ -595,7 +590,7 @@ def from_dict(doc) -> SpnModel:
 
 
 def save_model(model: SpnModel, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_dict(model), fh)
         fh.write("\n")
 

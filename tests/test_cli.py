@@ -552,6 +552,64 @@ def test_outputs_are_checked_before_the_work(workspace, tmp_path, monkeypatch, c
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.fixture
+def overflowing(tmp_path):
+    """A 300-row CSV whose column a holds values near +-1e300, so that
+    learning fails with a data error, and a labels file for it."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(1.0, 1.7, 300) * 1e300 * np.where(np.arange(300) % 2, 1, -1)
+    data, labels = tmp_path / "over.csv", tmp_path / "labels.json"
+    data.write_text("a,b\n" + "".join(f"{float(x)!r},{float(y)!r}\n"
+                                      for x, y in zip(a, rng.normal(size=300))))
+    labels.write_text(json.dumps({"outliers": [{"row": 0, "subspace": [0]}]}))
+    return str(data), str(labels)
+
+
+def test_train_that_fails_leaves_no_model_file(overflowing, tmp_path, capsys):
+    data, _ = overflowing
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", data, "--seed", "0", "--model", str(model)]) == 3
+    assert capsys.readouterr().err == ("data error: column 'a': its mean or spread "
+                                       "overflows\n")
+    assert not model.exists()
+    model.write_bytes(b"kept")  # a file that existed before keeps its bytes
+    assert main(["train", "--data", data, "--seed", "0", "--model", str(model)]) == 3
+    assert model.read_bytes() == b"kept"
+
+
+def test_bench_that_fails_leaves_no_output_file(overflowing, tmp_path, capsys):
+    data, labels = overflowing
+    expl, summary = tmp_path / "e.jsonl", tmp_path / "s.tsv"
+    summary.write_bytes(b"kept")
+    assert main(["bench", "--data", data, "--labels", labels, "--seed", "0",
+                 "--explanations", str(expl), "--summary", str(summary)]) == 3
+    assert "its mean or spread overflows" in capsys.readouterr().err
+    assert not expl.exists() and summary.read_bytes() == b"kept"
+
+
+def test_gen_checks_both_outputs_before_writing(tmp_path, capsys):
+    out, labels = tmp_path / "d.csv", tmp_path / "missing" / "l.json"
+    assert main(["gen", "--n-features", "4", "--seed", "0", "--out", str(out),
+                 "--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_score_checks_its_output_before_scoring(workspace, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("the rows were scored before the output path was checked")
+
+    monkeypatch.setattr(metrics, "detect", never)
+    monkeypatch.setattr(cli, "eval_log_density", never)
+    out = str(tmp_path / "missing" / "s.tsv")
+    for flags in ([], ["--contamination", "0.03"]):
+        assert main(["score", "--model", workspace["model"], "--data", workspace["data"],
+                     "--out", out, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_invalid_flags_exit_2_before_reading_or_creating_files(workspace, tmp_path,
                                                                monkeypatch, capsys):
     def never(*args, **kwargs):

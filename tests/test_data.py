@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_load_csv, reference_save_csv
+import spnexplain
 from spnexplain.data import (Column, Dataset, format_float, load_csv,
                              load_schema, save_csv)
 from spnexplain.datagen import GenConfig, generate
@@ -285,6 +290,32 @@ class TestSaveCsv:
         save_csv(dataset, path)
         back = load_csv(path, dataset.schema)
         assert back.values.tobytes() == dataset.values.tobytes()
+
+    def test_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode or locale coercion: open() would
+        # pick ASCII, which cannot encode these names (escaped, so that the
+        # script's own text is ASCII)
+        script = textwrap.dedent(r"""
+            import locale, sys
+            import numpy as np
+            from spnexplain.data import Column, Dataset, load_csv, save_csv
+            assert locale.getpreferredencoding(False).lower() != "utf-8"
+            schema = [Column("caf\u00e9", "categorical", ("na\u00efve", "plain")),
+                      Column("\u00fc", "real")]
+            dataset = Dataset(schema, np.array([[0.0, 1.5], [1.0, -2.0], [0.0, 0.25]]))
+            save_csv(dataset, sys.argv[1])
+            back = load_csv(sys.argv[1])
+            assert back.schema == schema, back.schema
+            assert back.values.tolist() == dataset.values.tolist()
+        """)
+        path = tmp_path / "utf8.csv"
+        src = os.path.dirname(os.path.dirname(spnexplain.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert path.read_bytes() == "café,ü\r\nnaïve,1.5\r\nplain,-2\r\nnaïve,0.25\r\n".encode()
 
 
 class TestColumnAndDataset:

@@ -493,6 +493,9 @@ class TestExplainRows:
         want = [explain(m, X[r], config, table) for r in rows]
         assert explain_rows(m, X, rows, config) == want
         assert explain_rows(m, X.tolist(), rows, config) == want
+        # any iterable of rows, read once
+        assert explain_rows(m, X, iter(rows), config) == want
+        assert explain_rows(m, X, (r for r in rows), config) == want
 
     def test_row_outside_table_rejected(self, rng):
         m = random_gaussian_model(rng, 3)

@@ -66,6 +66,182 @@ class TestValidate:
         assert any("root scope" in v for v in validate(m))
 
 
+def reference_validate(model: SpnModel) -> list[str]:
+    """`validate` as it was written with a separate scope pass and its own
+    stack walk for reachability, over the same field rules."""
+    n_nodes, n_features = len(model.nodes), len(model.schema)
+    if n_nodes == 0:
+        return ["model has no nodes"]
+    kinds, issues = model_module._field_issues(model)
+    if kinds:
+        return kinds
+    if not (0 <= model.root < n_nodes):
+        issues.append(f"root id {model.root} out of range")
+    scopes = []
+    for i, node in enumerate(model.nodes):
+        sc = set()
+        if isinstance(node, (GaussianLeaf, CategoricalLeaf)):
+            sc.add(node.feature)
+        elif isinstance(node, (SumNode, ProductNode)):
+            for c in node.children:
+                if 0 <= c < i:
+                    sc |= scopes[c]
+        scopes.append(frozenset(sc))
+    for i, node in enumerate(model.nodes):
+        where = f"node {i}"
+        if type(node) not in model_module._NODE_FIELDS:
+            issues.append(f"{where}: unknown node type {type(node).__name__}")
+            continue
+        if isinstance(node, (SumNode, ProductNode)):
+            if not node.children:
+                issues.append(f"{where}: no children")
+            for c in node.children:
+                if not (0 <= c < n_nodes):
+                    issues.append(f"{where}: child id {c} out of range")
+                elif c >= i:
+                    issues.append(f"{where}: child {c} not before parent (cycle risk)")
+            child_scopes = [scopes[c] for c in node.children if 0 <= c < i]
+        else:
+            kind = model_module._COLUMN_KIND[type(node)]
+            col = model.schema[node.feature] if 0 <= node.feature < n_features else None
+            if col is None:
+                issues.append(f"{where}: feature {node.feature} out of range")
+            elif col.kind != kind:
+                issues.append(f"{where}: {model_module._NODE_FIELDS[type(node)][0]} leaf on "
+                              f"non-{kind} column")
+            elif kind == "categorical" and len(node.probs) != len(col.categories):
+                issues.append(f"{where}: {len(node.probs)} probs for "
+                              f"{len(col.categories)} categories")
+        if isinstance(node, SumNode):
+            if len(node.weights) != len(node.children):
+                issues.append(f"{where}: {len(node.weights)} weights for "
+                              f"{len(node.children)} children")
+            if any(s != child_scopes[0] for s in child_scopes[1:]):
+                issues.append(f"{where}: completeness violated, children scopes differ")
+        elif isinstance(node, ProductNode):
+            if sum(map(len, child_scopes)) != len(frozenset().union(*child_scopes)):
+                issues.append(f"{where}: decomposability violated, "
+                              f"overlapping child scopes")
+        for name in model_module._NORMALIZED:
+            seq = getattr(node, name, ())
+            total = sum(map(model_module._float, seq))
+            if seq and abs(total - 1.0) > model_module.WEIGHT_TOL:
+                issues.append(f"{where}: {name} sum to {total!r}, not 1")
+    if 0 <= model.root < n_nodes:
+        if scopes[model.root] != frozenset(range(n_features)):
+            issues.append("root scope does not cover all features")
+        reachable, stack = {model.root}, [model.root]
+        while stack:
+            node = model.nodes[stack.pop()]
+            if isinstance(node, (SumNode, ProductNode)):
+                for c in node.children:
+                    if 0 <= c < n_nodes and c not in reachable:
+                        reachable.add(c)
+                        stack.append(c)
+        issues += [f"node {i} unreachable from root" for i in range(n_nodes)
+                   if i not in reachable]
+    return issues
+
+
+class _OtherLeaf(GaussianLeaf):
+    """A subclass of a node type, and so a node type `validate` does not know."""
+
+
+class _OtherProduct(ProductNode):
+    """A subclass of a node type, and so a node type `validate` does not know."""
+
+
+def random_arena(rng) -> SpnModel:
+    """A small arena of mostly well-kinded nodes whose child ids may be out of
+    range, at or after their parent (forward ids and cycles) or repeated, with
+    some nodes of unknown type and some leaves on a missing or wrong column."""
+    schema = [Column(f"f{j}", "real") if rng.random() < 0.6
+              else Column(f"f{j}", "categorical", ("x", "y", "z")[:rng.integers(1, 4)])
+              for j in range(rng.integers(1, 4))]
+    n_nodes = int(rng.integers(1, 9))
+
+    def child_ids(i):
+        k = int(rng.integers(0 if rng.random() < 0.05 else 1, 4))
+        hi = i if rng.random() < 0.7 else n_nodes + 1  # forward ids and self-loops
+        return tuple(int(c) for c in rng.integers(-1 if rng.random() < 0.1 else 0,
+                                                  max(hi, 1), k))
+
+    nodes = []
+    for i in range(n_nodes):
+        feature = int(rng.integers(0, len(schema)) if rng.random() < 0.9
+                      else rng.choice([-1, len(schema)]))
+        kind = rng.integers(0, 7)
+        if kind == 0:
+            nodes.append(GaussianLeaf(feature, 0.0, 1.0))
+        elif kind == 1:
+            k = int(rng.integers(1, 4))
+            nodes.append(CategoricalLeaf(feature, (1.0 / k,) * k))
+        elif kind == 2:
+            children = child_ids(i)
+            k = len(children) + (rng.random() < 0.1)
+            nodes.append(SumNode(children, (1.0 / k,) * k if k else ()))
+        elif kind == 3:
+            nodes.append(ProductNode(child_ids(i)))
+        elif kind == 4:
+            nodes.append((object(), _OtherLeaf(feature, 0.0, 1.0),
+                          _OtherProduct(child_ids(i)))[rng.integers(0, 3)])
+        else:  # lean towards leaves that fit their column
+            col = schema[feature % len(schema)]
+            k = len(col.categories)
+            nodes.append(GaussianLeaf(feature, 0.0, 1.0) if col.kind == "real"
+                         else CategoricalLeaf(feature, (1.0 / k,) * k))
+    root = int(rng.integers(-1 if rng.random() < 0.05 else 0, n_nodes + 1))
+    return SpnModel(nodes, root, schema)
+
+
+class TestArenaWalk:
+    """`validate`'s scopes and reachability, and the nodes each circuit
+    compiles, against walks written out separately."""
+
+    def test_validate_equals_reference_on_random_arenas(self):
+        rng = np.random.default_rng(24)
+        seen = set()
+        for _ in range(20_000):
+            m = random_arena(rng)
+            issues = validate(m)
+            assert issues == reference_validate(m), (m.root, m.nodes, m.schema)
+            seen.update(re.sub(r"[-\d.]+", "#", v) for v in issues)
+        # the arenas reach each rule that reads the walk or the scopes
+        for issue in ("node # unreachable from root", "root scope does not cover all features",
+                      "node #: child # not before parent (cycle risk)",
+                      "node #: child id # out of range", "node #: unknown node type object",
+                      "node #: unknown node type _OtherProduct",
+                      "node #: completeness violated, children scopes differ",
+                      "node #: decomposability violated, overlapping child scopes",
+                      "node #: feature # out of range"):
+            assert issue in seen, issue
+        assert validate(SpnModel([], 0, REAL2)) == reference_validate(SpnModel([], 0, REAL2))
+
+    def test_each_sub_circuit_compiles_the_nodes_under_its_top(self, root_shapes):
+        for m, _, _ in root_shapes.values():
+            root = m.nodes[m.root]
+            tops = [m.root] + list(root.children if isinstance(root, ProductNode) else ())
+            for top in tops:
+                under, stack = {top}, [top]
+                while stack:
+                    for c in getattr(m.nodes[stack.pop()], "children", ()):
+                        if c not in under:
+                            under.add(c)
+                            stack.append(c)
+                under = sorted(under)
+                nodes = [m.nodes[i] for i in under]
+                circuit = model_module._Circuit(m, top)
+                assert circuit.n_rows == len(under) + 1
+                gauss = [n for n in nodes if isinstance(n, GaussianLeaf)]
+                cats = [n for n in nodes if isinstance(n, CategoricalLeaf)]
+                assert circuit.gauss_feature.tolist() == [g.feature for g in gauss]
+                assert circuit.mu[:, 0].tolist() == [g.mu for g in gauss]
+                assert circuit.sigma[:, 0].tolist() == [g.sigma for g in gauss]
+                assert circuit.cat_feature.tolist() == [c.feature for c in cats]
+                assert (sum(idx.shape[1] for _, idx, _ in circuit.groups)
+                        == len(nodes) - len(gauss) - len(cats))
+
+
 class TestLogDensity:
     def test_standard_normal_at_mean(self):
         lp = eval_log_density(std_normal_leaf(), [0.0])
