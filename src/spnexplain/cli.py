@@ -39,7 +39,10 @@ def _config(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept: parsing leaves it
+    unchanged. `build_parser.__wrapped__()` builds a fresh one."""
     top = argparse.ArgumentParser(prog="spnexplain")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -236,14 +239,8 @@ COMMANDS = {"gen": cmd_gen, "train": cmd_train, "score": cmd_score,
             "explain": cmd_explain, "eval": cmd_eval, "bench": cmd_bench}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser()`, built on first use and kept: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -1,17 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""The package's exceptions for bad input.
 
 The CLI maps these onto process exit codes: DataError -> 3,
 ModelFormatError -> 4; a ValueError (a usage error) exits 2.
 """
 
 
-class SpnExplainError(Exception):
-    pass
-
-
-class DataError(SpnExplainError):
+class DataError(Exception):
     """Malformed or inconsistent input data (CSV, schema, labels)."""
 
 
-class ModelFormatError(SpnExplainError):
+class ModelFormatError(Exception):
     """Malformed, invalid, or structurally unsound model document."""

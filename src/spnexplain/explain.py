@@ -148,10 +148,16 @@ class ScoreStats:
 def subspace_score_stats(reference: TableMarginals, subspace: Subspace,
                          counter: EvalCounter | None = None) -> ScoreStats:
     """Mean/std of negative log marginal densities of all rows of the
-    reference table in one subspace."""
+    reference table in one subspace. An entry of `subspace` that is not an
+    integer feature index (a bool is not), is out of range or is repeated
+    raises ValueError."""
     n = reference.model.n_features
+    if not all(is_a(d, INTEGER) for d in subspace):
+        raise ValueError(f"subspace {subspace} holds an entry that is not an integer")
     if not all(0 <= d < n for d in subspace):
         raise ValueError(f"subspace {subspace} outside schema of {n} features")
+    if len(set(subspace)) < len(subspace):
+        raise ValueError(f"subspace {subspace} repeats a feature")
     keep = np.zeros(n, dtype=bool)
     keep[list(subspace)] = True
     scores = -reference.log_marginal(keep, counter)

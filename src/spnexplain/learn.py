@@ -301,6 +301,6 @@ def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
         return add(SumNode(tuple(ids), weights))
 
     root = build(np.arange(X.shape[0]), list(range(X.shape[1])), 0, ())
-    model = SpnModel(nodes, root, list(schema))
+    model = SpnModel(nodes, root, schema)
     _compile(model)  # a learned model always validates
     return model

@@ -36,12 +36,19 @@ def detect(model: SpnModel, dataset: Dataset,
     The threshold is the score at the (1 - contamination) quantile rounded
     up to an order statistic, so it is one of the scores, +inf included;
     rows scoring at or above it are flagged (so ties, including the
-    all-identical degenerate case, flag every tied row). The rows keep the
-    row rule (`check_rows`), so no cell is marginalized and every score is
-    a joint density; a row that breaks it raises ValueError.
+    all-identical degenerate case, flag every tied row). The dataset is
+    encoded under the model's schema, and its rows keep the row rule
+    (`check_rows`), so no cell is marginalized and every score is a joint
+    density; a column whose name, kind or categories differ from the
+    model's, or a row that breaks the rule, raises ValueError.
     """
     if not (is_a(contamination, NUMBER) and 0.0 < contamination < 1.0):
         raise ValueError(f"contamination must be in (0,1), got {contamination}")
+    # one quick tuple compare when the columns are the model's own objects
+    if tuple(dataset.schema) != model.schema:
+        for j, (ours, theirs) in enumerate(zip(model.schema, dataset.schema)):
+            if ours != theirs:
+                raise ValueError(f"dataset column {j} is {theirs}, not the model's {ours}")
     check_rows(dataset.values, dataset.schema)
     scores = -eval_log_density(model, dataset.values)
     threshold = np.quantile(scores, 1.0 - contamination, method="higher")

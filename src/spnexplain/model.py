@@ -106,22 +106,29 @@ class EvalCounter:
         self.node_evals += node_evals
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpnModel:
-    nodes: list[Node]
+    """A node arena, its root id and the schema of its columns. Frozen, with
+    `nodes` and `schema` stored as tuples, so the circuit compiled from it
+    stays its own."""
+
+    nodes: tuple[Node, ...]
     root: int
-    schema: list[Column]
-    # set by `_compile` when the model is learned, loaded or first evaluated;
-    # nothing changes `nodes` or `root` after construction
+    schema: tuple[Column, ...]
+    # set by `_compile` when the model is learned, loaded or first evaluated
     _circuit: _Circuit | None = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "schema", tuple(self.schema))
 
     @property
     def n_features(self) -> int:
         return len(self.schema)
 
 
-def _under(nodes: list[Node], top: int) -> list[int]:
+def _under(nodes: tuple[Node, ...], top: int) -> list[int]:
     """`top` and every node reached from it through the child ids of sum
     and product nodes that lie inside the arena, ascending. The walk keeps
     a visited set, so a cycle or a child id at or after its parent ends it
@@ -259,7 +266,8 @@ class _Circuit:
     (`masked_log_density`) sets the leaves that a query's mask marginalizes
     to log 1 = 0 and runs the groups. The explain phase computes the leaf
     values of a searched row, or of a z-score table, once and then only
-    masks them; a NaN query (`log_density`) runs both halves at once.
+    masks them. `eval_log_density` turns a NaN query into values and a mask
+    and then runs both halves.
     """
 
     def __init__(self, model: SpnModel, top: int | None = None):
@@ -352,13 +360,6 @@ class _Circuit:
                                          else _logsumexp(stack + log_w))
         return vals[self.root]
 
-    def log_density(self, q: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-        """The root's log-density for each row of a checked (batch, n) query
-        matrix, NaN marking a marginalized cell: both halves of one pass."""
-        observed = ~np.isnan(q)
-        return self.masked_log_density(
-            self.leaf_log_density(np.where(observed, q, 0.0)), observed, counter)
-
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
     """stack[0] + stack[1] + ... in slot order, never pairwise, so that a
@@ -401,7 +402,7 @@ def _compile(model: SpnModel) -> _Circuit:
         issues = validate(model)
         if issues:
             raise ValueError("invalid model: " + "; ".join(issues))
-        model._circuit = _Circuit(model)
+        object.__setattr__(model, "_circuit", _Circuit(model))
     return model._circuit
 
 
@@ -431,10 +432,12 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
         q = q[None, :]
     circuit = _compile(model)
     _check_width(q, model.n_features)
-    if np.isnan(q).all(axis=1).any():
+    observed = ~np.isnan(q)
+    if not observed.any(axis=1).all():
         raise ValueError("query marginalizes every feature")
     check_codes(q, model.schema)
-    out = circuit.log_density(q, counter)
+    out = circuit.masked_log_density(
+        circuit.leaf_log_density(np.where(observed, q, 0.0)), observed, counter)
     return out[0] if squeeze else out
 
 
@@ -473,16 +476,17 @@ class TableMarginals:
     root that is not a product is its own one child) is compiled into its
     own sub-circuit, and keeps its leaf values over the rows of X, computed
     on construction, and a memo from the features of S in its scope to its
-    values over the rows of X. A new entry masks the leaf values and runs
-    the sub-circuit's internal half over X (sub-circuit size × rows node
-    evaluations), and holds a copy of one row of that pass, len(X) floats.
-    `log_marginal` adds the children's entries in the root's slot order with the circuit's own
-    adds, so the result equals `log_marginal(model, X, keep)` bit for bit.
-    The full-evidence entries are filled on construction. The table keeps
-    the row rule of `check_rows`, so no cell is marginalized but by the
-    mask; a table that breaks it, or has no rows, raises ValueError. A sum
-    root is one child, so there each new subspace costs a full pass, and a
-    wide child repeats its subsets rarely.
+    values over the rows of X. An entry is filled when a query first needs
+    it: it masks the leaf values and runs the sub-circuit's internal half
+    over X (sub-circuit size × rows node evaluations), and holds a copy of
+    one row of that pass, len(X) floats.
+    `log_marginal` adds the children's entries in the root's slot order
+    with the circuit's own adds, so the result equals `log_marginal(model,
+    X, keep)` bit for bit. The table keeps the row rule of `check_rows`,
+    so no cell is marginalized but by the mask; a table that breaks it, or
+    has no rows, raises ValueError. A sum root is one child, so there each
+    new subspace costs a full pass, and a wide child repeats its subsets
+    rarely.
     """
 
     def __init__(self, model: SpnModel, X):
@@ -500,7 +504,6 @@ class TableMarginals:
             circuit = _Circuit(model, top)
             self._children.append((circuit, np.unique(circuit.leaf_feature),
                                    circuit.leaf_log_density(X), {}))
-        self.log_marginal(np.ones(model.n_features, dtype=bool))
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
         """log p(x_S) for each row of the table, S the features that the

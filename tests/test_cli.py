@@ -83,16 +83,8 @@ class TestPipeline:
         assert main(argv + ["--out", str(out)]) == 0
         assert printed and printed == out.read_bytes()
 
-    def test_parser_is_built_once_and_parses_each_call_afresh(self, workspace, tmp_path,
-                                                               monkeypatch):
-        builds, build = [], cli.build_parser
-
-        def counted():
-            builds.append(1)
-            return build()
-
-        monkeypatch.setattr(cli, "build_parser", counted)
-        cli._parser.cache_clear()
+    def test_parser_is_built_once_and_parses_each_call_afresh(self, workspace, tmp_path):
+        cli.build_parser.cache_clear()
         model = ["--model", workspace["model"], "--data", workspace["data"]]
         paths = [str(tmp_path / name) for name in ("a.tsv", "a.jsonl", "b.tsv", "b.jsonl")]
         assert main(["score", *model, "--contamination", "0.1", "--out", paths[0]]) == 0
@@ -100,7 +92,7 @@ class TestPipeline:
                      "--max-depth", "2", "--out", paths[1]]) == 0
         assert main(["score", *model, "--out", paths[2]]) == 0
         assert main(["explain", *model, "--rows", "0", "--out", paths[3]]) == 0
-        assert len(builds) == 1
+        assert cli.build_parser.cache_info().misses == 1
         # a flag given to one call is not a default of the next
         assert open(paths[0]).readline() == "row\tscore\tflagged\n"
         assert open(paths[2]).readline() == "row\tscore\n"

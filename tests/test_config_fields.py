@@ -109,7 +109,7 @@ def test_flags_default_to_their_config_fields(monkeypatch):
             if f.default is not dataclasses.MISSING:
                 sentinels[cls, f.name] = object()
                 monkeypatch.setattr(cls, f.name, sentinels[cls, f.name])
-    top = build_parser()
+    top = build_parser.__wrapped__()
     commands = next(a for a in top._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert set(commands) == set(COMMAND_CONFIGS)

@@ -22,7 +22,7 @@ from spnexplain.errors import DataError
 
 def write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 

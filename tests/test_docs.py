@@ -10,7 +10,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_example_runs(capsys):
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("\n## Library\n"):]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, f"{README}:Library", "exec"), {})
@@ -20,7 +20,7 @@ def test_library_example_runs(capsys):
 def test_cli_block_runs(tmp_path, monkeypatch):
     # every command of the CLI block, in order, in one directory: a flag
     # that the docs name but the CLI no longer has fails here
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("\n## CLI\n"):]
     block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
     commands = [line for line in block.replace("\\\n", " ").splitlines()

@@ -273,6 +273,24 @@ class TestZscoreSelect:
             with pytest.raises(ValueError, match="another model"):
                 explain(m, X[0], config, TableMarginals(other, X))
 
+    @pytest.mark.parametrize("subspace", [(1.5,), (True,), (0, False), ("0",), (None,)])
+    def test_subspace_entry_that_is_not_an_integer_rejected(self, rng, subspace):
+        # a float or a bool used to index numpy's mask, or fail deep in it
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        table = TableMarginals(m, rng.normal(size=(10, 2)))
+        with pytest.raises(ValueError, match="holds an entry that is not an integer"):
+            subspace_score_stats(table, subspace)
+
+    def test_subspace_repeating_a_feature_rejected(self, rng):
+        # (0, 0) used to be scored silently as (0,)
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        table = TableMarginals(m, rng.normal(size=(10, 2)))
+        for subspace in ((0, 0), (1, 0, 1), (np.int64(1), 1)):
+            with pytest.raises(ValueError, match=re.escape(f"subspace {subspace} repeats")):
+                subspace_score_stats(table, subspace)
+        assert subspace_score_stats(table, (np.int64(1), 0)) == \
+            subspace_score_stats(table, (0, 1))
+
     def test_picks_highest_z(self, rng):
         m = factorized_model([(0.0, 1.0), (0.0, 1.0)])
         X = rng.normal(size=(500, 2))
@@ -598,7 +616,6 @@ class TestExplainRows:
             leaf_rows.append(len(values))
             return leaf_log_density(circuit, values)
 
-        monkeypatch.setattr(model_module._Circuit, "log_density", nan_query)
         monkeypatch.setattr(model_module, "eval_log_density", nan_query)
         monkeypatch.setattr(model_module._Circuit, "leaf_log_density", counting)
         assert explain_rows(m, X, rows, config) == want

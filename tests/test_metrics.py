@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import spnexplain.metrics as metrics
-from spnexplain.data import Column, Dataset
+from spnexplain.data import Column, Dataset, load_csv, save_csv
 from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import ExplainConfig
 from spnexplain.learn import LearnConfig, learn_spn
 from spnexplain.metrics import detect, f1_dims, run_benchmark, write_summary
-from spnexplain.model import GaussianLeaf, ProductNode, SpnModel
+from spnexplain.model import GaussianLeaf, ProductNode, SpnModel, eval_log_density
 
 
 class TestF1Dims:
@@ -98,6 +98,31 @@ class TestDetect:
             want = f"row 73 value {shown} of feature 1 (column 'f1') is not finite"
             with pytest.raises(ValueError, match=re.escape(want)):
                 detect(model, Dataset(model.schema, X), 0.03)
+
+    def test_table_encoded_under_another_schema_is_named(self, tmp_path):
+        # read without the model's schema, a CSV whose first row is "z"
+        # codes column c as ("z", "a", "b"): scored as it stands, every
+        # code would name another category
+        rng = np.random.default_rng(0)
+        schema = [Column("x", "real"), Column("c", "categorical", ("a", "b", "z"))]
+        codes = rng.integers(0, 3, 400)
+        X = np.column_stack([rng.normal(codes * 3.0, 1.0), codes])
+        model = learn_spn(Dataset(schema, X), LearnConfig(seed=0))
+        rows = [int(np.flatnonzero(codes == k)[i]) for k, i in ((2, 0), (0, 0), (1, 0),
+                                                                (1, 1), (2, 1))]
+        path = str(tmp_path / "five.csv")
+        save_csv(Dataset(schema, X[rows]), path)
+        inferred = load_csv(path)
+        assert inferred.schema[1].categories == ("z", "a", "b")
+        want = (f"dataset column 1 is {inferred.schema[1]}, "
+                f"not the model's {model.schema[1]}")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            detect(model, inferred, 0.2)
+        _, scores = detect(model, load_csv(path, model.schema), 0.2)
+        assert np.array_equal(scores, -eval_log_density(model, X[rows]))
+        renamed = Dataset([Column("y", "real"), schema[1]], X[rows])
+        with pytest.raises(ValueError, match="dataset column 0 is Column.name='y'"):
+            detect(model, renamed, 0.2)
 
     def test_recovers_planted_outliers(self):
         labeled = generate(GenConfig(n_features=10, seed=1))

@@ -610,7 +610,7 @@ class TestTableMarginals:
         X = random_table(rng, m, 40)
         children = root_children(m)
         table = TableMarginals(m, X)
-        filled = {(top, (True,) * len(features)) for top, _, features in children}
+        filled = set()
         full = np.ones(n, dtype=bool)
         masks = rng.random((20, n)) < rng.uniform(0.2, 0.8, (20, 1))
         masks[:, 0] = True
@@ -623,7 +623,18 @@ class TestTableMarginals:
             counter = EvalCounter()
             table.log_marginal(keep, counter)
             assert (counter.queries, counter.node_evals) == (len(X), want)
-        assert want == 0  # the full mask was filled on construction
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children"])
+    def test_construction_evaluates_no_node(self, root_shapes, shape):
+        # every entry, the full mask's included, is filled by the first
+        # query that needs it, and counted there
+        m, X, _ = root_shapes[shape]
+        table = TableMarginals(m, X)
+        counter = EvalCounter()
+        got = table.log_marginal(np.ones(m.n_features, dtype=bool), counter)
+        sizes = sum(len(under) for _, under, _ in root_children(m))
+        assert (counter.queries, counter.node_evals) == (len(X), sizes * len(X))
+        assert np.array_equal(got, eval_log_density(m, X))
 
     def test_entries_keep_only_their_own_rows(self, planted20, rng):
         # an entry is a copy of one row of its pass; a view of the row would
@@ -642,8 +653,7 @@ class TestTableMarginals:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        asked = np.vstack([masks, np.ones((1, m.n_features), dtype=bool)])
-        entries = len({(top, tuple(keep[features])) for keep in asked
+        entries = len({(top, tuple(keep[features])) for keep in masks
                        for top, _, features in root_children(m)})
         assert kept <= 2 * entries * len(X) * 8
 
@@ -682,6 +692,7 @@ class TestTableMarginals:
         X = random_table(rng, m, 50)
         table = TableMarginals(m, X)
         full = np.ones(n, dtype=bool)
+        table.log_marginal(full)
         for keep in rng.random((10, n)) < 0.5:
             if not keep.any():
                 continue
@@ -794,6 +805,22 @@ class TestValidityGate:
         circuit = m._circuit
         eval_log_density(m, np.ones((4, 3)))
         assert m._circuit is circuit
+
+    def test_model_cannot_change_after_its_circuit_is_compiled(self):
+        # a changed node would otherwise be scored by the circuit compiled
+        # before the change: -0.9189 for N(0; 0, 1), not N(0; 5, 1)
+        m = SpnModel([GaussianLeaf(0, 0.0, 1.0)], 0, REAL2[:1])
+        want = eval_log_density(m, [[0.0]])
+        assert isinstance(m.nodes, tuple) and isinstance(m.schema, tuple)
+        with pytest.raises(TypeError):
+            m.nodes[0] = GaussianLeaf(0, 5.0, 1.0)
+        for name, value in (("nodes", [GaussianLeaf(0, 5.0, 1.0)]), ("root", 1),
+                            ("schema", [Column("y", "real")])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, value)
+        assert np.array_equal(eval_log_density(m, [[0.0]]), want)
+        assert (m.nodes, m.root, m.schema) == ((GaussianLeaf(0, 0.0, 1.0),), 0,
+                                               (Column("a", "real"),))
 
     def test_loaded_or_learned_model_is_validated_once(self, rng, tmp_path, monkeypatch):
         calls = []
