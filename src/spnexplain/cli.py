@@ -18,19 +18,22 @@ from .learn import LearnConfig, learn_spn
 from .model import eval_log_density, load_model, save_model
 
 
-def _add_learn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=LearnConfig.alpha)
-    p.add_argument("--min-slice-rows", type=int, default=LearnConfig.min_slice_rows)
+_FLAG_TYPES = {"int": int, "float": float, "str": None}  # of a field's annotation
 
 
-def _add_explain_flags(p: argparse.ArgumentParser) -> None:
-    cfg = ExplainConfig
-    p.add_argument("--strategy", choices=("forward", "backward"), default=cfg.strategy)
-    p.add_argument("--selection", choices=("elbow", "zscore"), default=cfg.selection)
-    p.add_argument("--beam-width", type=int, default=cfg.beam_width)
-    p.add_argument("--max-depth", type=int, default=cfg.max_depth,
-                   help="forward search depth S (default: number of features)")
-    p.add_argument("--kappa", type=float, default=cfg.kappa)
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag for each field of the config dataclass `cls`, derived from
+    the field's declaration: field `a_b` is `--a-b`, of its annotation's
+    type, with a `str` field's rule as its choices and the "help" metadata
+    as its help. A field without a default, and every `seed`, is required;
+    any other flag defaults to the class's default when the parser is built."""
+    for f in dataclasses.fields(cls):
+        kind = f.type.partition(" | ")[0]
+        required = f.default is dataclasses.MISSING or f.name == "seed"
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES[kind],
+                            choices=f.metadata.get("rule") if kind == "str" else None,
+                            default=None if required else getattr(cls, f.name),
+                            required=required, help=f.metadata.get("help"))
 
 
 def _config(cls, args):
@@ -47,16 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted-subspace synthetic dataset")
-    gen = datagen.GenConfig
-    p.add_argument("--n-features", type=int, required=True)
-    p.add_argument("--n-samples", type=int, default=gen.n_samples)
-    p.add_argument("--n-outliers", type=int, default=gen.n_outliers)
-    p.add_argument("--subspace-min", type=int, default=gen.subspace_min)
-    p.add_argument("--subspace-max", type=int, default=gen.subspace_max)
-    p.add_argument("--clusters-per-subspace", type=int,
-                   default=gen.clusters_per_subspace)
-    p.add_argument("--noise-sigma", type=float, default=gen.noise_sigma)
-    p.add_argument("--seed", type=int, required=True)
+    _add_config_flags(p, datagen.GenConfig)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--labels", required=True, help="output ground-truth JSON sidecar")
 
@@ -64,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", default=None)
     p.add_argument("--model", required=True, help="output model JSON path")
-    _add_learn_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    _add_config_flags(p, LearnConfig)
 
     p = sub.add_parser("score", help="score rows by full-joint outlier score")
     p.add_argument("--model", required=True)
@@ -79,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--rows", required=True,
                    help="comma-separated row indices to explain")
-    _add_explain_flags(p)
+    _add_config_flags(p, ExplainConfig)
     p.add_argument("--out", default=None, help="output JSON-lines (default stdout)")
 
     p = sub.add_parser("eval", help="score explanations against ground-truth labels")
@@ -92,9 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled CSV, e.g. from 'gen'")
     p.add_argument("--schema", default=None)
     p.add_argument("--labels", required=True)
-    _add_learn_flags(p)
-    _add_explain_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    _add_config_flags(p, LearnConfig)
+    _add_config_flags(p, ExplainConfig)
     p.add_argument("--explanations", default=None, help="output JSON-lines path")
     p.add_argument("--summary", default=None, help="output summary TSV path")
     return top

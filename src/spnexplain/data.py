@@ -1,5 +1,5 @@
 """Column-typed datasets, CSV/schema I/O, input-file readers, the number
-rule and the row rule.
+rules, the config check and the row rule.
 
 A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Every table
@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -121,14 +122,51 @@ def is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def check_fields(config, kind, *names: str) -> None:
-    """Raise ValueError naming the first of the fields `names` of `config`
-    that is not a `kind` (INTEGER or NUMBER) under `is_a`."""
-    for name in names:
-        value = getattr(config, name)
-        if not is_a(value, kind):
-            what = "an integer" if kind is INTEGER else "a number"
+def _float(v) -> float:
+    """v as a float; an int too large for one reads as +-inf, as json reads
+    1e400."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+# The number rules of config and model-file fields: each is a test on a
+# number read through `_float`, and what a number that fails it is. A config
+# error reads the field's name and the text, "{value}" in it the number; a
+# model-file issue puts the number between them.
+UNIT = (lambda x: 0.0 < x <= 1.0, "outside (0,1]")
+OPEN_UNIT = (lambda x: 0.0 < x < 1.0, "must be in (0,1), got {value}")
+FINITE = (math.isfinite, "not finite")
+POSITIVE = (lambda x: x > 0.0, "must be positive")
+POSITIVE_FINITE = (lambda x: 0.0 < x < math.inf, "must be positive and finite")
+
+
+def check_config(config) -> None:
+    """Check each field of the config dataclass `config` against its
+    declaration; ValueError names the first field that fails. The
+    annotation (a string, under `from __future__ import annotations`) gives
+    the kind: `int` is an INTEGER and `float` a NUMBER under `is_a`, and
+    `| None` admits None too. The field's "rule" metadata gives the values:
+    the least value of a count, the choices of a `str` (checked against
+    them alone), or a number rule of this module."""
+    for f in fields(config):
+        name, value, rule = f.name, getattr(config, f.name), f.metadata.get("rule")
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        if kind == "str":
+            if value not in rule:
+                raise ValueError(f"unknown {name} {value!r}")
+        elif not is_a(value, INTEGER if kind == "int" else NUMBER):
+            what = "an integer" if kind == "int" else "a number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
+        elif rule is None:
+            continue
+        elif kind == "int" and value < rule:
+            raise ValueError(f"{name} must be >= {rule}")
+        elif kind == "float" and not rule[0](_float(value)):
+            raise ValueError(f"{name} " + rule[1].format(value=value))
 
 
 def fold_seed(seed) -> int:

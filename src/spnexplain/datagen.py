@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (INTEGER, NUMBER, Column, Dataset, check_fields, fold_seed, read_json,
-                   require)
+from .data import (INTEGER, POSITIVE_FINITE, Column, Dataset, check_config, fold_seed,
+                   read_json, require)
 from .errors import DataError
 
 JOINT_PERCENTILE = 1.0
@@ -29,21 +29,17 @@ REJECTION_BATCH = 1024
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_features: int
+    n_features: int = field(metadata={"rule": 2})
     n_samples: int = 1000
     n_outliers: int = 30
     subspace_min: int = 2
     subspace_max: int = 5
-    clusters_per_subspace: int = 2
-    noise_sigma: float = 0.05
+    clusters_per_subspace: int = field(default=2, metadata={"rule": 1})
+    noise_sigma: float = field(default=0.05, metadata={"rule": POSITIVE_FINITE})
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, INTEGER, "n_features", "n_samples", "n_outliers", "subspace_min",
-                     "subspace_max", "clusters_per_subspace", "seed")
-        check_fields(self, NUMBER, "noise_sigma")
-        if self.n_features < 2:
-            raise ValueError("n_features must be >= 2")
+        check_config(self)
         if not (0 < self.n_outliers < self.n_samples):
             raise ValueError("need 0 < n_outliers < n_samples")
         if self.subspace_min < 2 or self.subspace_min > self.subspace_max:
@@ -51,10 +47,6 @@ class GenConfig:
         if self.subspace_min > self.n_features:
             raise ValueError(
                 f"subspace size {self.subspace_min} exceeds {self.n_features} features")
-        if self.clusters_per_subspace < 1:
-            raise ValueError("clusters_per_subspace must be >= 1")
-        if not (0.0 < self.noise_sigma < math.inf):
-            raise ValueError("noise_sigma must be positive and finite")
 
 
 @dataclass

@@ -11,11 +11,11 @@ dropped index for backward search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import INTEGER, NUMBER, check_fields, check_rows, is_a
+from .data import INTEGER, POSITIVE, check_config, check_rows, is_a
 from .model import EvalCounter, SpnModel, TableMarginals, _compile
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
@@ -23,27 +23,16 @@ Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
 @dataclass(frozen=True)
 class ExplainConfig:
-    beam_width: int = 10
-    max_depth: int | None = None  # forward search depth S; None = n_features
-    kappa: float = math.e         # elbow drop threshold, nats
-    strategy: str = "backward"    # "forward" | "backward"
-    selection: str = "elbow"      # "elbow" | "zscore"
+    """The search's settings; `kappa` is the elbow's drop threshold in nats."""
 
-    def __post_init__(self):
-        check_fields(self, INTEGER, "beam_width")
-        if self.max_depth is not None:
-            check_fields(self, INTEGER, "max_depth")
-        check_fields(self, NUMBER, "kappa")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not (self.kappa > 0.0):
-            raise ValueError("kappa must be positive")
-        if self.strategy not in ("forward", "backward"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.selection not in ("elbow", "zscore"):
-            raise ValueError(f"unknown selection {self.selection!r}")
+    beam_width: int = field(default=10, metadata={"rule": 1})
+    max_depth: int | None = field(default=None, metadata={
+        "rule": 1, "help": "forward search depth S (default: number of features)"})
+    kappa: float = field(default=math.e, metadata={"rule": POSITIVE})
+    strategy: str = field(default="backward", metadata={"rule": ("forward", "backward")})
+    selection: str = field(default="elbow", metadata={"rule": ("elbow", "zscore")})
+
+    __post_init__ = check_config
 
 
 @dataclass(frozen=True, slots=True)

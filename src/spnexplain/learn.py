@@ -16,11 +16,11 @@ reach it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import INTEGER, NUMBER, Column, Dataset, check_fields, check_rows, fold_seed
+from .data import OPEN_UNIT, Column, Dataset, check_config, check_rows, fold_seed
 from .errors import DataError
 from .model import (CategoricalLeaf, GaussianLeaf, Node, ProductNode, SpnModel,
                     SumNode, _compile, _logsumexp)
@@ -37,17 +37,15 @@ GMM_TOL = 1e-4           # EM stops when the mean log-likelihood moves less
 
 @dataclass(frozen=True)
 class LearnConfig:
-    alpha: float = 0.6            # RDC dependence threshold
-    min_slice_rows: int = 200     # below this, factorize naively
+    """LearnSPN's settings: `alpha` is the RDC dependence threshold, and a
+    slice of fewer than `min_slice_rows` rows (the RDC needs 3) is
+    factorized naively."""
+
+    alpha: float = field(default=0.6, metadata={"rule": OPEN_UNIT})
+    min_slice_rows: int = field(default=200, metadata={"rule": 3})
     seed: int = 0
 
-    def __post_init__(self):
-        check_fields(self, INTEGER, "min_slice_rows", "seed")
-        check_fields(self, NUMBER, "alpha")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.min_slice_rows < 3:  # the RDC needs 3 rows
-            raise ValueError("min_slice_rows must be >= 3")
+    __post_init__ = check_config
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

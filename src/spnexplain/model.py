@@ -17,8 +17,9 @@ from typing import Union
 
 import numpy as np
 
-from .data import (INTEGER, NUMBER, Column, check_codes, check_rows, columns_from_json,
-                   columns_to_json, is_a, read_json, require)
+from .data import (FINITE, INTEGER, NUMBER, POSITIVE_FINITE, UNIT, Column, _float,
+                   check_codes, check_rows, columns_from_json, columns_to_json, is_a,
+                   read_json, require)
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -53,34 +54,19 @@ class CategoricalLeaf:
 Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
 
-def _float(v) -> float:
-    """v as a float; an int too large for one reads as +-inf, as json reads
-    1e400."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-# The values a number field admits: a test on the value as a float, and what
-# a value that fails it is.
-_UNIT = (lambda x: 0.0 < x <= 1.0, "outside (0,1]")
-_POSITIVE = (lambda x: 0.0 < x < math.inf, "must be positive and finite")
-_FINITE = (math.isfinite, "not finite")
-
 # Each node type's name in a model file and its fields in dataclass order,
 # as (field, kind, the name of one item or None for a field that is not a
-# sequence, the values a number admits or None). The model file's writer
+# sequence, a number rule of `data.py` or None). The model file's writer
 # and reader and the field rule read it.
 _NODE_FIELDS = {
     SumNode: ("sum", (("children", INTEGER, "child id", None),
-                      ("weights", NUMBER, "weight", _UNIT))),
+                      ("weights", NUMBER, "weight", UNIT))),
     ProductNode: ("product", (("children", INTEGER, "child id", None),)),
     GaussianLeaf: ("gaussian", (("feature", INTEGER, None, None),
-                                ("mu", NUMBER, None, _FINITE),
-                                ("sigma", NUMBER, None, _POSITIVE))),
+                                ("mu", NUMBER, None, FINITE),
+                                ("sigma", NUMBER, None, POSITIVE_FINITE))),
     CategoricalLeaf: ("categorical", (("feature", INTEGER, None, None),
-                                      ("probs", NUMBER, "probability", _UNIT))),
+                                      ("probs", NUMBER, "probability", UNIT))),
 }
 _NODE_TYPES = {name: cls for cls, (name, _) in _NODE_FIELDS.items()}
 _NORMALIZED = ("weights", "probs")  # the fields that sum to 1

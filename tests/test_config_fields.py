@@ -1,6 +1,7 @@
-"""Every field of the three configs under the one number rule of `data.py`:
-counts and seeds are Python or numpy integers, never bools; thresholds
-are numbers; anything else raises ValueError naming the field."""
+"""Every field of the three configs under `data.check_config`: counts and
+seeds are Python or numpy integers, never bools; thresholds are numbers;
+anything else raises ValueError naming the field. Each CLI flag of a
+config field follows the field's declaration."""
 
 import argparse
 import dataclasses
@@ -19,6 +20,8 @@ CONFIGS = {LearnConfig: {}, ExplainConfig: {}, GenConfig: {"n_features": 5}}
 COMMAND_CONFIGS = {"gen": (GenConfig,), "train": (LearnConfig,),
                    "explain": (ExplainConfig,), "bench": (LearnConfig, ExplainConfig),
                    "score": (), "eval": ()}
+# the argparse type of a field's annotation
+FLAG_TYPES = {"int": int, "int | None": int, "float": float, "str": None}
 
 
 def _fields(kind):
@@ -79,6 +82,13 @@ def test_range_messages_unchanged():
         GenConfig(n_features=1)
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+def test_number_too_large_for_a_float_rejected(value):
+    # 10**400 < math.inf holds for a Python int; the rule reads it as a float
+    with pytest.raises(ValueError, match="^noise_sigma must be positive and finite$"):
+        GenConfig(n_features=5, n_samples=50, n_outliers=2, noise_sigma=value)
+
+
 @pytest.mark.parametrize("cls,name,value,message", [
     (GenConfig, "clusters_per_subspace", 0, "clusters_per_subspace must be >= 1"),
     (ExplainConfig, "max_depth", 0, "max_depth must be >= 1"),
@@ -98,6 +108,32 @@ def test_numpy_seed_gives_the_python_int_seed_outputs(seed):
     assert got.ground_truth == want.ground_truth
     assert (to_dict(learn_spn(want.dataset, LearnConfig(seed=seed)))
             == to_dict(learn_spn(want.dataset, LearnConfig(seed=5))))
+
+
+def test_every_string_field_has_its_choices():
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            if f.type == "str":
+                choices = f.metadata["rule"]
+                assert isinstance(choices, tuple) and choices, (cls, f.name)
+                assert all(isinstance(c, str) for c in choices), (cls, f.name)
+                assert getattr(cls, f.name) in choices, (cls, f.name)
+
+
+@pytest.mark.parametrize("command", [c for c in COMMAND_CONFIGS if COMMAND_CONFIGS[c]])
+def test_flags_follow_their_config_fields(command):
+    top = build_parser.__wrapped__()
+    parser = next(a for a in top._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = {a.dest: a for a in parser._actions}
+    for cls in COMMAND_CONFIGS[command]:
+        for f in dataclasses.fields(cls):
+            flag = flags[f.name]
+            assert flag.option_strings == ["--" + f.name.replace("_", "-")], f.name
+            assert flag.type is FLAG_TYPES[f.type], f.name
+            assert flag.choices == (f.metadata["rule"] if f.type == "str" else None), f.name
+            assert flag.required == (f.default is dataclasses.MISSING
+                                     or f.name == "seed"), f.name
 
 
 def test_flags_default_to_their_config_fields(monkeypatch):
