@@ -10,6 +10,7 @@ dropped index for backward search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,14 +43,55 @@ class SizeBest:
     log_density: float
 
 
-@dataclass(slots=True)
 class ExplanationTrace:
-    per_size: list[SizeBest]
-    selected: Subspace
-    selected_size: int
-    eval_count: int
-    strategy: str = "backward"
-    selection: str = "elbow"
+    """One row's explanation: the best subspace of each searched size, the
+    selected one, and the count of marginal queries asked. Each size's
+    subspace is kept as a mask packed with `np.packbits` and the
+    log-densities as one float array, so a trace holds O(n) bytes, not
+    O(n^2) in tuples. `per_size` rebuilds the list of `SizeBest` on every
+    access; each access gives a new list, equal to the one given when each
+    subspace is canonical and each size its length, as the searches make
+    them."""
+
+    __slots__ = ("_masks", "_log_densities", "selected", "selected_size", "eval_count",
+                 "strategy", "selection")
+
+    def __init__(self, per_size: list[SizeBest], selected: Subspace, selected_size: int,
+                 eval_count: int, strategy: str = "backward", selection: str = "elbow"):
+        sizes = [len(sb.subspace) for sb in per_size]
+        features = np.fromiter(itertools.chain.from_iterable(sb.subspace for sb in per_size),
+                               dtype=np.intp, count=sum(sizes))
+        masks = np.zeros((len(per_size), 1 + features.max(initial=0)), dtype=bool)
+        masks[np.repeat(np.arange(len(per_size)), sizes), features] = True
+        self._masks = np.packbits(masks, axis=1)
+        self._log_densities = np.array([sb.log_density for sb in per_size], dtype=float)
+        self.selected = selected
+        self.selected_size = selected_size
+        self.eval_count = eval_count
+        self.strategy = strategy
+        self.selection = selection
+
+    @property
+    def per_size(self) -> list[SizeBest]:
+        subspaces = (tuple(np.flatnonzero(mask).tolist())
+                     for mask in np.unpackbits(self._masks, axis=1))
+        return [SizeBest(len(sub), sub, lp)
+                for sub, lp in zip(subspaces, self._log_densities.tolist())]
+
+    def _fields(self) -> tuple:
+        return (self.per_size, self.selected, self.selected_size, self.eval_count,
+                self.strategy, self.selection)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("per_size", "selected", "selected_size", "eval_count", "strategy",
+                 "selection")
+        return "ExplanationTrace(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, self._fields())) + ")"
 
 
 def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
@@ -58,8 +100,11 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     not-yet-flipped feature of every hypothesis (adds it to the subspace
     when `grow`, else drops it from the full set), keeps the beam_width
     most outlying candidates and records the best; results in ascending
-    size. The leaf values of x are computed once, and each step's pass
-    masks them."""
+    size. The leaf values of x are computed once. On a root product whose
+    subset tables take one pass of fewer queries than the search asks
+    (n(n+1)/2 - 1 backward, at most steps × beam_width × n forward), that
+    pass fills them and each step reads them; otherwise each step's pass
+    masks the leaf values. Both give the same values bit for bit."""
     n = model.n_features
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
@@ -69,6 +114,10 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     check_rows(x, model.schema)
     circuit = _compile(model)
     leaves = circuit.leaf_log_density(x[None])
+    queries = steps * beam_width * n if grow else n * (n + 1) // 2 - 1
+    tables = None
+    if circuit.bits is not None and 2 ** circuit.width < queries:
+        tables = circuit.subset_tables(leaves, counter)
     eye = np.eye(n, dtype=bool)
     beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
     results: list[SizeBest] = []
@@ -84,7 +133,8 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             _, first = np.unique(keys, return_index=True)
             flipped = flipped[first]
         keep = flipped if grow else ~flipped
-        logps = circuit.masked_log_density(leaves, keep, counter)
+        logps = (circuit.masked_log_density(leaves, keep, counter) if tables is None
+                 else circuit.read_tables(tables, keep, counter))
         order = np.argsort(logps, kind="stable")  # ties stay lexicographic
         beam = flipped[order[:beam_width]]
         subspace = tuple(np.flatnonzero(keep[order[0]]).tolist())

@@ -82,7 +82,9 @@ class EvalCounter:
     and a leaf that the query's mask marginalizes counts as evaluated, though
     it only reads 0; leaf values that a search or a z-score table computes
     once and then masks count in each pass that masks them, not when they
-    are computed."""
+    are computed. A search's subset tables (`_Circuit.subset_tables`) count
+    2^W × (circuit nodes) node evaluations and no query when one pass fills
+    them, and one query and no node evaluation per mask read from them."""
 
     queries: int = 0
     node_evals: int = 0
@@ -253,7 +255,10 @@ class _Circuit:
     to log 1 = 0 and runs the groups. The explain phase computes the leaf
     values of a searched row, or of a z-score table, once and then only
     masks them. `eval_log_density` turns a NaN query into values and a mask
-    and then runs both halves.
+    and then runs both halves. On a root product, a search may instead fill
+    the row's `subset_tables` with one masked pass and `read_tables` for
+    each step: the root's value is the slot-ordered sum of its children's,
+    each read on the features of its own scope.
     """
 
     def __init__(self, model: SpnModel, top: int | None = None):
@@ -305,6 +310,22 @@ class _Circuit:
                 log_w = log_w[:, :, None]
             self.groups.append((int(row[ids[0]]), idx, log_w))
 
+        # a root product's subset tables (`subset_tables`): its children's
+        # value rows in slot order, a (features, children) matrix that gives
+        # each feature 2^(its rank in its child's scope) in its child's
+        # column, and the widest child's width W; a sum root has none
+        self.bits = None
+        if isinstance(nodes[top], ProductNode):
+            children = nodes[top].children
+            self.child_rows = row[list(children)]
+            self.child_slots = np.arange(len(children))[:, None]
+            self.bits = np.zeros((model.n_features, len(children)))
+            for c, child in enumerate(children):
+                scope = sorted({nodes[i].feature for i in _under(nodes, child)
+                                if isinstance(nodes[i], (GaussianLeaf, CategoricalLeaf))})
+                self.bits[scope, c] = 2.0 ** np.arange(len(scope))
+            self.width = int(np.count_nonzero(self.bits, axis=0).max())
+
     def leaf_log_density(self, X: np.ndarray) -> np.ndarray:
         """The leaf half of a pass: each leaf's log-density, one row per
         leaf, on each row of a (rows, n) matrix with no NaN cell and every
@@ -324,7 +345,8 @@ class _Circuit:
         return out
 
     def masked_log_density(self, leaves: np.ndarray, keep: np.ndarray,
-                           counter: EvalCounter | None = None) -> np.ndarray:
+                           counter: EvalCounter | None = None,
+                           rows: np.ndarray | None = None) -> np.ndarray:
         """The internal half of a pass: the root's log-density for a batch
         of queries, each one row of `leaf_log_density` under a boolean mask
         `keep` (batch, n) of the features it keeps. `leaves` (leaves, batch)
@@ -332,7 +354,7 @@ class _Circuit:
         one row (1, n) against the rows; a marginalized leaf reads log 1 =
         0. The counter gets one query and one evaluation of every node, a
         masked leaf included, per query. The result is a row of the pass's
-        value matrix."""
+        value matrix, or the value rows `rows` when given."""
         observed = keep.T[self.leaf_feature]
         batch = np.broadcast_shapes(observed.shape, leaves.shape)[1]
         if counter is not None:
@@ -344,7 +366,36 @@ class _Circuit:
             stack = vals[idx]
             vals[lo:lo + idx.shape[1]] = (_add_slots(stack) if log_w is None
                                          else _logsumexp(stack + log_w))
-        return vals[self.root]
+        return vals[self.root if rows is None else rows]
+
+    def subset_tables(self, leaves: np.ndarray,
+                      counter: EvalCounter | None = None) -> np.ndarray:
+        """Every root child's value on each subset of its scope, for one
+        row's leaf values (leaves, 1), on a root product: one masked pass
+        of 2^W queries, where query j keeps, in every child at once, the
+        features whose bit weight is set in j. That is valid because each
+        child reads only its own scope. Row c holds child c's table,
+        indexed by the sum of the bit weights of the features kept; a child
+        of k < W features never has entries at or above 2^k read. The
+        counter gets the pass's node evaluations and no query."""
+        weights = self.bits.sum(axis=1).astype(np.intp)
+        keep = (np.arange(2 ** self.width)[:, None] & weights) != 0
+        if counter is not None:
+            counter.add(0, (self.n_rows - 1) * len(keep))
+        return self.masked_log_density(leaves, keep, rows=self.child_rows)
+
+    def read_tables(self, tables: np.ndarray, keep: np.ndarray,
+                    counter: EvalCounter | None = None) -> np.ndarray:
+        """The root's log-density for a batch of masks `keep` (batch, n),
+        read from one row's `subset_tables`: each child's code is one matmul
+        of the masks with the bit weights, one gather reads the entries, and
+        the root group's own adds sum them in slot order, so the values
+        equal `masked_log_density`'s bit for bit. The counter gets one query
+        and no node evaluation per mask."""
+        codes = (keep @ self.bits).astype(np.intp)
+        if counter is not None:
+            counter.add(len(keep), 0)
+        return _add_slots(tables[self.child_slots, codes.T])
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:

@@ -204,6 +204,26 @@ def root_children(model: SpnModel) -> list[tuple[int, list[int], list[int]]]:
     return out
 
 
+def uneven_product() -> SpnModel:
+    """A root product over children of unequal widths, in slot order: a
+    sum over features (0, 2, 5), the last categorical; a bare leaf on
+    feature 3; a sum over features (1, 4). Neither the slot order nor a
+    feature's rank in its child's scope follows feature order."""
+    schema = ([Column(f"r{j}", "real") for j in range(5)]
+              + [Column("c", "categorical", ("a", "b", "c"))])
+    nodes = [GaussianLeaf(0, 0.1, 0.8), GaussianLeaf(2, -1.0, 1.5),
+             CategoricalLeaf(5, (0.2, 0.3, 0.5)), ProductNode((0, 1, 2)),
+             GaussianLeaf(0, 1.0, 0.4), GaussianLeaf(2, 0.5, 0.9),
+             CategoricalLeaf(5, (0.6, 0.3, 0.1)), ProductNode((4, 5, 6)),
+             SumNode((3, 7), (0.35, 0.65)),
+             GaussianLeaf(3, 2.0, 0.5),
+             GaussianLeaf(1, 0.0, 1.0), GaussianLeaf(4, 3.0, 2.0), ProductNode((10, 11)),
+             GaussianLeaf(1, -0.5, 0.3), GaussianLeaf(4, 1.0, 1.0), ProductNode((13, 14)),
+             SumNode((12, 15), (0.5, 0.5)),
+             ProductNode((8, 9, 16))]
+    return SpnModel(nodes, len(nodes) - 1, schema)
+
+
 def per_size_optimum(model: SpnModel, X) -> np.ndarray:
     """The exact minimum of log p(x_S) over all subspaces S of each size,
     for each row x of X, as a (rows, n + 1) matrix indexed by size. The

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import (greedy_backward_oracle, log_marginal_subspace, per_size_optimum,
                       random_gaussian_model, random_mixed_model, random_table,
-                      reference_explain, reference_forward_beam_search, root_children)
+                      reference_explain, reference_forward_beam_search, root_children,
+                      uneven_product)
 from spnexplain.data import Column
 from spnexplain.datagen import GenConfig, generate
-from spnexplain.explain import (ExplainConfig, SizeBest, backward_elimination,
-                                elbow_select, explain, explain_rows,
-                                forward_beam_search, subspace_score_stats,
-                                zscore_select)
+from spnexplain.explain import (ExplainConfig, ExplanationTrace, SizeBest,
+                                backward_elimination, elbow_select, explain,
+                                explain_rows, forward_beam_search,
+                                subspace_score_stats, zscore_select)
 from spnexplain.learn import LearnConfig, learn_spn
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf, ProductNode,
                               SpnModel, SumNode, TableMarginals, log_marginal)
@@ -495,6 +497,127 @@ class TestExplain:
     def test_numpy_integer_counts_accepted(self):
         config = ExplainConfig(beam_width=np.int64(3), max_depth=np.int32(2))
         assert (config.beam_width, config.max_depth) == (3, 2)
+
+
+class TestSearchTables:
+    """A search on a root product reads subset tables filled by one masked
+    pass when 2^W, W its widest child's width, is below the search's own
+    query count; otherwise each step runs a masked pass. The counters tell
+    the two paths apart: a fill costs 2^W × (nodes) node evaluations, a
+    read none, and a pass (nodes) per query."""
+
+    def test_backward_counts_on_the_planted_model(self, planted20):
+        labeled, m = planted20
+        n = m.n_features
+        width = max(len(features) for _, _, features in root_children(m))
+        assert 2 ** width < n * (n + 1) // 2 - 1
+        for r in labeled.outlier_rows[:3]:
+            counter = EvalCounter()
+            backward_elimination(m, labeled.dataset.values[r], counter)
+            assert (counter.queries, counter.node_evals) == (n * (n + 1) // 2 - 1,
+                                                            2 ** width * len(m.nodes))
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children",
+                                       "uneven"])
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    def test_each_step_reads_what_its_pass_gives(self, root_shapes, monkeypatch, shape,
+                                                 strategy):
+        if shape == "uneven":
+            m = uneven_product()
+            X = random_table(np.random.default_rng(5), m, 4)
+            rows = range(4)
+        else:
+            m, X, rows = root_shapes[shape]
+        n = m.n_features
+        fill, read = model_module._Circuit.subset_tables, model_module._Circuit.read_tables
+        filled, reads = [], []
+
+        def filling(circuit, leaves, counter=None):
+            filled.append(leaves)
+            return fill(circuit, leaves, counter)
+
+        def reading(circuit, tables, keep, counter=None):
+            got = read(circuit, tables, keep, counter)
+            assert got.tobytes() == circuit.masked_log_density(filled[-1], keep).tobytes()
+            reads.append(len(keep))
+            return got
+
+        monkeypatch.setattr(model_module._Circuit, "subset_tables", filling)
+        monkeypatch.setattr(model_module._Circuit, "read_tables", reading)
+        # a sum root, and backward search over children of 11-12 features
+        # (2^12 fill queries against 819), run masked passes
+        tabled = shape in ("planted", "mixed", "uneven") or (
+            shape == "wide_children" and strategy == "forward")
+        width = max(len(features) for _, _, features in root_children(m))
+        queries = 0
+        for r in rows:
+            counter = EvalCounter()
+            if strategy == "backward":
+                got = backward_elimination(m, X[r], counter)
+                want = [SizeBest(len(sub), sub, lp)
+                        for sub, lp in greedy_backward_oracle(m, X[r])]
+            else:
+                got = forward_beam_search(m, X[r], n, 10, counter)
+                want = reference_forward_beam_search(m, X[r], n, 10)
+            assert got == want
+            assert counter.node_evals == (2 ** width if tabled
+                                          else counter.queries) * len(m.nodes)
+            queries += counter.queries
+        assert len(filled) == (len(rows) if tabled else 0)
+        assert sum(reads) == (queries if tabled else 0)
+
+
+class TestExplanationTrace:
+    """A trace keeps packed masks and a float array, and rebuilds its
+    per-size list on each access."""
+
+    PER_SIZE = [SizeBest(1, (17,), -3.5), SizeBest(2, (0, 9), -math.inf),
+                SizeBest(3, (1, 2, 3), 0.25), SizeBest(4, (0, 8, 16, 23), -1e-300)]
+
+    def test_per_size_is_a_new_equal_list_on_each_access(self, planted20):
+        labeled, m = planted20
+        trace = explain(m, labeled.dataset.values[labeled.outlier_rows[0]], ExplainConfig())
+        first, second = trace.per_size, trace.per_size
+        assert first == second and first is not second
+        assert [sb.size for sb in first] == list(range(1, m.n_features))
+
+    def test_per_size_round_trips_unnested_subspaces(self, planted20):
+        labeled, m = planted20
+        x = labeled.dataset.values[labeled.outlier_rows[1]]
+        for per_size in (self.PER_SIZE, forward_beam_search(m, x, m.n_features, 3), []):
+            got = ExplanationTrace(per_size, (0, 9), 2, 7, "forward").per_size
+            assert got == per_size
+            assert all(type(d) is int for sb in got for d in sb.subspace)
+            assert all(type(sb.log_density) is float for sb in got)
+
+    def test_traces_compare_by_their_fields(self):
+        fields = (self.PER_SIZE, (0, 9), 2, 7, "forward", "zscore")
+        trace = ExplanationTrace(*fields)
+        assert trace == ExplanationTrace(*fields) and not trace != ExplanationTrace(*fields)
+        for i, other in enumerate((self.PER_SIZE[:3], (1, 2, 3), 3, 8, "backward", "elbow")):
+            assert trace != ExplanationTrace(*fields[:i], other, *fields[i + 1:])
+        assert trace != fields
+        assert repr(trace).startswith(
+            "ExplanationTrace(per_size=[SizeBest(size=1, subspace=(17,), log_density=-3.5), ")
+        assert repr(trace).endswith(", selected=(0, 9), selected_size=2, eval_count=7, "
+                                    "strategy='forward', selection='zscore')")
+
+    def test_backward_trace_at_n100_holds_at_most_4kb(self):
+        labeled = generate(GenConfig(n_features=100, seed=0))
+        m = learn_spn(labeled.dataset, LearnConfig(seed=0))
+        x = labeled.dataset.values[labeled.outlier_rows[0]]
+        explain(m, x, ExplainConfig())  # the model's circuit is compiled
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # ten traces, so that the few small buffers numpy keeps for
+            # reuse do not count as one trace's
+            traces = [explain(m, x, ExplainConfig()) for _ in range(10)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(len(trace.per_size) == 99 for trace in traces)
+        assert held <= 10 * 4096
 
 
 class TestExplainRows:

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_categorical_model, random_gaussian_model,
                       random_mixed_model, random_table, reference_log_density,
-                      root_children)
+                      root_children, uneven_product)
 from spnexplain.data import NUMBER, Column, Dataset
 from spnexplain.errors import ModelFormatError
 from spnexplain.explain import subspace_score_stats
@@ -545,6 +545,49 @@ class TestMaskedPass:
         circuit.masked_log_density(leaves, masks, counter)
         assert (counter.queries, counter.node_evals) == (m.n_features,
                                                         m.n_features * len(m.nodes))
+
+
+class TestSubsetTables:
+    """A root product's subset tables, filled by one masked pass of one
+    row's leaf values, against the masked pass of each query."""
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "wide_children", "uneven"])
+    def test_reads_equal_masked_passes_bit_for_bit(self, root_shapes, shape):
+        rng = np.random.default_rng(11)
+        m = uneven_product() if shape == "uneven" else root_shapes[shape][0]
+        n = m.n_features
+        X = random_table(rng, m, 5)
+        real = np.array([c.kind == "real" for c in m.schema])
+        X[0, np.flatnonzero(real)[:2]] = [1e300, -1e300]  # leaves that read -inf
+        # more than 512 masks, so the adds take `_add_slots`' loop too
+        masks = rng.random((600, n)) < rng.uniform(0.05, 0.95, (600, 1))
+        if n <= 12:
+            masks = np.vstack([masks, list(itertools.product([False, True], repeat=n))])
+        circuit = model_module._compile(m)
+        for x in X:
+            leaves = circuit.leaf_log_density(x[None])
+            tables = circuit.subset_tables(leaves)
+            # a child of k features never has codes at or above 2^k read
+            for c, (_, _, features) in enumerate(root_children(m)):
+                tables[c, 2 ** len(features):] = np.nan
+            for batch in (masks, masks[:7]):
+                want = circuit.masked_log_density(leaves, batch)
+                assert circuit.read_tables(tables, batch).tobytes() == want.tobytes()
+
+    def test_a_sum_root_has_no_tables(self, root_shapes):
+        assert model_module._compile(root_shapes["sum_root"][0]).bits is None
+
+    def test_fill_counts_node_evaluations_and_reads_count_queries(self):
+        m = uneven_product()
+        circuit = model_module._compile(m)
+        leaves = circuit.leaf_log_density(np.zeros((1, m.n_features)))
+        counter = EvalCounter()
+        tables = circuit.subset_tables(leaves, counter)
+        assert tables.shape == (3, 2 ** 3)
+        assert (counter.queries, counter.node_evals) == (0, 2 ** 3 * len(m.nodes))
+        circuit.read_tables(tables, np.eye(m.n_features, dtype=bool), counter)
+        assert (counter.queries, counter.node_evals) == (m.n_features,
+                                                        2 ** 3 * len(m.nodes))
 
 
 def off_one_weights(rng, model: SpnModel) -> SpnModel:
