@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import os
 import sys
+from collections.abc import Iterable
 
 from . import datagen, metrics
 from .data import (INTEGER, format_float, load_csv, load_schema, read_json_lines,
@@ -92,12 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(lines: Iterable[str], path: str | None) -> None:
+    """Write the lines to `path`, or to stdout, as they come."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 @contextlib.contextmanager
@@ -159,7 +161,7 @@ def cmd_score(args) -> None:
             scores = -eval_log_density(model, dataset.values)
             lines = ["row\tscore"]
             lines += [f"{i}\t{format_float(s)}" for i, s in enumerate(scores)]
-        _write("\n".join(lines) + "\n", args.out)
+        _write(["\n".join(lines) + "\n"], args.out)
 
 
 def cmd_explain(args) -> None:

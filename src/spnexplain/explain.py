@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import INTEGER, POSITIVE, check_config, check_rows, is_a
-from .model import EvalCounter, SpnModel, TableMarginals, _compile
+from .model import EvalCounter, SpnModel, TableMarginals
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -100,24 +100,19 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     not-yet-flipped feature of every hypothesis (adds it to the subspace
     when `grow`, else drops it from the full set), keeps the beam_width
     most outlying candidates and records the best; results in ascending
-    size. The leaf values of x are computed once. On a root product whose
-    subset tables take one pass of fewer queries than the search asks
-    (n(n+1)/2 - 1 backward, at most steps × beam_width × n forward), that
-    pass fills them and each step reads them; otherwise each step's pass
-    masks the leaf values. Both give the same values bit for bit."""
+    size. Each step reads its candidates from one `TableMarginals` of x,
+    told the search's own query count (n(n+1)/2 - 1 backward, at most
+    steps × beam_width × n forward) for its cost rule."""
     n = model.n_features
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
-    # x keeps the row rule, checked once here: each masked batch below keeps
-    # at least one of its features, so the batches need no query check
+    # x keeps the row rule, checked here so that an error names the sample;
+    # each masked batch below keeps at least one of its features, so the
+    # batches need no query check
     check_rows(x, model.schema)
-    circuit = _compile(model)
-    leaves = circuit.leaf_log_density(x[None])
-    queries = steps * beam_width * n if grow else n * (n + 1) // 2 - 1
-    tables = None
-    if circuit.bits is not None and 2 ** circuit.width < queries:
-        tables = circuit.subset_tables(leaves, counter)
+    table = TableMarginals(model, x[None],
+                           steps * beam_width * n if grow else n * (n + 1) // 2 - 1)
     eye = np.eye(n, dtype=bool)
     beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
     results: list[SizeBest] = []
@@ -133,8 +128,7 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             _, first = np.unique(keys, return_index=True)
             flipped = flipped[first]
         keep = flipped if grow else ~flipped
-        logps = (circuit.masked_log_density(leaves, keep, counter) if tables is None
-                 else circuit.read_tables(tables, keep, counter))
+        logps = table._read(keep, counter)
         order = np.argsort(logps, kind="stable")  # ties stay lexicographic
         beam = flipped[order[:beam_width]]
         subspace = tuple(np.flatnonzero(keep[order[0]]).tolist())
@@ -268,5 +262,6 @@ def explain_rows(model: SpnModel, X, rows,
             raise ValueError(f"row {r!r} is not an integer")
         if not 0 <= r < len(X):
             raise ValueError(f"row {r} outside table of {len(X)} rows")
-    reference = TableMarginals(model, X) if config.selection == "zscore" else None
+    reference = (TableMarginals(model, X, len(rows) * model.n_features)
+                 if config.selection == "zscore" else None)
     return [explain(model, X[r], config, reference) for r in rows]

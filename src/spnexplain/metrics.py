@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,11 @@ def trace_record(row: int, trace: ExplanationTrace) -> dict:
     }
 
 
-def format_explanations(rows: list[int], traces: list[ExplanationTrace]) -> str:
-    """The strict JSON-lines of `explain` and `bench`, one record a row."""
-    return "".join(json.dumps(trace_record(r, t), allow_nan=False) + "\n"
-                   for r, t in zip(rows, traces))
+def format_explanations(rows: list[int], traces: list[ExplanationTrace]) -> Iterator[str]:
+    """The strict JSON-lines of `explain` and `bench`, one record a row,
+    made line by line as they are read."""
+    return (json.dumps(trace_record(r, t), allow_nan=False) + "\n"
+            for r, t in zip(rows, traces))
 
 
 def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
@@ -114,7 +116,7 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
                         explain_config.strategy, explain_config.selection)
     if explanations_path is not None:
         with open(explanations_path, "w", encoding="utf-8") as fh:
-            fh.write(format_explanations(rows, traces))
+            fh.writelines(format_explanations(rows, traces))
     if summary_path is not None:
         write_summary([report], summary_path)
     return report

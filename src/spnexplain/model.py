@@ -80,11 +80,12 @@ class EvalCounter:
     marginal queries asked, `node_evals` the node evaluations performed to
     answer them. A pass evaluates every node of its circuit once per query,
     and a leaf that the query's mask marginalizes counts as evaluated, though
-    it only reads 0; leaf values that a search or a z-score table computes
-    once and then masks count in each pass that masks them, not when they
-    are computed. A search's subset tables (`_Circuit.subset_tables`) count
-    2^W × (circuit nodes) node evaluations and no query when one pass fills
-    them, and one query and no node evaluation per mask read from them."""
+    it only reads 0; leaf values that a `TableMarginals` computes once and
+    then masks count in each pass that masks them, not when they are
+    computed. A table's store is filled by its first read, which adds
+    2^W × rows × (circuit nodes) node evaluations and no query for the
+    fill; a read from the store adds one query per mask and row and no node
+    evaluation. A table without a store reads by passes."""
 
     queries: int = 0
     node_evals: int = 0
@@ -235,43 +236,37 @@ def validate(model: SpnModel) -> list[str]:
 
 
 class _Circuit:
-    """The nodes under `top` (the model's root if None), as `_under` walks
-    them for `validate`'s reachability rule, compiled into level-ordered
-    arrays.
+    """The nodes under the root, as `_under` walks them for `validate`'s
+    reachability rule, compiled into level-ordered arrays.
 
     Row r of the value matrix holds one node's log-density for every query
     of a batch: Gaussian leaves first, then categorical leaves, then each
     level's products followed by its sums. One extra row of zeros pads the
     child slots, so the nodes of a group share one gather whatever their
     arity. `groups` holds each level's products and its sums as (first
-    row, child slots, log-weights, None for products), bottom-up. Queries
-    keep the model's full width; the circuit reads only the features under
-    `top`. Built only from a model that `validate` accepts.
+    row, child slots, log-weights, None for products), bottom-up. Built
+    only from a model that `validate` accepts.
 
     A pass has two halves. The leaf half (`leaf_log_density`) gives each
     leaf's value on fully observed rows; an observed leaf's value does not
     depend on which other features a query keeps. The internal half
     (`masked_log_density`) sets the leaves that a query's mask marginalizes
     to log 1 = 0 and runs the groups. The explain phase computes the leaf
-    values of a searched row, or of a z-score table, once and then only
-    masks them. `eval_log_density` turns a NaN query into values and a mask
-    and then runs both halves. On a root product, a search may instead fill
-    the row's `subset_tables` with one masked pass and `read_tables` for
-    each step: the root's value is the slot-ordered sum of its children's,
-    each read on the features of its own scope.
+    values of a searched row, or of a z-score table, once in a
+    `TableMarginals` and then only masks them. `eval_log_density` turns a
+    NaN query into values and a mask and then runs both halves.
     """
 
-    def __init__(self, model: SpnModel, top: int | None = None):
-        nodes = model.nodes
-        top = model.root if top is None else top
-        under = _under(nodes, top)
+    def __init__(self, model: SpnModel):
+        nodes, root = model.nodes, model.root
+        under = _under(nodes, root)
         level = [0] * len(nodes)
         for i in under:
             if isinstance(nodes[i], (SumNode, ProductNode)):
                 level[i] = 1 + max(level[c] for c in nodes[i].children)
         gauss = [i for i in under if isinstance(nodes[i], GaussianLeaf)]
         cats = [i for i in under if isinstance(nodes[i], CategoricalLeaf)]
-        inner = [([], []) for _ in range(level[top])]  # (products, sums)
+        inner = [([], []) for _ in range(level[root])]  # (products, sums)
         for i in under:
             if isinstance(nodes[i], (SumNode, ProductNode)):
                 inner[level[i] - 1][isinstance(nodes[i], SumNode)].append(i)
@@ -279,7 +274,7 @@ class _Circuit:
         row = np.empty(len(nodes), dtype=np.intp)
         row[order] = np.arange(len(order))
         self.n_rows = len(order) + 1  # the last row is the zero padding
-        self.root = row[top]
+        self.root = row[root]
 
         gauss = [nodes[i] for i in gauss]
         self.gauss_feature = np.array([g.feature for g in gauss], dtype=np.intp)
@@ -310,15 +305,14 @@ class _Circuit:
                 log_w = log_w[:, :, None]
             self.groups.append((int(row[ids[0]]), idx, log_w))
 
-        # a root product's subset tables (`subset_tables`): its children's
-        # value rows in slot order, a (features, children) matrix that gives
-        # each feature 2^(its rank in its child's scope) in its child's
-        # column, and the widest child's width W; a sum root has none
+        # on a root product, for `TableMarginals`: its children's value rows
+        # in slot order, a (features, children) matrix that gives each
+        # feature 2^(its rank in its child's scope) in its child's column,
+        # and the widest child's width W
         self.bits = None
-        if isinstance(nodes[top], ProductNode):
-            children = nodes[top].children
+        if isinstance(nodes[root], ProductNode):
+            children = nodes[root].children
             self.child_rows = row[list(children)]
-            self.child_slots = np.arange(len(children))[:, None]
             self.bits = np.zeros((model.n_features, len(children)))
             for c, child in enumerate(children):
                 scope = sorted({nodes[i].feature for i in _under(nodes, child)
@@ -367,35 +361,6 @@ class _Circuit:
             vals[lo:lo + idx.shape[1]] = (_add_slots(stack) if log_w is None
                                          else _logsumexp(stack + log_w))
         return vals[self.root if rows is None else rows]
-
-    def subset_tables(self, leaves: np.ndarray,
-                      counter: EvalCounter | None = None) -> np.ndarray:
-        """Every root child's value on each subset of its scope, for one
-        row's leaf values (leaves, 1), on a root product: one masked pass
-        of 2^W queries, where query j keeps, in every child at once, the
-        features whose bit weight is set in j. That is valid because each
-        child reads only its own scope. Row c holds child c's table,
-        indexed by the sum of the bit weights of the features kept; a child
-        of k < W features never has entries at or above 2^k read. The
-        counter gets the pass's node evaluations and no query."""
-        weights = self.bits.sum(axis=1).astype(np.intp)
-        keep = (np.arange(2 ** self.width)[:, None] & weights) != 0
-        if counter is not None:
-            counter.add(0, (self.n_rows - 1) * len(keep))
-        return self.masked_log_density(leaves, keep, rows=self.child_rows)
-
-    def read_tables(self, tables: np.ndarray, keep: np.ndarray,
-                    counter: EvalCounter | None = None) -> np.ndarray:
-        """The root's log-density for a batch of masks `keep` (batch, n),
-        read from one row's `subset_tables`: each child's code is one matmul
-        of the masks with the bit weights, one gather reads the entries, and
-        the root group's own adds sum them in slot order, so the values
-        equal `masked_log_density`'s bit for bit. The counter gets one query
-        and no node evaluation per mask."""
-        codes = (keep @ self.bits).astype(np.intp)
-        if counter is not None:
-            counter.add(len(keep), 0)
-        return _add_slots(tables[self.child_slots, codes.T])
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
@@ -481,7 +446,7 @@ def eval_log_density(model: SpnModel, queries: np.ndarray,
 def log_marginal(model: SpnModel, x, keep,
                  counter: EvalCounter | None = None):
     """log p(x_S) in nats, where S holds the features that `keep` marks True
-    and every other feature is marginalized.
+    and `x` does not hold as NaN; every other feature is marginalized.
 
     `x` is one sample (n,) or a matrix of samples (m, n); `keep` is a
     boolean mask (n,) or a stack of masks (k, n). The two broadcast
@@ -506,64 +471,86 @@ def log_marginal(model: SpnModel, x, keep,
 
 
 class TableMarginals:
-    """log p(x_S) of every row x of one fixed table X, for many subspaces S.
+    """log p(x_S) of every row x of one fixed table X, for many subspaces S:
+    the one marginal table of the searches (over the searched row) and of
+    z-score selection (over the reference rows).
 
-    The marginal of a decomposable product is the sum of its children's
-    marginals, each on S ∩ scope(child). Each child of the root product (a
-    root that is not a product is its own one child) is compiled into its
-    own sub-circuit, and keeps its leaf values over the rows of X, computed
-    on construction, and a memo from the features of S in its scope to its
-    values over the rows of X. An entry is filled when a query first needs
-    it: it masks the leaf values and runs the sub-circuit's internal half
-    over X (sub-circuit size × rows node evaluations), and holds a copy of
-    one row of that pass, len(X) floats.
-    `log_marginal` adds the children's entries in the root's slot order
-    with the circuit's own adds, so the result equals `log_marginal(model,
-    X, keep)` bit for bit. The table keeps the row rule of `check_rows`,
-    so no cell is marginalized but by the mask; a table that breaks it, or
-    has no rows, raises ValueError. A sum root is one child, so there each
-    new subspace costs a full pass, and a wide child repeats its subsets
-    rarely.
+    The leaf values over X are computed on construction, and each read only
+    masks them. The marginal of a decomposable product is the sum of its
+    children's marginals, each on S ∩ scope(child). So on a root product
+    whose widest child has W features, where 2^W is below `masks`, the
+    count of masks its caller will ask (n, one selection's worth, by
+    default), the first read fills a store of every root child's value on
+    every subset of its scope over X: Σ 2^k × rows floats for children of
+    k features. The fill runs the circuit's own masked passes, where query
+    j keeps, in every child at once, the features whose bit is set in j.
+    Each read then takes one matmul for the children's codes, one gather,
+    and the root's adds in slot order. Otherwise (a sum root, or children
+    too wide) each read is one masked pass of the leaf values, and nothing
+    is kept. Both equal `log_marginal(model, X, keep)` bit for bit. The
+    table keeps the row rule of `check_rows`, so no cell is marginalized
+    but by the mask; a table that breaks it, or has no rows, raises
+    ValueError.
     """
 
-    def __init__(self, model: SpnModel, X):
+    def __init__(self, model: SpnModel, X, masks: int | None = None):
         X = np.asarray(X, dtype=np.float64)
-        _compile(model)
+        self._circuit = circuit = _compile(model)
         _check_width(X, model.n_features)
         check_rows(X, model.schema)
         if X.shape[0] == 0:
             raise ValueError("reference table has no rows")
         self.model = model
-        root = model.nodes[model.root]
-        tops = root.children if isinstance(root, ProductNode) else (model.root,)
-        self._children = []  # (sub-circuit, its features, its leaves over X, memo)
-        for top in tops:
-            circuit = _Circuit(model, top)
-            self._children.append((circuit, np.unique(circuit.leaf_feature),
-                                   circuit.leaf_log_density(X), {}))
+        self._leaves = circuit.leaf_log_density(X)
+        self._store = self._sizes = None  # `_sizes`: 2^k of each child, for a store
+        if circuit.bits is not None and 2 ** circuit.width < (masks or model.n_features):
+            self._sizes = 2 ** np.count_nonzero(circuit.bits, axis=0)
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
         """log p(x_S) for each row of the table, S the features that the
-        boolean mask `keep` (n,) marks True. The counter gets one query per
-        row, and one node evaluation per row for each node of a sub-circuit
-        that fills a new entry."""
+        boolean mask `keep` (n,) marks True, counted as `EvalCounter` states."""
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != (self.model.n_features,):
             raise ValueError(f"keep must be a boolean mask of shape "
                              f"({self.model.n_features},)")
         if not keep.any():
             raise ValueError("query marginalizes every feature")
-        fills, parts = EvalCounter(), []
-        for circuit, features, leaves, memo in self._children:
-            key = keep[features].tobytes()
-            if key not in memo:
-                # a copy, so the entry does not keep the pass's whole matrix
-                memo[key] = circuit.masked_log_density(leaves, keep[None], fills).copy()
-            parts.append(memo[key])
+        return self._read(keep[None], counter)
+
+    def _read(self, keep: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
+        """The log-densities of a stack of masks `keep` (batch, n), each
+        keeping a feature, over a table of one row, or of one mask over the
+        table's rows, unchecked."""
+        if self._sizes is None:
+            return self._circuit.masked_log_density(self._leaves, keep, counter)
+        if self._store is None:
+            self._fill(counter)
+        codes = (keep @ self._circuit.bits).astype(np.intp) + self._offsets
         if counter is not None:
-            counter.add(len(parts[0]), fills.node_evals)
-        # `_add_slots` adds into the first slot: a copy, not the memo's entry
-        return _add_slots([parts[0].copy()] + parts[1:])
+            counter.add(len(keep) * self._leaves.shape[1], 0)
+        return _add_slots(self._store[codes.T]).ravel()
+
+    def _fill(self, counter: EvalCounter | None) -> None:
+        """The store, by passes of about max(2^W, rows) queries: one of
+        every code for a table of one row, one code of every row for a table
+        of 2^W rows or more. A pass of several codes over several rows
+        needs one query per code and row, so it tiles the leaf values and
+        repeats each code's mask per row."""
+        circuit, sizes, rows = self._circuit, self._sizes, self._leaves.shape[1]
+        self._offsets = offsets = np.cumsum(sizes) - sizes
+        self._store = store = np.empty((sizes.sum(), rows))
+        weights = circuit.bits.sum(axis=1).astype(np.intp)
+        codes = np.arange(sizes.max())
+        if counter is not None:
+            counter.add(0, (circuit.n_rows - 1) * len(codes) * rows)
+        per = max(1, len(codes) // rows)
+        for j in np.split(codes, range(per, len(codes), per)):
+            keep, leaves = (j[:, None] & weights) != 0, self._leaves
+            if len(j) > 1 and rows > 1:
+                keep, leaves = np.repeat(keep, rows, axis=0), np.tile(leaves, len(j))
+            out = circuit.masked_log_density(leaves, keep, rows=circuit.child_rows)
+            kept = j < sizes[:, None]  # a child of k features keeps its codes below 2^k
+            store[(offsets[:, None] + j)[kept]] = out.reshape(*kept.shape, rows)[kept]
 
 
 # --- serialization -------------------------------------------------------

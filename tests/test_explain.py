@@ -333,12 +333,14 @@ class TestZscoreSelect:
         assert zscore_select(sizes, table) == sizes[2]
 
     def test_node_evals_count_only_recomputed_nodes(self, planted20):
-        # only a root child's part of a subspace not asked before is
-        # evaluated, once; queries keep the logical count of one per
+        # the table's store of every root child's subsets is evaluated once,
+        # on the first read; queries keep the logical count of one per
         # reference row and subspace
         labeled, m = planted20
         X = labeled.dataset.values
         table = TableMarginals(m, X)
+        width = max(len(features) for _, _, features in root_children(m))
+        assert 2 ** width < m.n_features  # the default cost rule keeps a store
         queries = node_evals = subspaces = 0
         for r in labeled.outlier_rows:
             per_size = backward_elimination(m, X[r])
@@ -348,7 +350,7 @@ class TestZscoreSelect:
             node_evals += counter.node_evals
             subspaces += len(per_size)
         assert queries == len(X) * subspaces
-        assert 0 < node_evals < 0.25 * len(m.nodes) * len(X) * subspaces
+        assert node_evals == 2 ** width * len(m.nodes) * len(X)
 
     def test_requires_training_data(self):
         m = factorized_model([(0.0, 1.0)])
@@ -529,23 +531,25 @@ class TestSearchTables:
         else:
             m, X, rows = root_shapes[shape]
         n = m.n_features
-        fill, read = model_module._Circuit.subset_tables, model_module._Circuit.read_tables
+        circuit = model_module._compile(m)
+        fill, read = TableMarginals._fill, TableMarginals._read
         filled, reads = [], []
 
-        def filling(circuit, leaves, counter=None):
-            filled.append(leaves)
-            return fill(circuit, leaves, counter)
+        def filling(table, counter):
+            filled.append(len(table._leaves[0]))
+            return fill(table, counter)
 
-        def reading(circuit, tables, keep, counter=None):
-            got = read(circuit, tables, keep, counter)
-            assert got.tobytes() == circuit.masked_log_density(filled[-1], keep).tobytes()
+        def reading(table, keep, counter=None):
+            got = read(table, keep, counter)
+            assert got.tobytes() == circuit.masked_log_density(table._leaves,
+                                                               keep).tobytes()
             reads.append(len(keep))
             return got
 
-        monkeypatch.setattr(model_module._Circuit, "subset_tables", filling)
-        monkeypatch.setattr(model_module._Circuit, "read_tables", reading)
+        monkeypatch.setattr(TableMarginals, "_fill", filling)
+        monkeypatch.setattr(TableMarginals, "_read", reading)
         # a sum root, and backward search over children of 11-12 features
-        # (2^12 fill queries against 819), run masked passes
+        # (2^12 fill queries against 819), read by masked passes
         tabled = shape in ("planted", "mixed", "uneven") or (
             shape == "wide_children" and strategy == "forward")
         width = max(len(features) for _, _, features in root_children(m))
@@ -563,8 +567,8 @@ class TestSearchTables:
             assert counter.node_evals == (2 ** width if tabled
                                           else counter.queries) * len(m.nodes)
             queries += counter.queries
-        assert len(filled) == (len(rows) if tabled else 0)
-        assert sum(reads) == (queries if tabled else 0)
+        assert filled == ([1] * len(rows) if tabled else [])
+        assert sum(reads) == queries
 
 
 class TestExplanationTrace:
@@ -723,8 +727,8 @@ class TestExplainRows:
     def test_explain_phase_masks_leaf_values_and_builds_no_nan_query(
             self, root_shapes, monkeypatch, strategy, selection):
         # each explained row's leaf values are computed once, and the z-score
-        # table's once per root child; search steps and table fills only mask
-        # them, and never pass a NaN query through the circuit
+        # table's once; search steps and table fills only mask them, and
+        # never pass a NaN query through the circuit
         m, X, rows = root_shapes["mixed"]
         config = ExplainConfig(strategy=strategy, selection=selection)
         want = explain_rows(m, X, rows, config)
@@ -742,5 +746,5 @@ class TestExplainRows:
         monkeypatch.setattr(model_module, "eval_log_density", nan_query)
         monkeypatch.setattr(model_module._Circuit, "leaf_log_density", counting)
         assert explain_rows(m, X, rows, config) == want
-        tables = len(root_children(m)) if selection == "zscore" else 0
+        tables = 1 if selection == "zscore" else 0
         assert leaf_rows == [len(X)] * tables + [1] * len(rows)

@@ -217,29 +217,33 @@ class TestArenaWalk:
             assert issue in seen, issue
         assert validate(SpnModel([], 0, REAL2)) == reference_validate(SpnModel([], 0, REAL2))
 
-    def test_each_sub_circuit_compiles_the_nodes_under_its_top(self, root_shapes):
-        for m, _, _ in root_shapes.values():
-            root = m.nodes[m.root]
-            tops = [m.root] + list(root.children if isinstance(root, ProductNode) else ())
-            for top in tops:
-                under, stack = {top}, [top]
-                while stack:
-                    for c in getattr(m.nodes[stack.pop()], "children", ()):
-                        if c not in under:
-                            under.add(c)
-                            stack.append(c)
-                under = sorted(under)
-                nodes = [m.nodes[i] for i in under]
-                circuit = model_module._Circuit(m, top)
-                assert circuit.n_rows == len(under) + 1
-                gauss = [n for n in nodes if isinstance(n, GaussianLeaf)]
-                cats = [n for n in nodes if isinstance(n, CategoricalLeaf)]
-                assert circuit.gauss_feature.tolist() == [g.feature for g in gauss]
-                assert circuit.mu[:, 0].tolist() == [g.mu for g in gauss]
-                assert circuit.sigma[:, 0].tolist() == [g.sigma for g in gauss]
-                assert circuit.cat_feature.tolist() == [c.feature for c in cats]
-                assert (sum(idx.shape[1] for _, idx, _ in circuit.groups)
-                        == len(nodes) - len(gauss) - len(cats))
+    def test_the_circuit_compiles_the_nodes_under_the_root(self, root_shapes):
+        for m in [m for m, _, _ in root_shapes.values()] + [uneven_product()]:
+            under, stack = {m.root}, [m.root]
+            while stack:
+                for c in getattr(m.nodes[stack.pop()], "children", ()):
+                    if c not in under:
+                        under.add(c)
+                        stack.append(c)
+            nodes = [m.nodes[i] for i in sorted(under)]
+            circuit = model_module._compile(m)
+            assert circuit.n_rows == len(under) + 1
+            gauss = [n for n in nodes if isinstance(n, GaussianLeaf)]
+            cats = [n for n in nodes if isinstance(n, CategoricalLeaf)]
+            assert circuit.gauss_feature.tolist() == [g.feature for g in gauss]
+            assert circuit.mu[:, 0].tolist() == [g.mu for g in gauss]
+            assert circuit.sigma[:, 0].tolist() == [g.sigma for g in gauss]
+            assert circuit.cat_feature.tolist() == [c.feature for c in cats]
+            assert (sum(idx.shape[1] for _, idx, _ in circuit.groups)
+                    == len(nodes) - len(gauss) - len(cats))
+            # a root product's bit weights: each child's features, by rank
+            if not isinstance(m.nodes[m.root], ProductNode):
+                assert circuit.bits is None
+                continue
+            bits = np.zeros((m.n_features, len(circuit.child_rows)))
+            for c, (_, _, features) in enumerate(root_children(m)):
+                bits[features, c] = 2.0 ** np.arange(len(features))
+            assert np.array_equal(circuit.bits, bits)
 
 
 class TestLogDensity:
@@ -547,12 +551,36 @@ class TestMaskedPass:
                                                         m.n_features * len(m.nodes))
 
 
+def poison_fill_passes(monkeypatch) -> list[tuple[int, int]]:
+    """Make each store fill's pass give NaN for every entry of a child of
+    k features at a code at or above 2^k, so a store that keeps or reads
+    one shows it; return a list that gets each fill pass's count of codes
+    and of queries."""
+    masked = model_module._Circuit.masked_log_density
+    passes = []
+
+    def poisoned(circuit, leaves, keep, counter=None, rows=None):
+        out = masked(circuit, leaves, keep, counter, rows)
+        if rows is not None:
+            # query j keeps the features whose bit is set in j, in every
+            # child at once, so j is the union of the children's codes
+            code = np.bitwise_or.reduce((keep @ circuit.bits).astype(np.intp), axis=1)
+            sizes = 2 ** np.count_nonzero(circuit.bits, axis=0)
+            out[np.broadcast_to(code >= sizes[:, None], out.shape)] = np.nan
+            passes.append((len(np.unique(code)), out.shape[1]))
+        return out
+
+    monkeypatch.setattr(model_module._Circuit, "masked_log_density", poisoned)
+    return passes
+
+
 class TestSubsetTables:
-    """A root product's subset tables, filled by one masked pass of one
-    row's leaf values, against the masked pass of each query."""
+    """A `TableMarginals` store of a root product's subset values, filled by
+    the circuit's own masked passes, against the masked pass or the
+    `log_marginal` of each query."""
 
     @pytest.mark.parametrize("shape", ["planted", "mixed", "wide_children", "uneven"])
-    def test_reads_equal_masked_passes_bit_for_bit(self, root_shapes, shape):
+    def test_reads_equal_masked_passes_bit_for_bit(self, root_shapes, monkeypatch, shape):
         rng = np.random.default_rng(11)
         m = uneven_product() if shape == "uneven" else root_shapes[shape][0]
         n = m.n_features
@@ -564,30 +592,68 @@ class TestSubsetTables:
         if n <= 12:
             masks = np.vstack([masks, list(itertools.product([False, True], repeat=n))])
         circuit = model_module._compile(m)
+        masked = model_module._Circuit.masked_log_density
+        passes = poison_fill_passes(monkeypatch)
         for x in X:
+            # a cost rule of 2^n masks keeps a store whenever the root is a product
+            table = TableMarginals(m, x[None], 2 ** n)
             leaves = circuit.leaf_log_density(x[None])
-            tables = circuit.subset_tables(leaves)
-            # a child of k features never has codes at or above 2^k read
-            for c, (_, _, features) in enumerate(root_children(m)):
-                tables[c, 2 ** len(features):] = np.nan
             for batch in (masks, masks[:7]):
-                want = circuit.masked_log_density(leaves, batch)
-                assert circuit.read_tables(tables, batch).tobytes() == want.tobytes()
+                want = masked(circuit, leaves, batch)
+                assert table._read(batch).tobytes() == want.tobytes()
+        assert len(passes) == len(X)  # one fill pass of every code per row
+
+    @pytest.mark.parametrize("rows", ["one", "several codes a pass", "one code a pass",
+                                      "more rows than codes"])
+    @pytest.mark.parametrize("shape", ["planted", "uneven"])
+    def test_fill_passes_of_each_shape_equal_log_marginal(self, root_shapes, monkeypatch,
+                                                          shape, rows):
+        rng = np.random.default_rng(29)
+        m = uneven_product() if shape == "uneven" else root_shapes[shape][0]
+        n = m.n_features
+        codes = 2 ** max(len(features) for _, _, features in root_children(m))
+        count = {"one": 1, "several codes a pass": 3, "one code a pass": codes,
+                 "more rows than codes": codes + 5}[rows]
+        X = random_table(rng, m, count)
+        real = np.array([c.kind == "real" for c in m.schema])
+        X[0, np.flatnonzero(real)[:2]] = [1e300, -1e300]
+        masks = rng.random((200, n)) < rng.uniform(0.05, 0.95, (200, 1))
+        masks[np.arange(200), rng.integers(0, n, 200)] = True
+        if n <= 12:
+            masks = np.vstack([masks, list(itertools.product([False, True], repeat=n))[1:]])
+        passes = poison_fill_passes(monkeypatch)
+        table = TableMarginals(m, X, 2 ** n)
+        for keep in masks:
+            want = log_marginal(m, X, keep)
+            assert table.log_marginal(keep).tobytes() == np.atleast_1d(want).tobytes()
+        # passes of about max(2^W, rows) queries: several codes over several
+        # rows tile the leaf values, one code broadcasts its mask
+        per = max(1, codes // count)
+        assert passes == [(min(per, codes - lo), min(per, codes - lo) * count)
+                          for lo in range(0, codes, per)]
+        assert count == 1 or count >= codes or 1 < per < codes
 
     def test_a_sum_root_has_no_tables(self, root_shapes):
         assert model_module._compile(root_shapes["sum_root"][0]).bits is None
 
     def test_fill_counts_node_evaluations_and_reads_count_queries(self):
+        # the first read fills the store: 2^W × rows × (nodes) node
+        # evaluations and no query for the fill; each read then counts one
+        # query per mask and row and no node evaluation
         m = uneven_product()
-        circuit = model_module._compile(m)
-        leaves = circuit.leaf_log_density(np.zeros((1, m.n_features)))
+        n = m.n_features
+        table = TableMarginals(m, np.zeros((1, n)), 2 ** n)
         counter = EvalCounter()
-        tables = circuit.subset_tables(leaves, counter)
-        assert tables.shape == (3, 2 ** 3)
-        assert (counter.queries, counter.node_evals) == (0, 2 ** 3 * len(m.nodes))
-        circuit.read_tables(tables, np.eye(m.n_features, dtype=bool), counter)
-        assert (counter.queries, counter.node_evals) == (m.n_features,
-                                                        2 ** 3 * len(m.nodes))
+        table._read(np.eye(n, dtype=bool), counter)
+        assert (counter.queries, counter.node_evals) == (n, 2 ** 3 * len(m.nodes))
+        table._read(np.eye(n, dtype=bool), counter)
+        assert (counter.queries, counter.node_evals) == (2 * n, 2 ** 3 * len(m.nodes))
+        table = TableMarginals(m, np.zeros((5, n)), 2 ** n)
+        counter = EvalCounter()
+        for keep in np.eye(n, dtype=bool):
+            table.log_marginal(keep, counter)
+        assert (counter.queries, counter.node_evals) == (5 * n, 2 ** 3 * 5 * len(m.nodes))
+        assert table._store.shape == (2 ** 3 + 2 + 2 ** 2, 5)
 
 
 def off_one_weights(rng, model: SpnModel) -> SpnModel:
@@ -599,9 +665,16 @@ def off_one_weights(rng, model: SpnModel) -> SpnModel:
     return SpnModel(nodes, model.root, model.schema)
 
 
+def keeps_a_store(model: SpnModel, masks: int) -> bool:
+    """Whether a table of the model told of `masks` masks keeps a store: a
+    root product whose widest child of W features has 2^W < masks."""
+    widths = [len(features) for _, _, features in root_children(model)]
+    return isinstance(model.nodes[model.root], ProductNode) and 2 ** max(widths) < masks
+
+
 class TestTableMarginals:
-    """Marginals of one table, memoized per child of the root product,
-    against a full pass per subspace."""
+    """Marginals of one table, from its store of per-child subset values
+    or from a masked pass per read, against a full pass per subspace."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e300 inputs
     @settings(max_examples=40, deadline=None)
@@ -632,8 +705,9 @@ class TestTableMarginals:
         masks = np.vstack([masks, np.ones((1, n), dtype=bool), np.eye(n, dtype=bool),
                            chain])
         table = TableMarginals(m, X)
-        # each counted call repeats the mask asked just before it, so it
-        # evaluates no node, in either round
+        # each counted call repeats the mask asked just before it: it
+        # evaluates no node when the table keeps a store (filled by the
+        # first, uncounted read), and one pass otherwise
         for _ in range(2):
             counter = EvalCounter()
             for keep in masks:
@@ -644,61 +718,68 @@ class TestTableMarginals:
                 assert np.array_equal([stats.mean, stats.std],
                                       [(-want).mean(), (-want).std()], equal_nan=True)
             assert counter.queries == rows * len(masks)
-        assert counter.node_evals == 0
+        assert counter.node_evals == (0 if keeps_a_store(m, n)
+                                      else len(m.nodes) * rows * len(masks))
 
     @pytest.mark.parametrize("builder", ["planted20", "mixed"])
-    def test_node_evals_count_each_new_child_entry(self, planted20, rng, builder):
+    def test_node_evals_count_the_fill_once(self, planted20, rng, builder):
+        # a table that keeps a store fills all of it on its first read and
+        # counts it there; a table without one counts a pass per read
         m = planted20[1] if builder == "planted20" else random_mixed_model(rng, 6)
         n = m.n_features
         X = random_table(rng, m, 40)
-        children = root_children(m)
-        table = TableMarginals(m, X)
-        filled = set()
-        full = np.ones(n, dtype=bool)
         masks = rng.random((20, n)) < rng.uniform(0.2, 0.8, (20, 1))
         masks[:, 0] = True
-        for keep in np.vstack([masks, masks[::-1], full]):
-            want = 0
-            for top, under, features in children:
-                if (top, tuple(keep[features])) not in filled:
-                    filled.add((top, tuple(keep[features])))
-                    want += len(under) * len(X)
-            counter = EvalCounter()
-            table.log_marginal(keep, counter)
-            assert (counter.queries, counter.node_evals) == (len(X), want)
+        width = max(len(features) for _, _, features in root_children(m))
+        for asked in (n, 2 ** n):
+            table = TableMarginals(m, X, asked)
+            stored = keeps_a_store(m, asked)
+            for i, keep in enumerate(np.vstack([masks, masks[::-1],
+                                                np.ones((1, n), dtype=bool)])):
+                want = (len(m.nodes) * len(X) * (2 ** width if i == 0 else 0)
+                        if stored else len(m.nodes) * len(X))
+                counter = EvalCounter()
+                table.log_marginal(keep, counter)
+                assert (counter.queries, counter.node_evals) == (len(X), want)
 
     @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children"])
     def test_construction_evaluates_no_node(self, root_shapes, shape):
-        # every entry, the full mask's included, is filled by the first
-        # query that needs it, and counted there
+        # the store, when the table keeps one, is filled by the first query,
+        # and counted there
         m, X, _ = root_shapes[shape]
         table = TableMarginals(m, X)
         counter = EvalCounter()
         got = table.log_marginal(np.ones(m.n_features, dtype=bool), counter)
-        sizes = sum(len(under) for _, under, _ in root_children(m))
-        assert (counter.queries, counter.node_evals) == (len(X), sizes * len(X))
+        width = max(len(features) for _, _, features in root_children(m))
+        fill = 2 ** width if keeps_a_store(m, m.n_features) else 1
+        assert (counter.queries, counter.node_evals) == (len(X),
+                                                        fill * len(m.nodes) * len(X))
         assert np.array_equal(got, eval_log_density(m, X))
+        assert keeps_a_store(m, m.n_features) == (shape == "planted")
 
-    def test_entries_keep_only_their_own_rows(self, planted20, rng):
-        # an entry is a copy of one row of its pass; a view of the row would
-        # keep the pass's whole value matrix alive
-        labeled, m = planted20
-        X = labeled.dataset.values
-        masks = rng.random((40, m.n_features)) < 0.5
+    @pytest.mark.parametrize("shape", ["planted", "sum_root", "wide_children"])
+    def test_store_holds_at_most_its_entries(self, root_shapes, rng, shape):
+        # a table asked many masks keeps at most Σ 2^k × rows floats beyond
+        # its leaf values (and the store's header and offsets), and nothing
+        # that grows with the masks without a store
+        m, X, _ = root_shapes[shape]
+        n = m.n_features
+        masks = rng.random((300, n)) < rng.uniform(0.1, 0.9, (300, 1))
         masks[:, 0] = True
         log_marginal(m, X[:2], masks[0])  # the model's own circuit is compiled
         tracemalloc.start()
         try:
+            table = TableMarginals(m, X, len(masks))
             before = tracemalloc.get_traced_memory()[0]
-            table = TableMarginals(m, X)
             for keep in masks:
                 table.log_marginal(keep)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        entries = len({(top, tuple(keep[features])) for keep in masks
-                       for top, _, features in root_children(m)})
-        assert kept <= 2 * entries * len(X) * 8
+        entries = (sum(2 ** len(features) for _, _, features in root_children(m))
+                   if keeps_a_store(m, len(masks)) else 0)
+        assert (entries > 0) == (shape == "planted")
+        assert kept <= entries * len(X) * 8 + 4096
 
     def test_wide_product_of_one_row_sums_in_child_order(self, rng):
         # numpy would sum a one-row (30, 1) stack pairwise, not in order
@@ -710,6 +791,21 @@ class TestTableMarginals:
         table = TableMarginals(m, X)
         for keep in rng.random((50, n)) < 0.7:
             assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+
+    def test_child_wider_than_an_int64_code_reads_by_passes(self, rng):
+        # 2^68 masks do not fit an int64: the cost rule compares exact
+        # integers, so a child of 68 features keeps no store
+        n = 70
+        m = SpnModel([GaussianLeaf(j, 0.0, 1.0) for j in range(n)]
+                     + [ProductNode(tuple(range(68))), ProductNode((70, 68, 69))], 71,
+                     [Column(f"g{j}", "real") for j in range(n)])
+        X = rng.normal(size=(3, n))
+        table = TableMarginals(m, X, 10 ** 9)
+        keep = rng.random(n) < 0.5
+        keep[0] = True
+        counter = EvalCounter()
+        assert np.array_equal(table.log_marginal(keep, counter), log_marginal(m, X, keep))
+        assert counter.node_evals == len(m.nodes) * len(X)
 
     def test_results_and_masks_do_not_alias_the_table(self, rng):
         for rows in (300, 600):  # both ways `_add_slots` sums
@@ -730,22 +826,25 @@ class TestTableMarginals:
             assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
 
     def test_repeated_and_full_masks_recompute_nothing(self, rng):
-        m = random_mixed_model(rng)
-        n = m.n_features
-        X = random_table(rng, m, 50)
-        table = TableMarginals(m, X)
-        full = np.ones(n, dtype=bool)
-        table.log_marginal(full)
-        for keep in rng.random((10, n)) < 0.5:
-            if not keep.any():
-                continue
-            table.log_marginal(keep)
-            counter = EvalCounter()
-            table.log_marginal(keep, counter)
-            assert counter.node_evals == 0
-            got = table.log_marginal(full, counter)
-            assert counter.node_evals == 0 and counter.queries == 2 * len(X)
-            assert np.array_equal(got, eval_log_density(m, X))
+        # on a table that keeps a store; without one, each read is a pass
+        for m in (uneven_product(), random_mixed_model(rng)):
+            n = m.n_features
+            X = random_table(rng, m, 50)
+            table = TableMarginals(m, X, 2 ** n)
+            per_read = 0 if keeps_a_store(m, 2 ** n) else len(m.nodes) * len(X)
+            full = np.ones(n, dtype=bool)
+            table.log_marginal(full)
+            for keep in rng.random((10, n)) < 0.5:
+                if not keep.any():
+                    continue
+                table.log_marginal(keep)
+                counter = EvalCounter()
+                table.log_marginal(keep, counter)
+                assert counter.node_evals == per_read
+                got = table.log_marginal(full, counter)
+                assert counter.node_evals == 2 * per_read
+                assert counter.queries == 2 * len(X)
+                assert np.array_equal(got, eval_log_density(m, X))
 
     def test_marginalized_sum_keeps_its_constant(self):
         # the sum over feature 0 adds up to 1 + 9e-10: marginalizing it

@@ -32,3 +32,37 @@ def test_every_traced_function_exists(monkeypatch):
     missing = [f"{module}.{name}" for module, name, _ in tracer.TRACED
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert tracer.TRACED and missing == []
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code counts as code
+
+
+# a comment line
+def f(x):
+    """A function docstring."""
+
+    text = """a string that is
+not a docstring"""
+    return x + len(text)
+
+
+class C:
+    \'\'\'A class docstring,
+    in single quotes.\'\'\'
+    y = (1,
+         2)
+'''
+
+
+def test_code_lines_counts_code_but_not_docstrings_comments_or_blanks(tmp_path, capsys):
+    script = load_script("code_lines")
+    # import, def, text (two lines), return, class, y (two lines)
+    assert script.count_source(CODE_LINES_FIXTURE) == 8
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# end\n", encoding="utf-8")
+    assert script.main([str(tmp_path / "pkg")]) == 0
+    assert capsys.readouterr().out == "9\n"
