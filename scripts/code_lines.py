@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of a Python package.
+"""Count the code lines of a Python package or module.
 
 A code line holds at least one token that is not a comment and not part
 of a docstring (the string that opens a module, class or function body).
@@ -9,6 +9,7 @@ multi-line string that is not a docstring does.
 Example:
     python3 scripts/code_lines.py            # src/spnexplain/
     python3 scripts/code_lines.py path/to/package
+    python3 scripts/code_lines.py path/to/module.py
 """
 
 import argparse
@@ -46,17 +47,20 @@ def count_source(source: str) -> int:
     return len(lines - docs)
 
 
-def count_tree(folder: Path) -> int:
-    """The code lines of every `.py` file under `folder`."""
-    return sum(count_source(path.read_text(encoding="utf-8"))
-               for path in sorted(folder.rglob("*.py")))
+def count_path(path: Path) -> int:
+    """The code lines of the `.py` file `path`, or of every `.py` file
+    under the folder `path`."""
+    files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+    return sum(count_source(f.read_text(encoding="utf-8")) for f in files)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("folder", nargs="?", default=str(ROOT / "src" / "spnexplain"))
-    args = ap.parse_args(argv)
-    print(count_tree(Path(args.folder)))
+    ap.add_argument("path", nargs="?", default=str(ROOT / "src" / "spnexplain"))
+    path = Path(ap.parse_args(argv).path)
+    if not path.exists():
+        ap.error(f"no such file or folder: {path}")
+    print(count_path(path))
     return 0
 
 

@@ -5,7 +5,9 @@ A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Every table
 that is learned from, explained or explained against keeps the row rule
 (`check_rows`): each cell is finite and each categorical cell a code of
-its column. NaN is then free to mark a marginalized cell of a query.
+its column. NaN is then free to mark a marginalized cell of a query;
+`model.log_marginal` sets those cells to 0 before `check_codes` reads the
+query, so no NaN reaches that check.
 """
 
 from __future__ import annotations
@@ -279,8 +281,8 @@ def check_rows(X: np.ndarray, schema: list[Column]) -> None:
     categorical column is a code 0..k-1 of its k categories. `load_csv`
     keeps it by construction; `learn_spn`, the searches, `TableMarginals`
     and `detect` check their rows here. A query keeps only the code
-    half (`check_codes`), where NaN marks a marginalized cell. ValueError
-    names the first bad cell."""
+    half (`check_codes`), on its values with every marginalized cell set
+    to 0. ValueError names the first bad cell."""
     if not np.isfinite(X).all():  # only then locate the first bad cell
         i, j = np.argwhere(~np.isfinite(np.atleast_2d(X)))[0]
         raise ValueError(f"{_cell(X, i, j)} (column {schema[j].name!r}) is not finite")
@@ -289,11 +291,13 @@ def check_rows(X: np.ndarray, schema: list[Column]) -> None:
 
 def check_codes(X: np.ndarray, schema: list[Column]) -> None:
     """Raise ValueError unless every cell of a categorical column of X (a
-    sample or a table) is NaN or a code 0..k-1 of the column's k categories."""
+    sample or a table) is a code 0..k-1 of the column's k categories. A
+    NaN cell is not a code; callers pass no NaN (`check_rows` rejects it
+    first, and a query sets its marginalized cells to 0)."""
     cats = [j for j, c in enumerate(schema) if c.kind == "categorical"]
     vals = X[..., cats]
     sizes = [len(schema[j].categories) for j in cats]
-    bad = ~np.isnan(vals) & ((vals != np.floor(vals)) | (vals < 0) | (vals >= sizes))
+    bad = (vals != np.floor(vals)) | (vals < 0) | (vals >= sizes)
     if bad.any():
         i, k = np.argwhere(np.atleast_2d(bad))[0]
         raise ValueError(f"categorical value out of range for column "

@@ -253,8 +253,9 @@ class _Circuit:
     (`masked_log_density`) sets the leaves that a query's mask marginalizes
     to log 1 = 0 and runs the groups. The explain phase computes the leaf
     values of a searched row, or of a z-score table, once in a
-    `TableMarginals` and then only masks them. `eval_log_density` turns a
-    NaN query into values and a mask and then runs both halves.
+    `TableMarginals` and then only masks them. `log_marginal` runs both
+    halves on its values and masks, and `eval_log_density` is the
+    `log_marginal` of a query under the mask of its non-NaN cells.
     """
 
     def __init__(self, model: SpnModel):
@@ -415,32 +416,18 @@ def _check_width(q: np.ndarray, n: int) -> None:
 
 def eval_log_density(model: SpnModel, queries: np.ndarray,
                      counter: EvalCounter | None = None) -> np.ndarray:
-    """Evaluate log p(x_D) for a batch of queries (NaN = marginalized).
-
-    One bottom-up pass over the compiled circuit: each node is computed
-    exactly once per batch, and a row's result does not depend on the
-    other rows of its batch. The query rule: a NaN cell is marginalized,
-    every row keeps at least one feature, and every categorical cell is
-    NaN or a code of its column (`check_codes`); an infinite cell reads as
-    far out in its leaves' tails. A query that breaks it, or a model that
-    `validate` rejects, raises ValueError.
+    """log p(x_D) for one query (n,) or a batch of queries (batch, n), a
+    NaN cell marking a marginalized feature: the `log_marginal` of the
+    queries under the mask of their non-NaN cells, which states the query
+    rule. A query of another shape raises ValueError.
     """
     q = np.asarray(queries, dtype=np.float64)
-    squeeze = q.ndim == 1
-    if squeeze:
-        if q.shape != (model.n_features,):
-            raise ValueError(f"query must be a ({model.n_features},) sample or a "
-                             f"(batch, {model.n_features}) matrix, got shape {q.shape}")
-        q = q[None, :]
-    circuit = _compile(model)
-    _check_width(q, model.n_features)
-    observed = ~np.isnan(q)
-    if not observed.any(axis=1).all():
-        raise ValueError("query marginalizes every feature")
-    check_codes(q, model.schema)
-    out = circuit.masked_log_density(
-        circuit.leaf_log_density(np.where(observed, q, 0.0)), observed, counter)
-    return out[0] if squeeze else out
+    if q.ndim == 1 and q.shape != (model.n_features,):
+        raise ValueError(f"query must be a ({model.n_features},) sample or a "
+                         f"(batch, {model.n_features}) matrix, got shape {q.shape}")
+    if q.ndim != 1:
+        _check_width(q, model.n_features)
+    return log_marginal(model, q, ~np.isnan(q), counter)
 
 
 def log_marginal(model: SpnModel, x, keep,
@@ -451,8 +438,17 @@ def log_marginal(model: SpnModel, x, keep,
     `x` is one sample (n,) or a matrix of samples (m, n); `keep` is a
     boolean mask (n,) or a stack of masks (k, n). The two broadcast
     against each other, so k subspaces of one sample, or one subspace of
-    m samples, are one batched circuit pass. Returns a scalar for a single
-    sample and mask, else one log-density per row. Other shapes raise
+    m samples, are one circuit pass: its leaf half on `x` with each
+    marginalized cell set to 0, and its internal half under the masks.
+    One bottom-up pass computes each node once per query, and a query's
+    result does not depend on the rest of its batch. Returns a scalar for
+    a single sample and mask, else one log-density per row.
+
+    The query rule: `x` and `keep` broadcast to a (batch, n) matrix, every
+    query keeps at least one feature, and every kept categorical cell is a
+    code of its column (`check_codes`); a marginalized cell is not
+    checked, and an infinite cell reads as far out in its leaves' tails. A
+    query that breaks it, or a model that `validate` rejects, raises
     ValueError.
     """
     keep = np.asarray(keep)
@@ -461,13 +457,20 @@ def log_marginal(model: SpnModel, x, keep,
     x = np.asarray(x, dtype=np.float64)
     n = model.n_features
     try:
-        q = np.where(keep, x, np.nan)
+        observed = np.atleast_2d(keep & ~np.isnan(x))
     except ValueError:
-        q = None
-    if q is None or x.shape[-1:] != (n,) or keep.shape[-1:] != (n,):
+        observed = None
+    if observed is None or x.shape[-1:] != (n,) or keep.shape[-1:] != (n,):
         raise ValueError(f"x of shape {x.shape} and keep of shape {keep.shape} must each "
                          f"have {n} features and broadcast together")
-    return eval_log_density(model, q, counter)
+    circuit = _compile(model)
+    values = np.where(observed, x, 0.0)  # 0 is a code of every categorical column
+    _check_width(values, n)
+    if not observed.any(axis=1).all():
+        raise ValueError("query marginalizes every feature")
+    check_codes(values, model.schema)
+    out = circuit.masked_log_density(circuit.leaf_log_density(values), observed, counter)
+    return out[0] if x.ndim == keep.ndim == 1 else out
 
 
 class TableMarginals:

@@ -367,6 +367,54 @@ class TestLogMarginal:
         with pytest.raises(ValueError, match="boolean mask"):
             log_marginal(m, np.zeros(3), [0, 2, 1])
 
+    def test_query_of_more_than_two_dimensions_is_named(self, rng):
+        m = random_gaussian_model(rng, 3)
+        want = re.escape("query must be a (batch, 3) matrix, got shape (2, 3, 3)")
+        for x, keep in ((np.zeros(3), np.ones((2, 3, 3), dtype=bool)),
+                        (np.zeros((2, 3, 3)), np.ones(3, dtype=bool))):
+            with pytest.raises(ValueError, match=want):
+                log_marginal(m, x, keep)
+
+    @staticmethod
+    def gaussian_times_two_levels():
+        return SpnModel([GaussianLeaf(0, 0.0, 1.0), CategoricalLeaf(1, (0.25, 0.75)),
+                         ProductNode((0, 1))], 2,
+                        [Column("g", "real"), Column("c", "categorical", ("u", "v"))])
+
+    def test_dropped_categorical_cell_is_not_checked(self):
+        m = self.gaussian_times_two_levels()
+        keep = np.array([True, False])
+        got = log_marginal(m, [0.0, 7.0], keep)
+        assert got == log_marginal(m, [0.0, 1.0], keep)
+        assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+        X = np.array([[0.5, -3.5], [1.0, 0.0]])
+        assert np.array_equal(log_marginal(m, X, keep),
+                              log_marginal(m, np.where(keep, X, 0.0), keep))
+        with pytest.raises(ValueError, match="out of range"):
+            log_marginal(m, [0.0, 7.0], np.ones(2, dtype=bool))
+
+    def test_nan_cell_under_a_true_mask_is_dropped(self, rng):
+        m = self.gaussian_times_two_levels()
+        both = np.ones(2, dtype=bool)
+        assert log_marginal(m, [0.3, np.nan], both) == log_marginal(m, [0.3, 1.0],
+                                                                   np.array([True, False]))
+        assert log_marginal(m, [np.nan, 1.0], both) == log_marginal(m, [2.0, 1.0],
+                                                                   np.array([False, True]))
+        g = random_gaussian_model(rng, 4)
+        X = rng.normal(size=(5, 4))
+        X[[0, 2, 3], [1, 0, 3]] = np.nan
+        keep = ~np.isnan(X)
+        assert np.array_equal(log_marginal(g, X, np.ones(4, dtype=bool)),
+                              log_marginal(g, np.nan_to_num(X), keep))
+
+    def test_empty_batch_gives_an_empty_float_array(self, rng):
+        m = random_gaussian_model(rng, 3)
+        for got in (log_marginal(m, np.zeros((0, 3)), np.ones(3, dtype=bool)),
+                    log_marginal(m, np.zeros(3), np.ones((0, 3), dtype=bool)),
+                    eval_log_density(m, np.zeros((0, 3)))):
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (0,) and got.dtype == np.float64
+
 
 class TestNodeCount:
     def test_single_leaf(self):

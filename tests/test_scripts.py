@@ -3,6 +3,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -66,3 +68,16 @@ def test_code_lines_counts_code_but_not_docstrings_comments_or_blanks(tmp_path, 
     (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# end\n", encoding="utf-8")
     assert script.main([str(tmp_path / "pkg")]) == 0
     assert capsys.readouterr().out == "9\n"
+    # a file is counted as one module
+    assert script.main([str(tmp_path / "pkg" / "a.py")]) == 0
+    assert capsys.readouterr().out == "8\n"
+
+
+def test_code_lines_rejects_a_missing_path(tmp_path, capsys):
+    script = load_script("code_lines")
+    missing = tmp_path / "gone"
+    with pytest.raises(SystemExit) as exc:
+        script.main([str(missing)])
+    assert exc.value.code != 0
+    out, err = capsys.readouterr()
+    assert out == "" and f"no such file or folder: {missing}" in err
