@@ -218,24 +218,27 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     schema's categories, coded by their position there. A number is what
     Python's `float` reads, and finite. Without a schema a column is real
     iff every cell is a number; otherwise it is categorical with
-    categories in first-appearance order. The table is decoded by column.
-    Errors name the file line of the offending record: the first ragged
-    row or empty cell in file order, else the first bad cell of the
-    leftmost column that has one.
+    categories in first-appearance order. The text is tokenized once, which
+    also records the file line each record starts on, and the table is
+    decoded by column. Errors name that line of the offending record: the
+    first ragged row or empty cell in file order, else the first bad cell
+    of the leftmost column that has one.
     """
-    text = read_text(path, "data")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, "data"), newline=""))
+    records, starts = [], [1]  # starts[i]: the file line that record i starts on
     try:
-        records = list(reader)
+        for record in reader:
+            records.append(record)
+            starts.append(reader.line_num + 1)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: empty file, expected a header row")
-    header, rows = records[0], records[1:]
+    header, rows, lines = records[0], records[1:], starts[1:-1]
     ragged = bool(set(map(len, rows)) - {len(header)})
     columns = [] if ragged else list(zip(*rows))
     if ragged or any("" in cells for cells in columns):
-        _raise_first_fault(path, header, rows, _record_lines(text))
+        _raise_first_fault(path, header, rows, lines)
     if not rows:
         raise DataError(f"{path}: no data rows")
     if schema is not None:
@@ -257,7 +260,7 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
             if parsed is None:
                 i = next(i for i, c in enumerate(cells) if _parse_reals((c,)) is None)
                 raise DataError(
-                    f"{path}:{_record_lines(text)[i]}: column {name!r} declared real "
+                    f"{path}:{lines[i]}: column {name!r} declared real "
                     f"but cell {cells[i]!r} is not numeric"
                 )
             values[:, j] = parsed
@@ -267,7 +270,7 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
             if None in codes:
                 i = codes.index(None)
                 raise DataError(
-                    f"{path}:{_record_lines(text)[i]}: value {cells[i]!r} not among "
+                    f"{path}:{lines[i]}: value {cells[i]!r} not among "
                     f"declared categories of column {name!r}"
                 )
             values[:, j] = codes
@@ -321,15 +324,6 @@ def _parse_reals(cells: tuple[str, ...]) -> np.ndarray | None:
     except ValueError:
         return None
     return parsed if np.isfinite(parsed).all() else None
-
-
-def _record_lines(text: str) -> list[int]:
-    """The file line that each data record of the CSV `text` starts on."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    starts = [1]
-    for _ in reader:
-        starts.append(reader.line_num + 1)
-    return starts[1:-1]
 
 
 def _raise_first_fault(path: str, header: list[str], rows: list[list[str]],

@@ -29,6 +29,13 @@ REJECTION_BATCH = 1024
 
 @dataclass(frozen=True)
 class GenConfig:
+    """The planted table's shape. Any positive finite `noise_sigma` gives a
+    finite table: below about 1e-155 a candidate outlier's squared distance
+    to a center, in units of sigma, passes the largest float, so its
+    mixture log density is -inf; no candidate then qualifies, and each
+    planted row is the first candidate drawn for it, a point inside the
+    inlier bounding box (the non-qualifying fallback)."""
+
     n_features: int = field(metadata={"rule": 2})
     n_samples: int = 1000
     n_outliers: int = 30
@@ -73,22 +80,30 @@ def _draw_centers(rng: np.random.Generator, n_clusters: int, dim: int) -> np.nda
     return centers
 
 
+def _log_mean_exp(comp: np.ndarray) -> np.ndarray:
+    """log(mean(exp(comp))) over axis 1; -inf where every term is -inf."""
+    m = comp.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        out = m + np.log(np.exp(comp - m[:, None]).mean(axis=1))
+    return np.where(np.isfinite(m), out, m)
+
+
 def _mixture_log_joint(points: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
     # points (m, d), centers (c, d): log density of the equal-weight mixture
-    z = (points[:, None, :] - centers[None]) / sigma
-    comp = -0.5 * (z ** 2).sum(axis=2) - points.shape[1] * (
-        math.log(sigma) + 0.5 * math.log(2.0 * math.pi))
-    m = comp.max(axis=1)
-    return m + np.log(np.exp(comp - m[:, None]).mean(axis=1))
+    with np.errstate(over="ignore"):  # a z^2 too large for a float is +inf
+        z = (points[:, None, :] - centers[None]) / sigma
+        comp = -0.5 * (z ** 2).sum(axis=2) - points.shape[1] * (
+            math.log(sigma) + 0.5 * math.log(2.0 * math.pi))
+    return _log_mean_exp(comp)
 
 
 def _mixture_log_marginals(points: np.ndarray, centers: np.ndarray,
                            sigma: float) -> np.ndarray:
     # per-dimension log density, shape (m, d)
-    z = (points[:, None, :] - centers[None]) / sigma
-    comp = -0.5 * z ** 2 - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
-    m = comp.max(axis=1)
-    return m + np.log(np.exp(comp - m[:, None]).mean(axis=1))
+    with np.errstate(over="ignore"):  # a z^2 too large for a float is +inf
+        z = (points[:, None, :] - centers[None]) / sigma
+        comp = -0.5 * z ** 2 - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+    return _log_mean_exp(comp)
 
 
 def generate(config: GenConfig) -> LabeledDataset:

@@ -205,16 +205,13 @@ def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
     z-score that is NaN for every candidate: the first, smallest size)."""
     if not per_size:
         raise ValueError("per_size is empty")
-    best = per_size[0]
-    best_z = -math.inf
-    for sb in per_size:
+
+    def zscore(sb: SizeBest) -> float:  # a NaN z-score never wins
         stats = subspace_score_stats(reference, sb.subspace, counter)
-        score = -sb.log_density
-        z = 0.0 if stats.std == 0.0 else (score - stats.mean) / stats.std
-        if z > best_z:
-            best_z = z
-            best = sb
-    return best
+        z = 0.0 if stats.std == 0.0 else (-sb.log_density - stats.mean) / stats.std
+        return -math.inf if math.isnan(z) else z
+
+    return max(per_size, key=zscore)
 
 
 def explain(model: SpnModel, x, config: ExplainConfig,

@@ -50,14 +50,11 @@ class LearnConfig:
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n of a vector, ties sharing the mean of their ranks (the
-    'average' method of scipy.stats.rankdata); half-integers are exact."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    counts = np.diff(np.r_[starts, values.size])
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
-    return ranks
+    'average' method of scipy.stats.rankdata). np.unique gives the tie
+    groups in sorted order; a group of c values whose last rank is e shares
+    the rank e - (c - 1) / 2, an exact half-integer."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def _rdc_features(X: np.ndarray, seed) -> np.ndarray:

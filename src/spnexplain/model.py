@@ -382,18 +382,16 @@ def _add_slots(stack: np.ndarray) -> np.ndarray:
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over axis 0, computed as scipy.special.logsumexp
     (scipy 1.17) computes it: the m terms equal to the maximum are taken out
-    of the sum, which gives log1p(s / m) + log(m) + max."""
+    of the sum, which gives log1p(s / m) + log(m) + max. A column whose
+    maximum is not finite reads that maximum: -inf when every term is -inf,
+    +inf when a term is +inf."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         amax = a.max(axis=0)
         top = a == amax
         m = top.sum(axis=0, dtype=np.float64)
         s = _add_slots(np.exp(np.where(top, -np.inf, a) - amax))
         s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + amax
-        bad = ~np.isfinite(out)
-        if bad.any():  # every term is -inf
-            out[bad] = np.log(_add_slots(np.exp(a)))[bad]
-    return out
+        return np.where(np.isfinite(amax), np.log1p(s) + np.log(m) + amax, amax)
 
 
 def _compile(model: SpnModel) -> _Circuit:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -697,11 +698,37 @@ class TestModelSchemaEncoding:
         assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; the runtime needs numpy alone
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only; the runtime needs numpy alone. With
+    # scipy made unimportable, the whole pipeline runs and loads no scipy
+    # module, so a scipy import inside a function fails here too.
     src = os.path.dirname(os.path.dirname(spnexplain.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import spnexplain.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code = textwrap.dedent(f"""
+        import json, os, sys
+        sys.modules["scipy"] = None
+        sys.path.insert(0, {src!r})
+        from spnexplain.cli import main
+        os.chdir({str(tmp_path)!r})
+        rows = lambda: ",".join(str(o["row"])
+                                for o in json.load(open("labels.json"))["outliers"])
+        codes = [main(["gen", "--n-features", "6", "--n-samples", "300",
+                       "--n-outliers", "5", "--seed", "0", "--out", "data.csv",
+                       "--labels", "labels.json"]),
+                 main(["train", "--data", "data.csv", "--seed", "0",
+                       "--model", "model.json"]),
+                 main(["score", "--model", "model.json", "--data", "data.csv",
+                       "--contamination", "0.03"]),
+                 main(["explain", "--model", "model.json", "--data", "data.csv",
+                       "--rows", rows(), "--strategy", "forward",
+                       "--selection", "zscore", "--out", "expl.jsonl"]),
+                 main(["eval", "--explanations", "expl.jsonl", "--data", "data.csv",
+                       "--labels", "labels.json"]),
+                 main(["bench", "--data", "data.csv", "--labels", "labels.json",
+                       "--seed", "0", "--summary", "summary.tsv"])]
+        loaded = sorted(m for m, v in sys.modules.items()
+                        if m.startswith("scipy") and v is not None)
+        print(json.dumps([codes, loaded]), file=sys.stderr)
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stderr.strip().splitlines()[-1]) == [[0] * 6, []]

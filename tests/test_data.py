@@ -35,6 +35,33 @@ class TestLoadCsv:
         assert ds.values[:, 0].tolist() == [1.5, 2.0, -0.5]
         assert ds.values[:, 1].tolist() == [0.0, 1.0, 0.0]
 
+    def test_one_csv_reader_per_call(self, tmp_path, monkeypatch):
+        # a faulty file is tokenized once too: its line numbers come from
+        # the same pass that read its records
+        readers = []
+        real_reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            readers.append(1)
+            return real_reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        cat = [Column("a", "categorical", ("x",)), Column("b", "real")]
+        cases = [("ok.csv", "a,b\nx,1\n", None, None),
+                 ("ragged.csv", "a,b\nx,1\nx\n", None, "ragged row"),
+                 ("empty.csv", "a,b\nx,1\nx,\n", None, "missing value"),
+                 ("real.csv", "a,b\nx,1\nx,oops\n", cat, "declared real"),
+                 ("cat.csv", "a,b\nx,1\ny,2\n", cat, "not among declared")]
+        for name, text, schema, fault in cases:
+            readers.clear()
+            path = write(tmp_path, name, text)
+            if fault is None:
+                load_csv(path, schema)
+            else:
+                with pytest.raises(DataError, match=rf"{name}:3: .*{fault}"):
+                    load_csv(path, schema)
+            assert len(readers) == 1, name
+
     def test_nan_and_inf_strings_force_categorical(self, tmp_path):
         path = write(tmp_path, "d.csv", "x\n1.0\nnan\ninf\n")
         ds = load_csv(path)

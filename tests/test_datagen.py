@@ -1,15 +1,17 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import gaussian_kde
 
+import spnexplain.datagen as datagen
 from spnexplain.cli import main
-from spnexplain.data import save_csv
-from spnexplain.datagen import (GenConfig, LabeledDataset, generate,
-                                read_labels, write_labels)
+from spnexplain.data import load_csv, save_csv
+from spnexplain.datagen import (MAX_REJECTION_BATCHES, GenConfig, LabeledDataset,
+                                generate, read_labels, write_labels)
 from spnexplain.errors import DataError
 
 PAIRS_CFG = GenConfig(n_features=6, n_samples=600, n_outliers=20,
@@ -76,6 +78,67 @@ class TestDeterminism:
         b = generate(GenConfig(n_features=6, n_samples=600, n_outliers=20,
                                subspace_min=2, subspace_max=2, seed=4))
         assert a.dataset.values.tobytes() != b.dataset.values.tobytes()
+
+
+def assert_planted_rows_inside_the_box(labeled):
+    X = labeled.dataset.values
+    inliers = X[inlier_mask(labeled)]
+    lo, hi = inliers.min(axis=0), inliers.max(axis=0)
+    for row, sub in labeled.ground_truth.items():
+        sub = list(sub)
+        assert np.isfinite(X[row, sub]).all()
+        assert (lo[sub] <= X[row, sub]).all() and (X[row, sub] <= hi[sub]).all()
+
+
+def generate_twice(cfg):
+    a, b = generate(cfg), generate(cfg)
+    assert a.dataset.values.tobytes() == b.dataset.values.tobytes()
+    assert a.ground_truth == b.ground_truth
+    return a
+
+
+class TestFallbacks:
+    def test_many_clusters_take_evenly_spaced_centers(self, monkeypatch):
+        # eight centers 0.6/7 apart in every coordinate almost never come
+        # from 1000 uniform draws, so each coordinate falls back to linspace
+        drawn = []
+        draw = datagen._draw_centers
+        monkeypatch.setattr(datagen, "_draw_centers",
+                            lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        labeled = generate_twice(GenConfig(n_features=4, clusters_per_subspace=8))
+        assert drawn
+        for centers in drawn:
+            for column in centers.T:
+                assert np.array_equal(column, np.linspace(0.15, 0.85, 8))
+        assert_planted_rows_inside_the_box(labeled)
+
+    def test_wide_noise_plants_the_non_qualifying_fallback(self, monkeypatch):
+        # at sigma = 2 no candidate qualifies: each planted row runs every
+        # rejection batch and keeps the lowest-density candidate
+        calls = []
+        joint = datagen._mixture_log_joint
+        monkeypatch.setattr(datagen, "_mixture_log_joint",
+                            lambda *args: calls.append(1) or joint(*args))
+        cfg = GenConfig(n_features=4, noise_sigma=2.0, n_outliers=3)
+        labeled = generate(cfg)
+        # one call for the inlier cut, then one per rejection batch
+        assert len(calls) == cfg.n_outliers * (1 + MAX_REJECTION_BATCHES)
+        assert_planted_rows_inside_the_box(labeled)
+        assert generate(cfg).dataset.values.tobytes() == labeled.dataset.values.tobytes()
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-320])
+    def test_tiny_noise_sigma_gives_a_finite_table(self, sigma, tmp_path):
+        # a candidate's z^2 passes the largest float, so its log density is
+        # -inf: the planted rows are finite fallbacks, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labeled = generate_twice(GenConfig(n_features=4, noise_sigma=sigma,
+                                               n_outliers=3))
+        assert np.isfinite(labeled.dataset.values).all()
+        assert_planted_rows_inside_the_box(labeled)
+        path = str(tmp_path / "d.csv")
+        save_csv(labeled.dataset, path)
+        assert [c.kind for c in load_csv(path).schema] == ["real"] * 4
 
 
 class TestLabelsSidecar:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -90,12 +90,16 @@ class TestRdc:
         assert rdc(a, b, s) == pytest.approx(rdc(b, a, s), abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10**6), levels=st.sampled_from([1, 2, 5, 50, 0]))
+    @given(seed=st.integers(0, 10**6), levels=st.sampled_from([1, 2, 5, 50, 0, -1]))
+    @example(seed=0, levels=-1)
     def test_average_ranks_match_scipy_rankdata(self, seed, levels):
-        # levels = 0 draws untied normals; otherwise ties among that many values
+        # levels = 0 draws untied normals, -1 ties among -0.0, 0.0, -0.5 and
+        # 0.5 (-0.0 ties 0.0); otherwise ties among that many values
         r = np.random.default_rng(seed)
         n = int(r.integers(1, 300))
-        v = r.normal(size=n) if levels == 0 else r.integers(0, levels, n) * 0.5
+        v = (r.normal(size=n) if levels == 0
+             else np.array([-0.0, 0.0, -0.5, 0.5])[r.integers(0, 4, n)] if levels == -1
+             else r.integers(0, levels, n) * 0.5)
         got, want = average_ranks(v), rankdata(v)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from conftest import (all_assignments, brute_force_marginal, direct_prob,
                       random_categorical_model, random_gaussian_model,
@@ -549,6 +550,21 @@ class TestCompiledCircuit:
         got = eval_log_density(m, q)
         assert np.array_equal(got, reference_log_density(m, q))
         assert list(np.isneginf(got)) == [True, True, False]
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    # columns: every term -inf; a +inf term; +inf next to -inf; a tie at the
+    # maximum; a -inf term; then finite columns, wide and narrow
+    r = np.random.default_rng(0)
+    inf = math.inf
+    stack = np.hstack([np.array([[-inf, inf, inf, 0.5, -inf],
+                                 [-inf, 1.0, -inf, 0.5, 2.0],
+                                 [-inf, -2.0, inf, -3.0, -inf]]),
+                       r.normal(size=(3, 40)) * 300, r.normal(size=(3, 40)) * 1e-3])
+    got, want = model_module._logsumexp(stack), logsumexp(stack, axis=0)
+    assert got[:3].tolist() == [-inf, inf, inf]
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestMaskedPass:
