@@ -11,8 +11,8 @@ import sys
 from collections.abc import Iterable
 
 from . import datagen, metrics
-from .data import (INTEGER, format_float, load_csv, load_schema, read_json_lines,
-                   require, save_csv)
+from .data import (INTEGER, check_features, check_index, format_float, load_csv,
+                   load_schema, read_json_lines, require, save_csv)
 from .errors import DataError, ModelFormatError
 from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -175,8 +175,7 @@ def cmd_explain(args) -> None:
     if not rows:
         raise ValueError("--rows selected no rows")
     for r in rows:
-        if not (0 <= r < dataset.n_rows):
-            raise DataError(f"row {r} outside dataset of {dataset.n_rows} rows")
+        check_index(r, dataset.n_rows, "row", DataError)
     with _outputs(args.out):
         traces = explain_rows(model, dataset.values, rows, config)
         _write(metrics.format_explanations(rows, traces), args.out)
@@ -189,30 +188,19 @@ def cmd_eval(args) -> None:
     if not records:
         raise DataError(f"explanations {args.explanations}: no records")
     lines = ["row\tprecision\trecall\tf1"]
-    f1s = []
-    seen = set()
+    f1s: dict[int, float] = {}  # of each row explained, in record order
     for i, rec in enumerate(records, start=1):
         at = f"{args.explanations}: record {i}"
         row = require(rec, "row", at, INTEGER)
-        selected = require(rec, "selected", at, list, INTEGER)
-        if not selected:
-            raise DataError(f"{at}: field 'selected' is empty")
-        bad = [d for d in selected if not 0 <= d < dataset.n_features]
-        if bad:
-            raise DataError(f"{at} selects feature {bad[0]}, "
-                            f"outside 0..{dataset.n_features - 1}")
-        if len(set(selected)) < len(selected):
-            raise DataError(f"{at} selects a feature twice")
+        selected = require(rec, "selected", at, list)
+        check_features(selected, dataset.n_features, f"{at} selected", DataError)
         if row not in labeled.ground_truth:
             raise DataError(f"explained row {row} has no ground-truth label")
-        if row in seen:
+        if row in f1s:
             raise DataError(f"{at} repeats row {row}")
-        seen.add(row)
-        p, r, f1 = metrics.f1_dims(selected, labeled.ground_truth[row])
-        f1s.append(f1)
-        lines.append(f"{row}\t{format_float(p)}\t{format_float(r)}\t{format_float(f1)}")
-    mean = sum(f1s) / len(f1s)
-    lines.append(f"mean\t\t\t{format_float(mean)}")
+        p, r, f1s[row] = metrics.f1_dims(selected, labeled.ground_truth[row])
+        lines.append(f"{row}\t{format_float(p)}\t{format_float(r)}\t{format_float(f1s[row])}")
+    lines.append(f"mean\t\t\t{format_float(sum(f1s.values()) / len(f1s))}")
     print("\n".join(lines))
 
 

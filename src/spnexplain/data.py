@@ -1,5 +1,5 @@
 """Column-typed datasets, CSV/schema I/O, input-file readers, the number
-rules, the config check and the row rule.
+rules, the config check, the index and feature-set rules and the row rule.
 
 A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Every table
@@ -169,6 +169,31 @@ def check_config(config) -> None:
             raise ValueError(f"{name} must be >= {rule}")
         elif kind == "float" and not rule[0](_float(value)):
             raise ValueError(f"{name} " + rule[1].format(value=value))
+
+
+def check_index(value, count: int, what: str, error=ValueError) -> None:
+    """The index rule: `value` is an integer (a bool is not) in
+    0..count-1. Every row or feature index read from a caller or a file
+    keeps it; `error` is raised naming `what` and the value."""
+    if not is_a(value, INTEGER):
+        raise error(f"{what} {value!r} is not an integer")
+    if not 0 <= value < count:
+        raise error(f"{what} {value} outside 0..{count - 1}")
+
+
+def check_features(features, count: int, what: str, error=ValueError) -> None:
+    """The feature-set rule: the sequence `features` holds at least one
+    feature, each an index of `count` features under the index rule, and
+    none twice; `error` names `what`, the set and the first bad entry."""
+    if not (len(features) and all(is_a(d, INTEGER) and 0 <= d < count for d in features)
+            and len(set(features)) == len(features)):  # only then locate the fault
+        where = f"{what} {features}"
+        if not len(features):
+            raise error(f"{where} is empty")
+        for i, d in enumerate(features):
+            check_index(d, count, f"{where}: feature", error)
+            if d in features[:i]:
+                raise error(f"{where} repeats feature {d}")
 
 
 def fold_seed(seed) -> int:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (INTEGER, POSITIVE_FINITE, Column, Dataset, check_config, fold_seed,
-                   read_json, require)
+from .data import (POSITIVE_FINITE, Column, Dataset, check_config, check_features,
+                   check_index, fold_seed, read_json, require)
 from .errors import DataError
 
 JOINT_PERCENTILE = 1.0
@@ -30,11 +30,14 @@ REJECTION_BATCH = 1024
 @dataclass(frozen=True)
 class GenConfig:
     """The planted table's shape. Any positive finite `noise_sigma` gives a
-    finite table: below about 1e-155 a candidate outlier's squared distance
-    to a center, in units of sigma, passes the largest float, so its
-    mixture log density is -inf; no candidate then qualifies, and each
-    planted row is the first candidate drawn for it, a point inside the
-    inlier bounding box (the non-qualifying fallback)."""
+    finite table, or a ValueError from `generate` that names it. Below
+    about 1e-155 a candidate outlier's squared distance to a center, in
+    units of sigma, passes the largest float, so its mixture log density
+    is -inf; no candidate then qualifies, and each planted row is the first
+    candidate drawn for it, a point inside the inlier bounding box (the
+    non-qualifying fallback). The candidates are drawn in that box, so a
+    sigma that spreads it wider than the largest float (from about 3e307)
+    raises."""
 
     n_features: int = field(metadata={"rule": 2})
     n_samples: int = 1000
@@ -88,28 +91,22 @@ def _log_mean_exp(comp: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(m), out, m)
 
 
-def _mixture_log_joint(points: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    # points (m, d), centers (c, d): log density of the equal-weight mixture
+def _mixture_log_joint(points: np.ndarray, centers: np.ndarray,
+                       sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The log density of points (m, d) under the equal-weight mixture of
+    the centers (c, d), joint (m,) and per dimension (m, d), from one z."""
     with np.errstate(over="ignore"):  # a z^2 too large for a float is +inf
-        z = (points[:, None, :] - centers[None]) / sigma
-        comp = -0.5 * (z ** 2).sum(axis=2) - points.shape[1] * (
+        z2 = ((points[:, None, :] - centers[None]) / sigma) ** 2
+        joint = -0.5 * z2.sum(axis=2) - points.shape[1] * (
             math.log(sigma) + 0.5 * math.log(2.0 * math.pi))
-    return _log_mean_exp(comp)
-
-
-def _mixture_log_marginals(points: np.ndarray, centers: np.ndarray,
-                           sigma: float) -> np.ndarray:
-    # per-dimension log density, shape (m, d)
-    with np.errstate(over="ignore"):  # a z^2 too large for a float is +inf
-        z = (points[:, None, :] - centers[None]) / sigma
-        comp = -0.5 * z ** 2 - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
-    return _log_mean_exp(comp)
+        marginals = -0.5 * z2 - math.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+    return _log_mean_exp(joint), _log_mean_exp(marginals)
 
 
 def generate(config: GenConfig) -> LabeledDataset:
     """Deterministic labeled dataset with planted-subspace outliers."""
     rng = np.random.default_rng(fold_seed(config.seed))
-    n, m = config.n_features, config.n_samples
+    n, m, sigma = config.n_features, config.n_samples, config.noise_sigma
     perm = rng.permutation(n)
 
     blocks: list[list[int]] = []
@@ -127,8 +124,7 @@ def generate(config: GenConfig) -> LabeledDataset:
         centers = _draw_centers(rng, config.clusters_per_subspace, len(block))
         centers_per_block.append(centers)
         cluster = rng.integers(config.clusters_per_subspace, size=m)
-        X[:, block] = centers[cluster] + rng.normal(
-            0.0, config.noise_sigma, size=(m, len(block)))
+        X[:, block] = centers[cluster] + rng.normal(0.0, sigma, size=(m, len(block)))
     for f in noise_features:
         X[:, f] = rng.uniform(0.0, 1.0, size=m)
 
@@ -143,20 +139,21 @@ def generate(config: GenConfig) -> LabeledDataset:
         centers = centers_per_block[bi]
         inliers = X[np.ix_(inlier_mask, block)]
         lo, hi = inliers.min(axis=0), inliers.max(axis=0)
-        joint_cut = np.percentile(
-            _mixture_log_joint(inliers, centers, config.noise_sigma), JOINT_PERCENTILE)
-        uni_cut = np.percentile(
-            _mixture_log_marginals(inliers, centers, config.noise_sigma),
-            UNIVARIATE_PERCENTILE, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(hi - lo).all():  # the candidates are drawn in this box
+                raise ValueError(f"noise_sigma {sigma} spreads the inliers of features "
+                                 f"{block} wider than a float")
+        joint, marginals = _mixture_log_joint(inliers, centers, sigma)
+        joint_cut = np.percentile(joint, JOINT_PERCENTILE)
+        uni_cut = np.percentile(marginals, UNIVARIATE_PERCENTILE, axis=0)
 
         chosen = None
         fallback = None
         fallback_lp = np.inf
         for _ in range(MAX_REJECTION_BATCHES):
             cand = rng.uniform(lo, hi, size=(REJECTION_BATCH, len(block)))
-            lp_joint = _mixture_log_joint(cand, centers, config.noise_sigma)
-            uni_ok = (_mixture_log_marginals(cand, centers, config.noise_sigma)
-                      >= uni_cut).all(axis=1)
+            lp_joint, lp_marginals = _mixture_log_joint(cand, centers, sigma)
+            uni_ok = (lp_marginals >= uni_cut).all(axis=1)
             hit = uni_ok & (lp_joint < joint_cut)
             if hit.any():
                 chosen = cand[int(np.flatnonzero(hit)[0])]
@@ -192,15 +189,11 @@ def read_labels(dataset: Dataset, path: str) -> LabeledDataset:
     truth: dict[int, tuple[int, ...]] = {}
     for i, entry in enumerate(outliers):
         at = f"{where}: outliers[{i}]"
-        row = require(entry, "row", at, INTEGER)
-        sub = tuple(sorted(require(entry, "subspace", at, list, INTEGER)))
-        if not (0 <= row < dataset.n_rows):
-            raise DataError(f"{at} row {row} outside dataset of {dataset.n_rows} rows")
-        if not sub or sub[0] < 0 or sub[-1] >= dataset.n_features:
-            raise DataError(f"{at} subspace {list(sub)} outside schema")
-        if len(set(sub)) < len(sub):
-            raise DataError(f"{at} subspace {list(sub)} lists a feature twice")
+        row = require(entry, "row", at)
+        check_index(row, dataset.n_rows, f"{at} row", DataError)
+        sub = require(entry, "subspace", at, list)
+        check_features(sub, dataset.n_features, f"{at} subspace", DataError)
         if row in truth:
             raise DataError(f"{at} repeats row {row}")
-        truth[row] = sub
+        truth[row] = tuple(sorted(sub))
     return LabeledDataset(dataset, tuple(sorted(truth)), truth)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import INTEGER, POSITIVE, check_config, check_rows, is_a
+from .data import POSITIVE, check_config, check_features, check_index, check_rows
 from .model import EvalCounter, SpnModel, TableMarginals
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
@@ -181,16 +181,10 @@ class ScoreStats:
 def subspace_score_stats(reference: TableMarginals, subspace: Subspace,
                          counter: EvalCounter | None = None) -> ScoreStats:
     """Mean/std of negative log marginal densities of all rows of the
-    reference table in one subspace. An entry of `subspace` that is not an
-    integer feature index (a bool is not), is out of range or is repeated
-    raises ValueError."""
+    reference table in one subspace; a subspace that breaks the
+    feature-set rule (`check_features`) raises ValueError."""
     n = reference.model.n_features
-    if not all(is_a(d, INTEGER) for d in subspace):
-        raise ValueError(f"subspace {subspace} holds an entry that is not an integer")
-    if not all(0 <= d < n for d in subspace):
-        raise ValueError(f"subspace {subspace} outside schema of {n} features")
-    if len(set(subspace)) < len(subspace):
-        raise ValueError(f"subspace {subspace} repeats a feature")
+    check_features(subspace, n, "subspace")
     keep = np.zeros(n, dtype=bool)
     keep[list(subspace)] = True
     scores = -reference.log_marginal(keep, counter)
@@ -248,17 +242,14 @@ def explain_rows(model: SpnModel, X, rows,
     """Explain the given rows of the table X (any iterable, read once), one
     `explain` call per row; z-score selection measures against all rows of
     X, which are evaluated once for the whole run. A row that is not an
-    integer in 0..len(X)-1 raises ValueError, and so does, before any row
-    is explained, a z-score table X that breaks the row rule
+    integer in 0..len(X)-1 (`check_index`) raises ValueError, and so does,
+    before any row is explained, a z-score table X that breaks the row rule
     (`check_rows`); each explained row is checked against that rule by its
     search."""
     X = np.asarray(X, dtype=np.float64)
     rows = list(rows)  # the check below would use up an iterator
     for r in rows:
-        if not is_a(r, INTEGER):
-            raise ValueError(f"row {r!r} is not an integer")
-        if not 0 <= r < len(X):
-            raise ValueError(f"row {r} outside table of {len(X)} rows")
+        check_index(r, len(X), "row")
     reference = (TableMarginals(model, X, len(rows) * model.n_features)
                  if config.selection == "zscore" else None)
     return [explain(model, X[r], config, reference) for r in rows]

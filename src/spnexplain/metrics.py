@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMBER, Dataset, check_rows, format_float, is_a
+from .data import NUMBER, OPEN_UNIT, Dataset, check_rows, format_float, is_a
 from .datagen import LabeledDataset
 from .explain import ExplainConfig, ExplanationTrace, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -43,8 +43,8 @@ def detect(model: SpnModel, dataset: Dataset,
     density; a column whose name, kind or categories differ from the
     model's, or a row that breaks the rule, raises ValueError.
     """
-    if not (is_a(contamination, NUMBER) and 0.0 < contamination < 1.0):
-        raise ValueError(f"contamination must be in (0,1), got {contamination}")
+    if not (is_a(contamination, NUMBER) and OPEN_UNIT[0](contamination)):
+        raise ValueError("contamination " + OPEN_UNIT[1].format(value=contamination))
     # one quick tuple compare when the columns are the model's own objects
     if tuple(dataset.schema) != model.schema:
         for j, (ours, theirs) in enumerate(zip(model.schema, dataset.schema)):

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import spnexplain
 from spnexplain import cli, metrics
 from spnexplain.cli import main
 from spnexplain.data import Column
+from spnexplain.explain import subspace_score_stats
 from spnexplain.model import (CategoricalLeaf, GaussianLeaf, ProductNode, SpnModel,
                               SumNode, eval_log_density, load_model, to_dict)
 
@@ -255,10 +258,11 @@ class TestExitCodes:
 
     def test_bad_feature_indices_exit_3(self, workspace, capsys):
         row = json.load(open(workspace["labels"]))["outliers"][0]["row"]
-        for selected, message in (([999, -4], "record 1 selects feature 999, outside 0..5"),
-                                  ([0, -1], "record 1 selects feature -1, outside 0..5"),
-                                  ([6], "record 1 selects feature 6, outside 0..5"),
-                                  ([3, 3, 3], "record 1 selects a feature twice")):
+        for selected, message in (
+                ([999, -4], "record 1 selected [999, -4]: feature 999 outside 0..5"),
+                ([0, -1], "record 1 selected [0, -1]: feature -1 outside 0..5"),
+                ([6], "record 1 selected [6]: feature 6 outside 0..5"),
+                ([3, 3, 3], "record 1 selected [3, 3, 3] repeats feature 3")):
             expl = workspace["dir"] / "bad.jsonl"
             expl.write_text(json.dumps({"row": row, "selected": selected}) + "\n")
             assert main(["eval", "--explanations", str(expl), "--data", workspace["data"],
@@ -434,6 +438,99 @@ def test_unreadable_or_malformed_input_exits_with_its_code(inputs, name, failure
     assert len(captured.err.splitlines()) == 1 and path in captured.err
 
 
+# Each fault of a feature set (of the 4 features of `inputs`) or of a row (of
+# its 200 rows), with the words that follow "<what> <value>" in its error.
+FEATURE_FAULTS = {"empty": ([], " is empty"),
+                  "bool": ([0, True], ": feature True is not an integer"),
+                  "float": ([1.5], ": feature 1.5 is not an integer"),
+                  "out-of-range": ([0, 4], ": feature 4 outside 0..3"),
+                  "repeated": ([2, 0, 2], " repeats feature 2")}
+ROW_FAULTS = {"bool": (True, " is not an integer"), "float": (1.5, " is not an integer"),
+              "out-of-range": (200, " outside 0..199")}
+
+
+def _library_door(call):
+    """The text of the ValueError that `call()` raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return "ValueError", str(exc.value)
+
+
+def _cli_door(argv, capsys):
+    """The exit code of the CLI on argv and its one-line data error."""
+    code, err = main(argv), capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    return code, err.removeprefix("data error: ").removesuffix("\n")
+
+
+def _model_and_table(d):
+    model = load_model(str(d / "model.json"))
+    return model, spnexplain.load_csv(str(d / "data.csv"), model.schema).values
+
+
+def _subspace_score_stats(d, capsys, value):
+    model, X = _model_and_table(d)
+    return "subspace", _library_door(
+        lambda: subspace_score_stats(spnexplain.TableMarginals(model, X), value))
+
+
+def _explain_rows(d, capsys, value):
+    model, X = _model_and_table(d)
+    return "row", _library_door(
+        lambda: spnexplain.explain_rows(model, X, [value], spnexplain.ExplainConfig()))
+
+
+def _labels(field):
+    """The labels sidecar as `eval` reads it: one outlier whose `field` is
+    the value and whose other field is valid."""
+    def door(d, capsys, value):
+        path = d / "bad-labels.json"
+        path.write_text(json.dumps({"outliers": [{"row": 0, "subspace": [0, 1],
+                                                  field: value}]}))
+        return f"labels {path}: outliers[0] {field}", _cli_door(
+            ["eval", "--explanations", str(d / "empty.jsonl"), "--data",
+             str(d / "data.csv"), "--labels", str(path)], capsys)
+    return door
+
+
+def _eval_selected(d, capsys, value):
+    row = json.loads((d / "labels.json").read_text())["outliers"][0]["row"]
+    path = d / "bad.jsonl"
+    path.write_text(json.dumps({"row": row, "selected": value}) + "\n")
+    return f"{path}: record 1 selected", _cli_door(
+        ["eval", "--explanations", str(path), "--data", str(d / "data.csv"),
+         "--labels", str(d / "labels.json")], capsys)
+
+
+def _explain_rows_flag(d, capsys, value):
+    return "row", _cli_door(["explain", "--model", str(d / "model.json"), "--data",
+                             str(d / "data.csv"), "--rows", str(value)], capsys)
+
+
+# door -> (its faults, a function of (inputs, capsys, value) that gives the
+# name the door gives the value and the (exception or exit code, message))
+INDEX_DOORS = {
+    "subspace_score_stats": (FEATURE_FAULTS, _subspace_score_stats),
+    "labels subspace": (FEATURE_FAULTS, _labels("subspace")),
+    "eval selected": (FEATURE_FAULTS, _eval_selected),
+    "explain_rows": (ROW_FAULTS, _explain_rows),
+    "labels row": (ROW_FAULTS, _labels("row")),
+    # its text parse rejects a bool or a float first (exit 2, test_bad_rows_exit_2)
+    "explain --rows": ({"out-of-range": ROW_FAULTS["out-of-range"]}, _explain_rows_flag),
+}
+
+
+@pytest.mark.parametrize("door,fault", [(door, fault) for door, (faults, _) in
+                                        INDEX_DOORS.items() for fault in faults])
+def test_every_door_words_an_index_fault_alike(inputs, capsys, door, fault):
+    faults, run = INDEX_DOORS[door]
+    value, words = faults[fault]
+    what, (outcome, message) = run(inputs, capsys, value)
+    assert outcome == ("ValueError" if door in ("subspace_score_stats", "explain_rows")
+                       else 3)
+    assert message == f"{what} {value}{words}"
+
+
 @pytest.fixture(scope="module")
 def six_features(tmp_path_factory):
     """The CSV lines of `gen --n-features 6 --seed 0` and the model trained on them."""
@@ -587,6 +684,22 @@ def test_gen_checks_both_outputs_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma", ["3e307", "1e308"])
+def test_gen_with_inliers_wider_than_a_float_exits_2(tmp_path, capsys, sigma):
+    # the outlier candidates are drawn in the inliers' bounding box, whose
+    # width passes the largest float: numpy's uniform draw used to raise
+    # OverflowError, after an overflow warning
+    out, labels = tmp_path / "d.csv", tmp_path / "l.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen", "--n-features", "4", "--seed", "0", "--noise-sigma", sigma,
+                     "--out", str(out), "--labels", str(labels)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(re.escape(f"error: noise_sigma {float(sigma)} spreads the inliers")
+                        + r" of features \[\d+, \d+\] wider than a float\n", captured.err)
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_score_checks_its_output_before_scoring(workspace, tmp_path, monkeypatch, capsys):

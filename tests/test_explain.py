@@ -267,8 +267,9 @@ class TestZscoreSelect:
     def test_subspace_outside_schema_or_other_model_rejected(self, rng):
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         X = rng.normal(size=(10, 2))
-        for subspace in ((2,), (-1,), (0, 5)):
-            with pytest.raises(ValueError, match="outside schema"):
+        for subspace, bad in (((2,), 2), ((-1,), -1), ((0, 5), 5)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"subspace {subspace}: feature {bad} outside 0..1")):
                 subspace_score_stats(TableMarginals(m, X), subspace)
         other = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         for config in (ExplainConfig(selection="zscore"), ExplainConfig()):
@@ -280,15 +281,18 @@ class TestZscoreSelect:
         # a float or a bool used to index numpy's mask, or fail deep in it
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         table = TableMarginals(m, rng.normal(size=(10, 2)))
-        with pytest.raises(ValueError, match="holds an entry that is not an integer"):
+        entry = next(d for d in subspace if type(d) is not int)
+        with pytest.raises(ValueError, match=re.escape(
+                f"subspace {subspace}: feature {entry!r} is not an integer")):
             subspace_score_stats(table, subspace)
 
     def test_subspace_repeating_a_feature_rejected(self, rng):
         # (0, 0) used to be scored silently as (0,)
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         table = TableMarginals(m, rng.normal(size=(10, 2)))
-        for subspace in ((0, 0), (1, 0, 1), (np.int64(1), 1)):
-            with pytest.raises(ValueError, match=re.escape(f"subspace {subspace} repeats")):
+        for subspace, twice in (((0, 0), 0), ((1, 0, 1), 1), ((np.int64(1), 1), 1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"subspace {subspace} repeats feature {twice}")):
                 subspace_score_stats(table, subspace)
         assert subspace_score_stats(table, (np.int64(1), 0)) == \
             subspace_score_stats(table, (0, 1))
@@ -645,8 +649,8 @@ class TestExplainRows:
     def test_row_outside_table_rejected(self, rng):
         m = random_gaussian_model(rng, 3)
         X = rng.normal(size=(10, 3))
-        for rows in ([-1], [0, 10]):
-            with pytest.raises(ValueError, match="outside table of 10 rows"):
+        for rows, bad in (([-1], -1), ([0, 10], 10)):
+            with pytest.raises(ValueError, match=re.escape(f"row {bad} outside 0..9")):
                 explain_rows(m, X, rows, ExplainConfig())
 
     def test_non_integer_row_rejected(self, rng):
