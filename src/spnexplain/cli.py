@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 from . import datagen, metrics
 from .data import (INTEGER, check_features, check_index, format_float, load_csv,
-                   load_schema, read_json_lines, require, save_csv)
+                   load_schema, read_json_lines, require, save_csv, write_text)
 from .errors import DataError, ModelFormatError
 from .explain import ExplainConfig, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -98,8 +98,7 @@ def _write(lines: Iterable[str], path: str | None) -> None:
     if path is None:
         sys.stdout.writelines(lines)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        write_text(path, lines)
 
 
 @contextlib.contextmanager

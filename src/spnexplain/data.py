@@ -1,5 +1,6 @@
-"""Column-typed datasets, CSV/schema I/O, input-file readers, the number
-rules, the config check, the index and feature-set rules and the row rule.
+"""Column-typed datasets, CSV/schema I/O, the input-file readers and the
+output-file writer, the number rules, the config check, the index and
+feature-set rules and the row rule.
 
 A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Every table
@@ -16,6 +17,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -96,6 +98,14 @@ def read_text(path: str, what: str) -> str:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the strings `chunks` to the file at `path` as they come, as
+    UTF-8 with every character, line ends too, as given; every output file
+    but the CSV (`save_csv`) is written here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+
+
 def _parse_json(text: str, where: str, line: int = 1):
     """The JSON document `text`, which starts on line `line` of `where`."""
     try:
@@ -174,11 +184,12 @@ def check_config(config) -> None:
 def check_index(value, count: int, what: str, error=ValueError) -> None:
     """The index rule: `value` is an integer (a bool is not) in
     0..count-1. Every row or feature index read from a caller or a file
-    keeps it; `error` is raised naming `what` and the value."""
+    keeps it; `error` is raised naming `what` and the value, or saying that
+    the table is empty when `count` is 0."""
     if not is_a(value, INTEGER):
         raise error(f"{what} {value!r} is not an integer")
     if not 0 <= value < count:
-        raise error(f"{what} {value} outside 0..{count - 1}")
+        raise error(f"{what} {value} outside {f'0..{count - 1}' if count else 'an empty table'}")
 
 
 def check_features(features, count: int, what: str, error=ValueError) -> None:
@@ -307,10 +318,11 @@ def check_rows(X: np.ndarray, schema: list[Column]) -> None:
     """The row rule: every cell of X, one sample (n,) or a table (m, n) of
     the n columns of `schema`, is a finite number, and every cell of a
     categorical column is a code 0..k-1 of its k categories. `load_csv`
-    keeps it by construction; `learn_spn`, the searches, `TableMarginals`
-    and `detect` check their rows here. A query keeps only the code
-    half (`check_codes`), on its values with every marginalized cell set
-    to 0. ValueError names the first bad cell."""
+    keeps it by construction; `learn_spn`, `TableMarginals` (which also
+    checks each searched sample, as a table of one row) and `detect` check
+    their rows here. A query keeps only the code half (`check_codes`), on
+    its values with every marginalized cell set to 0. ValueError names the
+    first bad cell, a cell of a table of one row as the sample's."""
     if not np.isfinite(X).all():  # only then locate the first bad cell
         i, j = np.argwhere(~np.isfinite(np.atleast_2d(X)))[0]
         raise ValueError(f"{_cell(X, i, j)} (column {schema[j].name!r}) is not finite")
@@ -334,9 +346,10 @@ def check_codes(X: np.ndarray, schema: list[Column]) -> None:
 
 def _cell(X: np.ndarray, i: int, j: int) -> str:
     """'<where> value <v> of feature j' for the cell (i, j) of X: of row i
-    of a table, or of a sample (n,) when i is 0."""
+    of a table of several rows, or of the sample, which is a sample (n,)
+    or a table of one row."""
     v = np.atleast_2d(X)[i, j]
-    where = "sample" if X.ndim == 1 else f"row {i}"
+    where = "sample" if len(np.atleast_2d(X)) == 1 else f"row {i}"
     return f"{where} value {'NaN' if np.isnan(v) else repr(float(v))} of feature {j}"
 
 
@@ -367,6 +380,8 @@ def _raise_first_fault(path: str, header: list[str], rows: list[list[str]],
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
+    """Write the table as CSV, opened as `write_text` opens a file: the
+    `csv` writer streams into it and ends each line with CR LF."""
     columns = [[format(v, FLOAT_FMT) for v in values.tolist()] if col.kind == "real"
                else [col.categories[int(v)] for v in values.tolist()]
                for col, values in zip(dataset.schema, dataset.values.T)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (POSITIVE_FINITE, Column, Dataset, check_config, check_features,
-                   check_index, fold_seed, read_json, require)
+                   check_index, fold_seed, read_json, require, write_text)
 from .errors import DataError
 
 JOINT_PERCENTILE = 1.0
@@ -176,9 +176,7 @@ def generate(config: GenConfig) -> LabeledDataset:
 def write_labels(labeled: LabeledDataset, path: str) -> None:
     doc = {"outliers": [{"row": r, "subspace": list(labeled.ground_truth[r])}
                         for r in labeled.outlier_rows]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_text(path, [json.dumps(doc), "\n"])
 
 
 def read_labels(dataset: Dataset, path: str) -> LabeledDataset:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import POSITIVE, check_config, check_features, check_index, check_rows
+from .data import POSITIVE, check_config, check_features, check_index
 from .model import EvalCounter, SpnModel, TableMarginals
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
@@ -107,10 +107,9 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
-    # x keeps the row rule, checked here so that an error names the sample;
-    # each masked batch below keeps at least one of its features, so the
-    # batches need no query check
-    check_rows(x, model.schema)
+    # the one-row table of x checks x against the row rule and names a bad
+    # cell as the sample's; each masked batch below keeps at least one of
+    # its features, so the batches need no query check
     table = TableMarginals(model, x[None],
                            steps * beam_width * n if grow else n * (n + 1) // 2 - 1)
     eye = np.eye(n, dtype=bool)
@@ -244,8 +243,8 @@ def explain_rows(model: SpnModel, X, rows,
     X, which are evaluated once for the whole run. A row that is not an
     integer in 0..len(X)-1 (`check_index`) raises ValueError, and so does,
     before any row is explained, a z-score table X that breaks the row rule
-    (`check_rows`); each explained row is checked against that rule by its
-    search."""
+    (`check_rows`); each explained row is checked against that rule once,
+    by its search's table."""
     X = np.asarray(X, dtype=np.float64)
     rows = list(rows)  # the check below would use up an iterator
     for r in rows:

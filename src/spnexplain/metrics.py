@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMBER, OPEN_UNIT, Dataset, check_rows, format_float, is_a
+from .data import (NUMBER, OPEN_UNIT, Dataset, check_rows, format_float, is_a,
+                   write_text)
 from .datagen import LabeledDataset
 from .explain import ExplainConfig, ExplanationTrace, explain_rows
 from .learn import LearnConfig, learn_spn
@@ -115,8 +116,7 @@ def run_benchmark(labeled: LabeledDataset, learn_config: LearnConfig,
                         train_s, explain_s, dataset.n_features,
                         explain_config.strategy, explain_config.selection)
     if explanations_path is not None:
-        with open(explanations_path, "w", encoding="utf-8") as fh:
-            fh.writelines(format_explanations(rows, traces))
+        write_text(explanations_path, format_explanations(rows, traces))
     if summary_path is not None:
         write_summary([report], summary_path)
     return report
@@ -128,13 +128,9 @@ SUMMARY_COLUMNS = ("n_features", "strategy", "selection", "mean_f1",
 
 def write_summary(reports: list[EvalReport], path: str) -> None:
     """Plot-ready TSV: one row per benchmark report."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SUMMARY_COLUMNS) + "\n")
-        for r in reports:
-            fh.write("\t".join([
-                str(r.n_features), r.strategy, r.selection,
-                format_float(r.mean_f1),
-                format_float(float(np.mean(r.eval_counts)) if r.eval_counts else 0.0),
-                format_float(r.train_seconds),
-                format_float(r.explain_seconds),
-            ]) + "\n")
+    lines = [SUMMARY_COLUMNS] + [
+        (str(r.n_features), r.strategy, r.selection, format_float(r.mean_f1),
+         format_float(float(np.mean(r.eval_counts)) if r.eval_counts else 0.0),
+         format_float(r.train_seconds), format_float(r.explain_seconds))
+        for r in reports]
+    write_text(path, ("\t".join(cells) + "\n" for cells in lines))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import (FINITE, INTEGER, NUMBER, POSITIVE_FINITE, UNIT, Column, _float,
                    check_codes, check_rows, columns_from_json, columns_to_json, is_a,
-                   read_json, require)
+                   read_json, require, write_text)
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -491,7 +491,8 @@ class TableMarginals:
     is kept. Both equal `log_marginal(model, X, keep)` bit for bit. The
     table keeps the row rule of `check_rows`, so no cell is marginalized
     but by the mask; a table that breaks it, or has no rows, raises
-    ValueError.
+    ValueError. The searches build their table of one sample here, so this
+    is their one check of it.
     """
 
     def __init__(self, model: SpnModel, X, masks: int | None = None):
@@ -618,9 +619,7 @@ def from_dict(doc) -> SpnModel:
 
 
 def save_model(model: SpnModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(model), fh)
-        fh.write("\n")
+    write_text(path, [json.dumps(to_dict(model)), "\n"])
 
 
 def load_model(path: str) -> SpnModel:

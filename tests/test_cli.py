@@ -11,7 +11,7 @@ import pytest
 
 from conftest import log_marginal_subspace
 import spnexplain
-from spnexplain import cli, metrics
+from spnexplain import cli, data, datagen, metrics, model
 from spnexplain.cli import main
 from spnexplain.data import Column
 from spnexplain.explain import subspace_score_stats
@@ -640,6 +640,33 @@ def test_outputs_are_checked_before_the_work(workspace, tmp_path, monkeypatch, c
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_every_output_but_the_csv_goes_through_write_text(tmp_path, monkeypatch, capsys):
+    written = []
+
+    def recording(path, chunks):
+        written.append(os.path.basename(path))
+        data.write_text(path, chunks)
+
+    for module in (cli, datagen, metrics, model):
+        monkeypatch.setattr(module, "write_text", recording, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n-features", "5", "--n-samples", "200", "--n-outliers", "4",
+                 "--seed", "0", "--out", "data.csv", "--labels", "labels.json"]) == 0
+    assert main(["train", "--data", "data.csv", "--seed", "0", "--model", "model.json"]) == 0
+    assert main(["score", "--model", "model.json", "--data", "data.csv",
+                 "--out", "scores.tsv"]) == 0
+    assert main(["explain", "--model", "model.json", "--data", "data.csv", "--rows", "0,3",
+                 "--out", "expl.jsonl"]) == 0
+    assert main(["bench", "--data", "data.csv", "--labels", "labels.json", "--seed", "0",
+                 "--explanations", "bench.jsonl", "--summary", "summary.tsv"]) == 0
+    capsys.readouterr()
+    made = sorted(os.listdir(tmp_path))
+    assert made == ["bench.jsonl", "data.csv", "expl.jsonl", "labels.json", "model.json",
+                    "scores.tsv", "summary.tsv"]
+    assert sorted(written) == [name for name in made if name != "data.csv"]
+    assert all(os.path.getsize(name) for name in made)
 
 
 @pytest.fixture

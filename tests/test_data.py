@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -343,6 +344,46 @@ class TestSaveCsv:
                               capture_output=True, text=True, env=env)
         assert (done.returncode, done.stderr) == (0, "")
         assert path.read_bytes() == "café,ü\r\nnaïve,1.5\r\nplain,-2\r\nnaïve,0.25\r\n".encode()
+
+
+class TestWriteText:
+    def test_keeps_line_ends_and_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode or locale coercion, as above; the
+        # chunks come from a generator, so they are written as they come
+        script = textwrap.dedent(r"""
+            import locale, sys
+            from spnexplain.data import write_text
+            assert locale.getpreferredencoding(False).lower() != "utf-8"
+            write_text(sys.argv[1], (chunk for chunk in
+                                     ["row\r\n", "caf\u00e9\n", "\r", "na\u00efve"]))
+        """)
+        path = tmp_path / "out.txt"
+        src = os.path.dirname(os.path.dirname(spnexplain.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert path.read_bytes() == "row\r\ncafé\n\rnaïve".encode()
+
+    def test_only_data_opens_a_file_for_writing(self):
+        # every output file goes through `write_text`, and the CSV through
+        # `save_csv` beside it; a module that opened its own file for
+        # writing would state the output policy a second time
+        package = os.path.dirname(spnexplain.__file__)
+        writers = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            tree = ast.parse(open(os.path.join(package, name), encoding="utf-8").read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (k.value for k in node.keywords if k.arg == "mode"),
+                        ast.Constant("r"))
+                    if not (isinstance(mode, ast.Constant) and "w" not in mode.value):
+                        writers.append((name, node.lineno))
+        assert [name for name, _ in writers] == ["data.py", "data.py"], writers
 
 
 class TestColumnAndDataset:

@@ -13,13 +13,14 @@ from conftest import (greedy_backward_oracle, log_marginal_subspace, per_size_op
                       random_gaussian_model, random_mixed_model, random_table,
                       reference_explain, reference_forward_beam_search, root_children,
                       uneven_product)
-from spnexplain.data import Column
+from spnexplain.data import Column, Dataset
 from spnexplain.datagen import GenConfig, generate
 from spnexplain.explain import (ExplainConfig, ExplanationTrace, SizeBest,
                                 backward_elimination, elbow_select, explain,
                                 explain_rows, forward_beam_search,
                                 subspace_score_stats, zscore_select)
 from spnexplain.learn import LearnConfig, learn_spn
+from spnexplain.metrics import detect
 from spnexplain.model import (CategoricalLeaf, EvalCounter, GaussianLeaf, ProductNode,
                               SpnModel, SumNode, TableMarginals, log_marginal)
 
@@ -472,6 +473,27 @@ class TestExplain:
                     messages.add(str(exc.value))
                 assert len(messages) == 1
 
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    def test_searched_sample_is_checked_once_by_its_table(self, rng, monkeypatch,
+                                                           strategy):
+        checked = []
+
+        def counting(X, schema):
+            checked.append(np.shape(X))
+            return check_rows(X, schema)
+
+        check_rows = model_module.check_rows
+        monkeypatch.setattr(model_module, "check_rows", counting)
+        monkeypatch.setattr(explain_module, "check_rows", counting, raising=False)
+        m = random_gaussian_model(rng, 5)
+        explain(m, rng.normal(size=5), ExplainConfig(strategy=strategy))
+        assert checked == [(1, 5)]
+        x = rng.normal(size=5)
+        x[2] = np.nan
+        want = "sample value NaN of feature 2 (column 'g2') is not finite"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            explain(m, x, ExplainConfig(strategy=strategy))
+
     def test_categorical_code_out_of_range_rejected_by_both_strategies(self):
         model = SpnModel([GaussianLeaf(0, 0.0, 1.0), CategoricalLeaf(1, (0.5, 0.5)),
                           ProductNode((0, 1))], 2,
@@ -653,6 +675,12 @@ class TestExplainRows:
             with pytest.raises(ValueError, match=re.escape(f"row {bad} outside 0..9")):
                 explain_rows(m, X, rows, ExplainConfig())
 
+    @pytest.mark.parametrize("selection", ["elbow", "zscore"])
+    def test_row_of_an_empty_table_says_it_is_empty(self, rng, selection):
+        m = random_gaussian_model(rng, 6)
+        with pytest.raises(ValueError, match=re.escape("row 0 outside an empty table")):
+            explain_rows(m, np.empty((0, 6)), [0], ExplainConfig(selection=selection))
+
     def test_non_integer_row_rejected(self, rng):
         m = random_gaussian_model(rng, 3)
         X = rng.normal(size=(10, 3))
@@ -752,3 +780,24 @@ class TestExplainRows:
         assert explain_rows(m, X, rows, config) == want
         tables = 1 if selection == "zscore" else 0
         assert leaf_rows == [len(X)] * tables + [1] * len(rows)
+
+
+@pytest.mark.parametrize("door", ["learn_spn", "detect", "TableMarginals"])
+@pytest.mark.parametrize("bad,shown", [(np.nan, "NaN"), (np.inf, "inf"), (2.0, None)])
+def test_a_table_of_one_row_names_its_bad_cell_as_the_sample(door, bad, shown):
+    schema = [Column("g", "real"), Column("c", "categorical", ("u", "v"))]
+    model = SpnModel([GaussianLeaf(0, 0.0, 1.0), CategoricalLeaf(1, (0.5, 0.5)),
+                      ProductNode((0, 1))], 2, schema)
+    X = np.array([[0.5, 1.0]])
+    if shown is None:  # a code outside the column's categories
+        X[0, 1] = bad
+        want = ("categorical value out of range for column 'c': "
+                "sample value 2.0 of feature 1")
+    else:
+        X[0, 0] = bad
+        want = f"sample value {shown} of feature 0 (column 'g') is not finite"
+    run = {"learn_spn": lambda: learn_spn(Dataset(schema, X), LearnConfig(seed=0)),
+           "detect": lambda: detect(model, Dataset(list(model.schema), X), 0.5),
+           "TableMarginals": lambda: TableMarginals(model, X)}[door]
+    with pytest.raises(ValueError, match=re.escape(want)):
+        run()
