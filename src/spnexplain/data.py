@@ -1,6 +1,6 @@
 """Column-typed datasets, CSV/schema I/O, the input-file readers and the
-output-file writer, the number rules, the config check, the index and
-feature-set rules and the row rule.
+output-file writer, the number rules, the config check, the index,
+feature-set and shape rules and the row rule.
 
 A Dataset stores all cells as float64: real columns hold their values
 directly, categorical columns hold integer category codes. Every table
@@ -55,15 +55,16 @@ class Column:
 class Dataset:
     """A table of the columns of `schema`, one float64 row per sample.
     `load_csv` returns tables that keep the row rule (`check_rows`); a
-    Dataset built from an array is checked where it is used."""
+    Dataset built from an array keeps the shape rule (`check_shape`) as
+    `dataset`, raising DataError, and its cells are checked where it is
+    used."""
 
     schema: list[Column]
     values: np.ndarray = field(repr=False)  # (n_rows, n_cols) float64
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.schema):
-            raise DataError("dataset matrix shape does not match schema")
+        check_shape(self.values, len(self.schema), "dataset", (2,), DataError)
 
     @property
     def n_rows(self) -> int:
@@ -192,6 +193,18 @@ def check_index(value, count: int, what: str, error=ValueError) -> None:
         raise error(f"{what} {value} outside {f'0..{count - 1}' if count else 'an empty table'}")
 
 
+def check_shape(X: np.ndarray, count: int, what: str, ndims: tuple[int, ...],
+                error=ValueError) -> None:
+    """The shape rule: X is a vector (count,) or a table (rows, count), as
+    the dimensions `ndims` admit. Every sample, table, query and mask given
+    by a caller keeps it; `error` names `what`, its shape and the forms
+    admitted."""
+    if X.ndim not in ndims or X.shape[-1:] != (count,):
+        forms = {1: f"({count},)", 2: f"(rows, {count})"}
+        raise error(f"{what} has shape {X.shape}, expected "
+                    + " or ".join(forms[d] for d in ndims))
+
+
 def check_features(features, count: int, what: str, error=ValueError) -> None:
     """The feature-set rule: the sequence `features` holds at least one
     feature, each an index of `count` features under the index rule, and
@@ -314,42 +327,45 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
     return Dataset(encoded, values)
 
 
-def check_rows(X: np.ndarray, schema: list[Column]) -> None:
-    """The row rule: every cell of X, one sample (n,) or a table (m, n) of
-    the n columns of `schema`, is a finite number, and every cell of a
-    categorical column is a code 0..k-1 of its k categories. `load_csv`
-    keeps it by construction; `learn_spn`, `TableMarginals` (which also
-    checks each searched sample, as a table of one row) and `detect` check
-    their rows here. A query keeps only the code half (`check_codes`), on
-    its values with every marginalized cell set to 0. ValueError names the
-    first bad cell, a cell of a table of one row as the sample's."""
+def check_rows(X: np.ndarray, schema: list[Column], what: str = "table") -> None:
+    """The row rule: X is a table (rows, n) of the n columns of `schema`
+    under the shape rule (`check_shape`), with a row and a column, every
+    cell a finite number and every cell of a categorical column a code
+    0..k-1 of its k categories. `load_csv` keeps it by construction;
+    `learn_spn` and `detect` check their dataset here, and `TableMarginals`
+    its table (the searches' table of one sample too). A query keeps only
+    the code half (`check_codes`), on its values with every marginalized
+    cell set to 0. ValueError names `what`, or the first bad cell, a cell
+    of a table of one row as the sample's."""
+    check_shape(X, len(schema), what, (2,))
+    if not X.size:
+        raise ValueError(f"{what} has no {'columns' if len(X) else 'rows'}")
     if not np.isfinite(X).all():  # only then locate the first bad cell
-        i, j = np.argwhere(~np.isfinite(np.atleast_2d(X)))[0]
+        i, j = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{_cell(X, i, j)} (column {schema[j].name!r}) is not finite")
     check_codes(X, schema)
 
 
 def check_codes(X: np.ndarray, schema: list[Column]) -> None:
-    """Raise ValueError unless every cell of a categorical column of X (a
-    sample or a table) is a code 0..k-1 of the column's k categories. A
-    NaN cell is not a code; callers pass no NaN (`check_rows` rejects it
-    first, and a query sets its marginalized cells to 0)."""
+    """Raise ValueError unless every cell of a categorical column of the
+    table X is a code 0..k-1 of the column's k categories. A NaN cell is
+    not a code; callers pass no NaN (`check_rows` rejects it first, and a
+    query sets its marginalized cells to 0)."""
     cats = [j for j, c in enumerate(schema) if c.kind == "categorical"]
-    vals = X[..., cats]
+    vals = X[:, cats]
     sizes = [len(schema[j].categories) for j in cats]
     bad = (vals != np.floor(vals)) | (vals < 0) | (vals >= sizes)
     if bad.any():
-        i, k = np.argwhere(np.atleast_2d(bad))[0]
+        i, k = np.argwhere(bad)[0]
         raise ValueError(f"categorical value out of range for column "
                          f"{schema[cats[k]].name!r}: {_cell(X, i, cats[k])}")
 
 
 def _cell(X: np.ndarray, i: int, j: int) -> str:
-    """'<where> value <v> of feature j' for the cell (i, j) of X: of row i
-    of a table of several rows, or of the sample, which is a sample (n,)
-    or a table of one row."""
-    v = np.atleast_2d(X)[i, j]
-    where = "sample" if len(np.atleast_2d(X)) == 1 else f"row {i}"
+    """'<where> value <v> of feature j' for the cell (i, j) of the table X:
+    of row i, or of the sample when X has one row."""
+    v = X[i, j]
+    where = "sample" if len(X) == 1 else f"row {i}"
     return f"{where} value {'NaN' if np.isnan(v) else repr(float(v))} of feature {j}"
 
 

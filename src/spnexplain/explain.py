@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import POSITIVE, check_config, check_features, check_index
+from .data import POSITIVE, check_config, check_features, check_index, check_shape
 from .model import EvalCounter, SpnModel, TableMarginals
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
@@ -102,11 +102,12 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     most outlying candidates and records the best; results in ascending
     size. Each step reads its candidates from one `TableMarginals` of x,
     told the search's own query count (n(n+1)/2 - 1 backward, at most
-    steps × beam_width × n forward) for its cost rule."""
+    steps × beam_width × n forward) for its cost rule. A `sample` x that
+    is not an (n,) vector breaks the shape rule (`check_shape`) and raises
+    ValueError."""
     n = model.n_features
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"sample has shape {x.shape}, schema has {n} features")
+    check_shape(x, n, "sample", (1,))
     # the one-row table of x checks x against the row rule and names a bad
     # cell as the sample's; each masked batch below keeps at least one of
     # its features, so the batches need no query check
@@ -240,12 +241,14 @@ def explain_rows(model: SpnModel, X, rows,
                  config: ExplainConfig) -> list[ExplanationTrace]:
     """Explain the given rows of the table X (any iterable, read once), one
     `explain` call per row; z-score selection measures against all rows of
-    X, which are evaluated once for the whole run. A row that is not an
-    integer in 0..len(X)-1 (`check_index`) raises ValueError, and so does,
-    before any row is explained, a z-score table X that breaks the row rule
-    (`check_rows`); each explained row is checked against that rule once,
-    by its search's table."""
+    X, which are evaluated once for the whole run. A `table` X that is
+    not (len(X), n) under the shape rule (`check_shape`), checked first, or
+    a row that is not an integer in 0..len(X)-1 (`check_index`) raises
+    ValueError, and so does, before any row is explained, a z-score table
+    X that breaks the row rule (`check_rows`); each explained row is
+    checked against that rule once, by its search's table."""
     X = np.asarray(X, dtype=np.float64)
+    check_shape(X, model.n_features, "table", (2,))
     rows = list(rows)  # the check below would use up an iterator
     for r in rows:
         check_index(r, len(X), "row")

@@ -249,14 +249,13 @@ def fit_leaf(values: np.ndarray, column: Column, feature: int,
 
 def learn_spn(dataset: Dataset, config: LearnConfig) -> SpnModel:
     """Learn SPN structure and parameters; deterministic given config.seed.
-    The table must keep the row rule of `check_rows` (ValueError naming
-    the first bad cell), and a real column whose mean or spread overflows
-    raises DataError."""
+    The `dataset` must keep the row rule of `check_rows` (ValueError
+    naming the dataset's shape, its lack of rows or columns, or its first
+    bad cell), and a real column whose mean or spread overflows raises
+    DataError."""
     X = dataset.values
-    if X.shape[0] == 0 or X.shape[1] == 0:
-        raise ValueError("cannot learn from an empty dataset")
     schema = dataset.schema
-    check_rows(X, schema)
+    check_rows(X, schema, "dataset")
     floors = [sigma_floor_for(X[:, j]) if c.kind == "real" else 0.0
               for j, c in enumerate(schema)]
     for c, floor in zip(schema, floors):

@@ -39,10 +39,11 @@ def detect(model: SpnModel, dataset: Dataset,
     up to an order statistic, so it is one of the scores, +inf included;
     rows scoring at or above it are flagged (so ties, including the
     all-identical degenerate case, flag every tied row). The dataset is
-    encoded under the model's schema, and its rows keep the row rule
-    (`check_rows`), so no cell is marginalized and every score is a joint
-    density; a column whose name, kind or categories differ from the
-    model's, or a row that breaks the rule, raises ValueError.
+    encoded under the model's schema, and the `dataset` keeps the row rule
+    (`check_rows`: a (rows, n) table with a row, under the shape rule), so
+    no cell is marginalized and every score is a joint density; a column
+    whose name, kind or categories differ from the model's, or a table
+    that breaks the rule, raises ValueError.
     """
     if not (is_a(contamination, NUMBER) and OPEN_UNIT[0](contamination)):
         raise ValueError("contamination " + OPEN_UNIT[1].format(value=contamination))
@@ -51,7 +52,7 @@ def detect(model: SpnModel, dataset: Dataset,
         for j, (ours, theirs) in enumerate(zip(model.schema, dataset.schema)):
             if ours != theirs:
                 raise ValueError(f"dataset column {j} is {theirs}, not the model's {ours}")
-    check_rows(dataset.values, dataset.schema)
+    check_rows(dataset.values, model.schema, "dataset")
     scores = -eval_log_density(model, dataset.values)
     threshold = np.quantile(scores, 1.0 - contamination, method="higher")
     flagged = [int(i) for i in np.flatnonzero(scores >= threshold)]

@@ -18,8 +18,8 @@ from typing import Union
 import numpy as np
 
 from .data import (FINITE, INTEGER, NUMBER, POSITIVE_FINITE, UNIT, Column, _float,
-                   check_codes, check_rows, columns_from_json, columns_to_json, is_a,
-                   read_json, require, write_text)
+                   check_codes, check_rows, check_shape, columns_from_json,
+                   columns_to_json, is_a, read_json, require, write_text)
 from .errors import DataError, ModelFormatError
 
 WEIGHT_TOL = 1e-9
@@ -366,9 +366,9 @@ class _Circuit:
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
     """stack[0] + stack[1] + ... in slot order, never pairwise, so that a
-    row's sum does not depend on the rest of its batch. The stack is a
-    (slots, nodes, batch) array or a list of equal-shape arrays, and its
-    first slot may be overwritten."""
+    row's sum does not depend on the rest of its batch. The stack is an
+    array whose first axis holds the slots, such as (slots, nodes, batch),
+    and its first slot may be overwritten."""
     if stack[0].size <= 512:
         # one call that walks the slots of each output element in turn:
         # quick for narrow batches, slow per element for wide ones
@@ -407,24 +407,24 @@ def _compile(model: SpnModel) -> _Circuit:
     return model._circuit
 
 
-def _check_width(q: np.ndarray, n: int) -> None:
-    if q.ndim != 2 or q.shape[1] != n:
-        raise ValueError(f"query must be a (batch, {n}) matrix, got shape {q.shape}")
+def _as_mask(keep) -> np.ndarray:
+    """`keep` as a boolean array; any other dtype raises ValueError."""
+    keep = np.asarray(keep)
+    if keep.dtype != bool:
+        raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
+    return keep
 
 
 def eval_log_density(model: SpnModel, queries: np.ndarray,
                      counter: EvalCounter | None = None) -> np.ndarray:
-    """log p(x_D) for one query (n,) or a batch of queries (batch, n), a
+    """log p(x_D) for one query (n,) or a batch of queries (rows, n), a
     NaN cell marking a marginalized feature: the `log_marginal` of the
     queries under the mask of their non-NaN cells, which states the query
-    rule. A query of another shape raises ValueError.
+    rule. A query of another shape breaks the shape rule (`check_shape`)
+    and raises ValueError naming the `query`.
     """
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1 and q.shape != (model.n_features,):
-        raise ValueError(f"query must be a ({model.n_features},) sample or a "
-                         f"(batch, {model.n_features}) matrix, got shape {q.shape}")
-    if q.ndim != 1:
-        _check_width(q, model.n_features)
+    check_shape(q, model.n_features, "query", (1, 2))
     return log_marginal(model, q, ~np.isnan(q), counter)
 
 
@@ -442,16 +442,15 @@ def log_marginal(model: SpnModel, x, keep,
     result does not depend on the rest of its batch. Returns a scalar for
     a single sample and mask, else one log-density per row.
 
-    The query rule: `x` and `keep` broadcast to a (batch, n) matrix, every
-    query keeps at least one feature, and every kept categorical cell is a
-    code of its column (`check_codes`); a marginalized cell is not
-    checked, and an infinite cell reads as far out in its leaves' tails. A
-    query that breaks it, or a model that `validate` rejects, raises
-    ValueError.
+    The query rule: `keep` is boolean, `x` and `keep` each have n features
+    and broadcast to a (rows, n) `query` under the shape rule
+    (`check_shape`), every query keeps at least one feature, and every
+    kept categorical cell is a code of its column (`check_codes`); a
+    marginalized cell is not checked, and an infinite cell reads as far
+    out in its leaves' tails. A query that breaks it, or a model that
+    `validate` rejects, raises ValueError.
     """
-    keep = np.asarray(keep)
-    if keep.dtype != bool:
-        raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
+    keep = _as_mask(keep)
     x = np.asarray(x, dtype=np.float64)
     n = model.n_features
     try:
@@ -463,7 +462,7 @@ def log_marginal(model: SpnModel, x, keep,
                          f"have {n} features and broadcast together")
     circuit = _compile(model)
     values = np.where(observed, x, 0.0)  # 0 is a code of every categorical column
-    _check_width(values, n)
+    check_shape(values, n, "query", (2,))
     if not observed.any(axis=1).all():
         raise ValueError("query marginalizes every feature")
     check_codes(values, model.schema)
@@ -489,19 +488,17 @@ class TableMarginals:
     and the root's adds in slot order. Otherwise (a sum root, or children
     too wide) each read is one masked pass of the leaf values, and nothing
     is kept. Both equal `log_marginal(model, X, keep)` bit for bit. The
-    table keeps the row rule of `check_rows`, so no cell is marginalized
-    but by the mask; a table that breaks it, or has no rows, raises
-    ValueError. The searches build their table of one sample here, so this
-    is their one check of it.
+    `table` keeps the row rule of `check_rows` (a (rows, n) table with a
+    row, under the shape rule), so no cell is marginalized but by the
+    mask; a table that breaks it raises ValueError. The searches build
+    their table of one sample here, so this is their one check of its
+    cells.
     """
 
     def __init__(self, model: SpnModel, X, masks: int | None = None):
         X = np.asarray(X, dtype=np.float64)
         self._circuit = circuit = _compile(model)
-        _check_width(X, model.n_features)
         check_rows(X, model.schema)
-        if X.shape[0] == 0:
-            raise ValueError("reference table has no rows")
         self.model = model
         self._leaves = circuit.leaf_log_density(X)
         self._store = self._sizes = None  # `_sizes`: 2^k of each child, for a store
@@ -510,11 +507,11 @@ class TableMarginals:
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
         """log p(x_S) for each row of the table, S the features that the
-        boolean mask `keep` (n,) marks True, counted as `EvalCounter` states."""
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != (self.model.n_features,):
-            raise ValueError(f"keep must be a boolean mask of shape "
-                             f"({self.model.n_features},)")
+        boolean mask `keep` (n,) marks True, counted as `EvalCounter` states;
+        a mask of another dtype, or of another shape under the shape rule
+        (`check_shape`), raises ValueError naming `keep`."""
+        keep = _as_mask(keep)
+        check_shape(keep, self.model.n_features, "keep", (1,))
         if not keep.any():
             raise ValueError("query marginalizes every feature")
         return self._read(keep[None], counter)

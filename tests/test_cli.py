@@ -531,6 +531,87 @@ def test_every_door_words_an_index_fault_alike(inputs, capsys, door, fault):
     assert message == f"{what} {value}{words}"
 
 
+ZSCORE = spnexplain.ExplainConfig(selection="zscore")
+ONES = np.ones(4, dtype=bool)
+SAMPLE_DOORS = {  # the three doors of a searched sample, as a call on (model, x)
+    "explain": lambda m, x: spnexplain.explain(m, x, spnexplain.ExplainConfig()),
+    "backward_elimination": spnexplain.backward_elimination,
+    "forward_beam_search": lambda m, x: spnexplain.forward_beam_search(m, x, 4, 1)}
+
+
+def _explain_table(m, X):
+    return spnexplain.explain_rows(m, X, [0] if len(X) else [], ZSCORE)
+
+
+def _learn(m, X):
+    return spnexplain.learn_spn(spnexplain.Dataset(m.schema, X), spnexplain.LearnConfig())
+
+
+def _detect(m, X):
+    return spnexplain.detect(m, spnexplain.Dataset(m.schema[:X.shape[1]], X), 0.1)
+
+
+def _read_mask(m, X, keep):
+    return spnexplain.TableMarginals(m, X).log_marginal(keep)
+
+
+# door -> {fault: (a call on the model and the 200 x 4 table of `inputs`, the
+# exception it raises, its message)}
+SHAPE_DOORS = {
+    **{door: {"width": (lambda m, X, f=f: f(m, X[0, :3]), ValueError,
+                        "sample has shape (3,), expected (4,)"),
+              "dimensions": (lambda m, X, f=f: f(m, X[:1]), ValueError,
+                             "sample has shape (1, 4), expected (4,)")}
+       for door, f in SAMPLE_DOORS.items()},
+    **{door: {"width": (lambda m, X, f=f: f(m, X[:, :3]), ValueError,
+                        "table has shape (200, 3), expected (rows, 4)"),
+              "dimensions": (lambda m, X, f=f: f(m, X[0]), ValueError,
+                             "table has shape (4,), expected (rows, 4)"),
+              "no rows": (lambda m, X, f=f: f(m, X[:0]), ValueError, "table has no rows")}
+       for door, f in (("explain_rows", _explain_table),
+                       ("TableMarginals", spnexplain.TableMarginals))},
+    "eval_log_density": {
+        "width": (lambda m, X: eval_log_density(m, X[:, :3]), ValueError,
+                  "query has shape (200, 3), expected (4,) or (rows, 4)"),
+        "dimensions": (lambda m, X: eval_log_density(m, X[None]), ValueError,
+                       "query has shape (1, 200, 4), expected (4,) or (rows, 4)")},
+    "log_marginal": {
+        "dimensions": (lambda m, X: spnexplain.log_marginal(m, X[None], ONES), ValueError,
+                       "query has shape (1, 200, 4), expected (rows, 4)"),
+        "mask dtype": (lambda m, X: spnexplain.log_marginal(m, X, ONES.astype(np.int64)),
+                       ValueError, "keep must be a boolean mask, got dtype int64")},
+    "Dataset": {
+        "width": (lambda m, X: spnexplain.Dataset(m.schema, X[:, :3]), data.DataError,
+                  "dataset has shape (200, 3), expected (rows, 4)"),
+        "dimensions": (lambda m, X: spnexplain.Dataset(m.schema, X[0]), data.DataError,
+                       "dataset has shape (4,), expected (rows, 4)")},
+    "learn_spn": {"no rows": (lambda m, X: _learn(m, X[:0]), ValueError,
+                              "dataset has no rows")},
+    "detect": {
+        # a dataset of the model's first 3 columns
+        "width": (lambda m, X: _detect(m, X[:, :3]), ValueError,
+                  "dataset has shape (200, 3), expected (rows, 4)"),
+        "no rows": (lambda m, X: _detect(m, X[:0]), ValueError, "dataset has no rows")},
+    "TableMarginals.log_marginal": {
+        "width": (lambda m, X: _read_mask(m, X, ONES[:3]), ValueError,
+                  "keep has shape (3,), expected (4,)"),
+        "dimensions": (lambda m, X: _read_mask(m, X, ONES[None]), ValueError,
+                       "keep has shape (1, 4), expected (4,)"),
+        "mask dtype": (lambda m, X: _read_mask(m, X, ONES.astype(np.int64)), ValueError,
+                       "keep must be a boolean mask, got dtype int64")},
+}
+
+
+@pytest.mark.parametrize("door,fault", [(door, fault) for door, faults in
+                                        SHAPE_DOORS.items() for fault in faults])
+def test_every_door_words_a_shape_fault_alike(inputs, door, fault):
+    call, error, message = SHAPE_DOORS[door][fault]
+    model, X = _model_and_table(inputs)
+    with pytest.raises(Exception) as exc:
+        call(model, X)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 @pytest.fixture(scope="module")
 def six_features(tmp_path_factory):
     """The CSV lines of `gen --n-features 6 --seed 0` and the model trained on them."""

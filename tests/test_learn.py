@@ -529,9 +529,14 @@ class TestLearnSpn:
             learn_spn(Dataset(schema, X), CFG)
 
     def test_rejects_empty_and_nan(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
             learn_spn(_dataset(np.empty((0, 2))), CFG)
         X = np.ones((50, 2))
         X[3, 1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             learn_spn(_dataset(X), CFG)
+
+    def test_rejects_a_dataset_with_no_columns(self):
+        # a CSV of blank lines loads as one: `train` exits 2 on it
+        with pytest.raises(ValueError, match="^dataset has no columns$"):
+            learn_spn(_dataset(np.empty((3, 0))), CFG)

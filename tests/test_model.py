@@ -281,8 +281,7 @@ class TestLogDensity:
             eval_log_density(m, [5])
 
     def test_rejects_wrong_length(self):
-        want = re.escape("query must be a (1,) sample or a (batch, 1) matrix, "
-                         "got shape (2,)")
+        want = re.escape("query has shape (2,), expected (1,) or (rows, 1)")
         with pytest.raises(ValueError, match=want):
             eval_log_density(std_normal_leaf(), [0.0, 1.0])
 
@@ -370,7 +369,7 @@ class TestLogMarginal:
 
     def test_query_of_more_than_two_dimensions_is_named(self, rng):
         m = random_gaussian_model(rng, 3)
-        want = re.escape("query must be a (batch, 3) matrix, got shape (2, 3, 3)")
+        want = re.escape("query has shape (2, 3, 3), expected (rows, 3)")
         for x, keep in ((np.zeros(3), np.ones((2, 3, 3), dtype=bool)),
                         (np.zeros((2, 3, 3)), np.ones(3, dtype=bool))):
             with pytest.raises(ValueError, match=want):
@@ -927,10 +926,11 @@ class TestTableMarginals:
     def test_query_of_wrong_shape_is_named(self, rng):
         m = random_gaussian_model(rng, 5)
         for X in (np.zeros(5), np.zeros((3, 4)), np.zeros((2, 5, 1))):
-            want = re.escape(f"query must be a (batch, 5) matrix, got shape {X.shape}")
+            want = re.escape(f"table has shape {X.shape}, expected (rows, 5)")
             with pytest.raises(ValueError, match=want):
                 TableMarginals(m, X)
             if X.ndim > 1:
+                want = re.escape(f"query has shape {X.shape}, expected (5,) or (rows, 5)")
                 with pytest.raises(ValueError, match=want):
                     eval_log_density(m, X)
 
