@@ -283,6 +283,8 @@ def load_csv(path: str, schema: list[Column] | None = None) -> Dataset:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: empty file, expected a header row")
+    if not records[0]:  # csv.reader's record of a blank line
+        raise DataError(f"{path}:1: blank header row, expected column names")
     header, rows, lines = records[0], records[1:], starts[1:-1]
     ragged = bool(set(map(len, rows)) - {len(header)})
     columns = [] if ragged else list(zip(*rows))

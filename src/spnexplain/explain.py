@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import POSITIVE, check_config, check_features, check_index, check_shape
-from .model import EvalCounter, SpnModel, TableMarginals
+from .data import (POSITIVE, check_config, check_features, check_index, check_rows,
+                   check_shape)
+from .model import EvalCounter, SpnModel, TableMarginals, _store_sizes
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -94,52 +95,164 @@ class ExplanationTrace:
             f"{name}={value!r}" for name, value in zip(names, self._fields())) + ")"
 
 
+# The budget of a block of rows searched in lockstep: the bytes that its
+# rows add (`_row_bytes`), summed over the block's rows.
+BLOCK_BYTES = 1 << 19
+
+
+def _queries(n: int, grow: bool, steps: int, beam_width: int) -> int:
+    """A search's own query count of one row, for its table's cost rule:
+    n(n+1)/2 - 1 backward, at most steps × beam_width × n forward."""
+    return steps * beam_width * n if grow else n * (n + 1) // 2 - 1
+
+
+def _search_table(model: SpnModel, X: np.ndarray, masks: int) -> TableMarginals:
+    """The `TableMarginals` of the samples X (rows, n) that a search reads,
+    asked `masks` masks a row. A bad cell is named as the sample's, that of
+    the first bad row, as a search of that row alone names it."""
+    try:
+        return TableMarginals(model, X, masks)
+    except ValueError:
+        for x in X:
+            check_rows(x[None], model.schema)
+        raise
+
+
+def _words(masks: np.ndarray) -> np.ndarray:
+    """Each boolean mask (rows, n) as big-endian 64-bit words of its bits,
+    feature 0 the highest bit of the first word: masks compare as the
+    tuples of their words compare."""
+    packed = np.zeros((len(masks), -(-masks.shape[1] // 64) * 8), dtype=np.uint8)
+    packed[:, :(masks.shape[1] + 7) // 8] = np.packbits(masks, axis=1)
+    return packed.view(">u8").astype(np.uint64)
+
+
 def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
-                   counter: EvalCounter | None) -> list[SizeBest]:
-    """The one greedy step loop of both strategies. Each step flips one
-    not-yet-flipped feature of every hypothesis (adds it to the subspace
-    when `grow`, else drops it from the full set), keeps the beam_width
-    most outlying candidates and records the best; results in ascending
-    size. Each step reads its candidates from one `TableMarginals` of x,
-    told the search's own query count (n(n+1)/2 - 1 backward, at most
-    steps × beam_width × n forward) for its cost rule. A `sample` x that
-    is not an (n,) vector breaks the shape rule (`check_shape`) and raises
-    ValueError."""
+                   counter: EvalCounter | list[EvalCounter] | None) -> list:
+    """The one greedy step loop of both strategies, run in lockstep over a
+    block of rows. Each step flips one not-yet-flipped feature of every
+    hypothesis (adds it to the subspace when `grow`, else drops it from
+    the full set), keeps each row's beam_width most outlying candidates and
+    records its best; results in ascending size. `x` is one sample (n,),
+    whose result is its list and whose `counter` is one EvalCounter, or a
+    `TableMarginals` of the model over a block of samples, with one list
+    and one counter per row. A sample is read through a table of its own,
+    told the search's own query count (`_queries`) for its cost rule. A
+    `sample` x that is not an (n,) vector breaks the shape rule
+    (`check_shape`) and raises ValueError.
+
+    A row's candidates are its hypotheses with each feature they have not
+    flipped, deduplicated, in lexicographic order of their flipped sets;
+    its ties keep that order. When each row holds one hypothesis (every
+    backward step, and the first forward one), the candidates come in that
+    order and each row has as many, so one argsort per row orders them.
+    Otherwise one sort by row and by packed complement mask (`_words`)
+    dedupes them, and a stable sort by log-density within each row orders
+    them. On a table with a store, each hypothesis carries its
+    children's codes, and a candidate's are its parent's plus or minus its
+    feature's step (`TableMarginals._search_codes`); a table without one
+    reads each step with one masked pass for the whole block."""
     n = model.n_features
-    x = np.asarray(x, dtype=np.float64)
-    check_shape(x, n, "sample", (1,))
-    # the one-row table of x checks x against the row rule and names a bad
-    # cell as the sample's; each masked batch below keeps at least one of
-    # its features, so the batches need no query check
-    table = TableMarginals(model, x[None],
-                           steps * beam_width * n if grow else n * (n + 1) // 2 - 1)
-    eye = np.eye(n, dtype=bool)
-    beam = np.zeros((1, n), dtype=bool)  # the flipped features of each hypothesis
-    results: list[SizeBest] = []
-    for _ in range(steps):
-        # each hypothesis with each feature it has not flipped; from one
-        # hypothesis these come in lexicographic order of the flipped sets
-        flipped = (beam[:, None, :] | eye)[~beam]
-        if len(beam) > 1:
-            # for sets of one size, ascending bytes of the packed complement
-            # masks are ascending sorted-index tuples
-            packed = np.packbits(~flipped, axis=1)
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first = np.unique(keys, return_index=True)
-            flipped = flipped[first]
-        keep = flipped if grow else ~flipped
-        logps = table._read(keep, counter)
-        order = np.argsort(logps, kind="stable")  # ties stay lexicographic
-        beam = flipped[order[:beam_width]]
-        subspace = tuple(np.flatnonzero(keep[order[0]]).tolist())
-        results.append(SizeBest(len(subspace), subspace, float(logps[order[0]])))
-    return results if grow else results[::-1]
+    if isinstance(x, TableMarginals):
+        if x.model is not model:
+            raise ValueError("table was built for another model")
+        table, counters = x, counter
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        check_shape(x, n, "sample", (1,))
+        # each masked batch below keeps at least one of its features, so
+        # the batches need no query check
+        table = _search_table(model, x[None], _queries(n, grow, steps, beam_width))
+        counters = None if counter is None else [counter]
+    R = table._leaves.shape[1]
+    rows = np.arange(R)
+    flipped = np.zeros((R, n), dtype=bool)  # the flipped features of each hypothesis
+    owner = rows  # each hypothesis's row, ascending
+    codes = table._search_codes(flipped if grow else ~flipped)
+    if codes is not None:
+        codes, step = codes[0], (codes[1] if grow else -codes[1])
+    clear = ~_words(np.eye(n, dtype=bool))  # clears a feature's bit
+    best = np.empty((steps, R, n), dtype=bool)  # each row's best flipped set a step
+    best_lp = np.empty((steps, R))
+    asked = np.zeros(R, dtype=np.intp)  # each row's queries; `each`, of every row
+    each = 0
+    for t in range(steps):
+        h, f = np.nonzero(~flipped)  # from each hypothesis, in lexicographic order
+        uniform = len(flipped) == R  # one hypothesis a row, with k = len(f) // R
+        if not uniform:
+            # for sets of one size, ascending packed complement masks are
+            # ascending sorted-index tuples
+            words = _words(~flipped)[h] & clear[f]
+            by_set = np.lexsort((*words.T[::-1], owner[h]))  # by row, then by set
+            words, rows_of = words[by_set], owner[h[by_set]]
+            once = np.ones(len(h), dtype=bool)
+            once[1:] = (rows_of[1:] != rows_of[:-1]) | (words[1:] != words[:-1]).any(axis=1)
+            h, f = h[by_set[once]], f[by_set[once]]
+        if codes is None:
+            keep = flipped[h]
+            keep[np.arange(len(h)), f] = True
+            lp = table._pass(keep if grow else ~keep, owner[h])
+        else:
+            if uniform:
+                cand = codes[:, :, None] + step[:, f].reshape(len(codes), R, -1)
+            else:
+                cand = codes[:, h]
+                cand += step[:, f]
+            lp = table._gather(cand)
+        if uniform:
+            k = len(f) // R
+            lp = lp.reshape(R, k)
+            order = np.argsort(lp, axis=1, kind="stable")[:, :beam_width]
+            b = order.shape[1]
+            pick = (rows[:, None], order)
+            each += k
+            best_lp[t] = lp[rows, order[:, 0]]
+            f = f.reshape(R, k)[pick].ravel()
+            if codes is not None:
+                codes = cand.reshape(-1, R, k)[(slice(None),) + pick].reshape(-1, R * b)
+            if b > 1:
+                flipped, owner = np.repeat(flipped, b, axis=0), np.repeat(rows, b)
+                flipped[np.arange(R * b), f] = True
+            else:
+                flipped[rows, f] = True
+            best[t] = flipped[::b]
+        else:
+            owner = owner[h]
+            order = np.argsort(lp, kind="stable")
+            order = order[np.argsort(owner[order], kind="stable")]  # by row, then by lp
+            count = np.bincount(owner, minlength=R)
+            asked += count
+            start = np.cumsum(count) - count
+            pick = order[np.arange(len(order)) - np.repeat(start, count) < beam_width]
+            kept = np.minimum(count, beam_width)
+            first = np.cumsum(kept) - kept
+            best_lp[t] = lp[pick[first]]
+            owner = owner[pick]
+            if codes is not None:
+                codes = cand[:, pick]
+            flipped = flipped[h[pick]]
+            flipped[np.arange(len(pick)), f[pick]] = True
+            best[t] = flipped[first]
+    if counters is not None:
+        table._charge(counters, (asked + each).tolist())
+    sizes = range(1, steps + 1) if grow else range(n - 1, n - 1 - steps, -1)
+    ends = list(itertools.accumulate(sizes))  # of each step's subspace in a row's run
+    features = np.nonzero((best if grow else ~best).transpose(1, 0, 2))[2].tolist()
+    results = []
+    for at, lps in zip(range(0, len(features), ends[-1]), best_lp.T.tolist()):
+        per_size = [SizeBest(k, tuple(features[at + end - k:at + end]), lp)
+                    for k, end, lp in zip(sizes, ends, lps)]
+        results.append(per_size if grow else per_size[::-1])
+    return results if table is x else results[0]
 
 
 def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
-                        counter: EvalCounter | None = None) -> list[SizeBest]:
+                        counter: EvalCounter | list[EvalCounter] | None = None) -> list:
     """Greedy bottom-up subspace growth keeping the beam_width most
-    outlying hypotheses per size; records the single best subspace per size."""
+    outlying hypotheses per size; records the single best subspace per
+    size. `x` is one sample, or a `TableMarginals` of a block of samples
+    searched in lockstep, with one result and one counter per row
+    (`_greedy_search`)."""
     n = model.n_features
     if not (1 <= max_size <= n):
         raise ValueError(f"max_size must be in [1, {n}], got {max_size}")
@@ -149,10 +262,12 @@ def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
 
 
 def backward_elimination(model: SpnModel, x,
-                         counter: EvalCounter | None = None) -> list[SizeBest]:
+                         counter: EvalCounter | list[EvalCounter] | None = None) -> list:
     """Top-down greedy removal, one feature a step, keeping the remainder
     of lowest marginal density (the most outlying one); returns the best
-    subspaces of sizes 1..n-1."""
+    subspaces of sizes 1..n-1. `x` is one sample, or a `TableMarginals` of
+    a block of samples searched in lockstep, with one result and one
+    counter per row (`_greedy_search`)."""
     if model.n_features < 2:
         raise ValueError("backward elimination needs at least 2 features")
     return _greedy_search(model, x, False, model.n_features - 1, 1, counter)
@@ -196,16 +311,81 @@ def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
                   counter: EvalCounter | None = None) -> SizeBest:
     """Pick the candidate whose score is most extreme relative to the
     score distribution of the reference table in its subspace (ties, and a
-    z-score that is NaN for every candidate: the first, smallest size)."""
+    z-score that is NaN for every candidate: the first, smallest size).
+    All subspaces are read in one read of the table; one that breaks the
+    feature-set rule (`check_features`) raises ValueError."""
     if not per_size:
         raise ValueError("per_size is empty")
+    n = reference.model.n_features
+    subspaces = [sb.subspace for sb in per_size]
+    at = np.repeat(np.arange(len(per_size)), [len(sub) for sub in subspaces])
+    features = list(itertools.chain.from_iterable(subspaces))
+    keep = np.zeros((len(per_size), n), dtype=bool)
+    if all(subspaces) and {type(d) for d in features} == {int} \
+            and 0 <= min(features) and max(features) < n:
+        keep[at, features] = True
+    if np.count_nonzero(keep) != len(features):  # only then check each subspace
+        for sub in subspaces:
+            check_features(sub, n, "subspace")
+        keep[at, np.array(features, dtype=np.intp)] = True  # numpy integers
+    scores = reference._read(keep, counter)  # (sizes, rows), negated in place
+    np.negative(scores, out=scores)
+    log_densities = np.array([sb.log_density for sb in per_size])
+    # an inf score makes a NaN z-score, and a NaN z-score never wins
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = scores.mean(axis=1)
+        # np.std's own steps, in place: np.std would hold a second array of
+        # every size's scores
+        scores -= mean[:, None]
+        scores *= scores
+        std = np.sqrt(scores.sum(axis=1) / scores.shape[1])
+        z = np.where(std == 0.0, 0.0, (-log_densities - mean) / std)
+    z[np.isnan(z)] = -np.inf
+    return per_size[int(np.argmax(z))]
 
-    def zscore(sb: SizeBest) -> float:  # a NaN z-score never wins
-        stats = subspace_score_stats(reference, sb.subspace, counter)
-        z = 0.0 if stats.std == 0.0 else (-sb.log_density - stats.mean) / stats.std
-        return -math.inf if math.isnan(z) else z
 
-    return max(per_size, key=zscore)
+def _plan(model: SpnModel, config: ExplainConfig) -> tuple[bool, int, int]:
+    """(grow, steps, beam width) of the configured search. Backward
+    elimination needs two features; a one-feature model has only the one
+    subspace, which a forward search of depth 1 scores."""
+    n = model.n_features
+    if config.strategy == "forward" or n == 1:
+        return True, min(config.max_depth or n, n), config.beam_width
+    return False, n - 1, 1
+
+
+def _row_bytes(model: SpnModel, config: ExplainConfig) -> int:
+    """The bytes that one row adds to a block of the configured search: 8
+    for each of its step's candidates (at most beam width × n) and the
+    values each reads (a root child of the store, or a node of a pass),
+    and 8 for each of its store's codes."""
+    grow, steps, beam_width = _plan(model, config)
+    sizes = _store_sizes(model, _queries(model.n_features, grow, steps, beam_width))
+    if sizes is None:
+        return 8 * beam_width * model.n_features * len(model.nodes)
+    return 8 * (beam_width * model.n_features * len(sizes) + int(sizes.sum()))
+
+
+def _search(model: SpnModel, x, config: ExplainConfig,
+            counter: EvalCounter | list[EvalCounter]) -> list:
+    """The configured search of x, a sample or a table of samples, called
+    through the module names that perfbench traces."""
+    grow, steps, beam_width = _plan(model, config)
+    if grow:
+        return forward_beam_search(model, x, steps, beam_width, counter)
+    return backward_elimination(model, x, counter)
+
+
+def _trace(per_size: list[SizeBest], config: ExplainConfig,
+           reference: TableMarginals | None, counter: EvalCounter) -> ExplanationTrace:
+    """The explanation of one searched row: its selected size and its
+    trace, its eval_count the row's queries."""
+    if config.selection == "elbow":
+        chosen = elbow_select(per_size, config.kappa)
+    else:
+        chosen = zscore_select(per_size, reference, counter)
+    return ExplanationTrace(per_size, chosen.subspace, chosen.size,
+                            counter.queries, config.strategy, config.selection)
 
 
 def explain(model: SpnModel, x, config: ExplainConfig,
@@ -216,42 +396,43 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     selection asks one per reference row and subspace), not the node
     evaluations performed to answer them. z-score selection without a
     reference, or with one built for another model, raises ValueError."""
-    n = model.n_features
     if config.selection == "zscore" and reference is None:
         raise ValueError("zscore selection requires training data")
     if reference is not None and reference.model is not model:
         raise ValueError("reference table was built for another model")
     counter = EvalCounter()
-    # backward elimination needs two features; a one-feature model has only
-    # the one subspace, which a forward search of depth 1 scores
-    if config.strategy == "forward" or n == 1:
-        depth = min(config.max_depth or n, n)
-        per_size = forward_beam_search(model, x, depth, config.beam_width, counter)
-    else:
-        per_size = backward_elimination(model, x, counter)
-    if config.selection == "elbow":
-        chosen = elbow_select(per_size, config.kappa)
-    else:
-        chosen = zscore_select(per_size, reference, counter)
-    return ExplanationTrace(per_size, chosen.subspace, chosen.size,
-                            counter.queries, config.strategy, config.selection)
+    return _trace(_search(model, x, config, counter), config, reference, counter)
 
 
 def explain_rows(model: SpnModel, X, rows,
                  config: ExplainConfig) -> list[ExplanationTrace]:
-    """Explain the given rows of the table X (any iterable, read once), one
-    `explain` call per row; z-score selection measures against all rows of
-    X, which are evaluated once for the whole run. A `table` X that is
-    not (len(X), n) under the shape rule (`check_shape`), checked first, or
-    a row that is not an integer in 0..len(X)-1 (`check_index`) raises
-    ValueError, and so does, before any row is explained, a z-score table
-    X that breaks the row rule (`check_rows`); each explained row is
-    checked against that rule once, by its search's table."""
+    """Explain the given rows of the table X (any iterable, read once),
+    each as `explain` explains it. The rows are searched in lockstep, in
+    blocks of consecutive rows, each block's rows under BLOCK_BYTES, over
+    one `TableMarginals` of the block (one search call a block); z-score
+    selection measures against all rows of X, which are evaluated once for
+    the whole run, and reads all sizes of a row at once. A `table` X that
+    is not (len(X), n) under the shape rule (`check_shape`), checked
+    first, or a row that is not an integer in 0..len(X)-1 (`check_index`)
+    raises ValueError, and so does, before any row is explained, a z-score
+    table X that breaks the row rule (`check_rows`). Each explained row is
+    checked against that rule once, by its block's table, before the
+    block's search: a bad row raises as `explain` of it alone would, for
+    the first bad row, and no later block is searched."""
+    n = model.n_features
     X = np.asarray(X, dtype=np.float64)
-    check_shape(X, model.n_features, "table", (2,))
+    check_shape(X, n, "table", (2,))
     rows = list(rows)  # the check below would use up an iterator
     for r in rows:
         check_index(r, len(X), "row")
-    reference = (TableMarginals(model, X, len(rows) * model.n_features)
+    reference = (TableMarginals(model, X, len(rows) * n)
                  if config.selection == "zscore" else None)
-    return [explain(model, X[r], config, reference) for r in rows]
+    masks = _queries(n, *_plan(model, config))
+    per = max(1, BLOCK_BYTES // _row_bytes(model, config))
+    traces = []
+    for i in range(0, len(rows), per):
+        table = _search_table(model, X[rows[i:i + per]], masks)
+        counters = [EvalCounter() for _ in rows[i:i + per]]
+        traces += [_trace(per_size, config, reference, counter) for per_size, counter
+                   in zip(_search(model, table, config, counters), counters)]
+    return traces

@@ -85,7 +85,11 @@ class EvalCounter:
     computed. A table's store is filled by its first read, which adds
     2^W × rows × (circuit nodes) node evaluations and no query for the
     fill; a read from the store adds one query per mask and row and no node
-    evaluation. A table without a store reads by passes."""
+    evaluation. A table without a store reads by passes. A search of a
+    block of rows fills its table's store once for the block, and keeps
+    one counter per row: each gets its row's queries and its row's part
+    of the fill, 2^W × (circuit nodes), as a search of that row alone
+    counts them."""
 
     queries: int = 0
     node_evals: int = 0
@@ -470,29 +474,41 @@ def log_marginal(model: SpnModel, x, keep,
     return out[0] if x.ndim == keep.ndim == 1 else out
 
 
+def _store_sizes(model: SpnModel, masks: int | None = None) -> np.ndarray | None:
+    """2^k of each root child of k features, in slot order, when a
+    `TableMarginals` of the model asked `masks` masks a row (n by default)
+    keeps a store: on a root product whose widest child's 2^W is below
+    `masks`. Otherwise None."""
+    circuit = _compile(model)
+    if circuit.bits is not None and 2 ** circuit.width < (masks or model.n_features):
+        return 2 ** np.count_nonzero(circuit.bits, axis=0)
+    return None
+
+
 class TableMarginals:
     """log p(x_S) of every row x of one fixed table X, for many subspaces S:
-    the one marginal table of the searches (over the searched row) and of
+    the one marginal table of the searches (over the searched rows) and of
     z-score selection (over the reference rows).
 
     The leaf values over X are computed on construction, and each read only
     masks them. The marginal of a decomposable product is the sum of its
     children's marginals, each on S ∩ scope(child). So on a root product
     whose widest child has W features, where 2^W is below `masks`, the
-    count of masks its caller will ask (n, one selection's worth, by
-    default), the first read fills a store of every root child's value on
-    every subset of its scope over X: Σ 2^k × rows floats for children of
-    k features. The fill runs the circuit's own masked passes, where query
-    j keeps, in every child at once, the features whose bit is set in j.
-    Each read then takes one matmul for the children's codes, one gather,
-    and the root's adds in slot order. Otherwise (a sum root, or children
-    too wide) each read is one masked pass of the leaf values, and nothing
-    is kept. Both equal `log_marginal(model, X, keep)` bit for bit. The
-    `table` keeps the row rule of `check_rows` (a (rows, n) table with a
-    row, under the shape rule), so no cell is marginalized but by the
-    mask; a table that breaks it raises ValueError. The searches build
-    their table of one sample here, so this is their one check of its
-    cells.
+    count of masks its caller will ask of a row (n, one selection's worth,
+    by default), the first read fills a store of every root child's value
+    on every subset of its scope over X: Σ 2^k × rows floats for children
+    of k features. The fill runs the circuit's own masked passes, where
+    query j keeps, in every child at once, the features whose bit is set in
+    j. A read of masks then takes one matmul for their children's codes and
+    adds each child's gather into one accumulator in slot order; a search
+    instead carries its hypotheses' codes and steps them a feature at a
+    time (`_search_codes`). Otherwise (a sum root, or children too wide)
+    each read is one masked pass of the leaf values, and nothing is kept.
+    Both equal `log_marginal(model, X, keep)` bit for bit. The `table`
+    keeps the row rule of `check_rows` (a (rows, n) table with a row, under
+    the shape rule), so no cell is marginalized but by the mask; a table
+    that breaks it raises ValueError. The searches build their table of the
+    searched samples here, so this is their one check of its cells.
     """
 
     def __init__(self, model: SpnModel, X, masks: int | None = None):
@@ -501,9 +517,10 @@ class TableMarginals:
         check_rows(X, model.schema)
         self.model = model
         self._leaves = circuit.leaf_log_density(X)
-        self._store = self._sizes = None  # `_sizes`: 2^k of each child, for a store
-        if circuit.bits is not None and 2 ** circuit.width < (masks or model.n_features):
-            self._sizes = 2 ** np.count_nonzero(circuit.bits, axis=0)
+        self._store = None
+        self._sizes = _store_sizes(model, masks)  # 2^k of each child, for a store
+        if self._sizes is not None:
+            self._offsets = np.cumsum(self._sizes) - self._sizes  # each child's first code
 
     def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
         """log p(x_S) for each row of the table, S the features that the
@@ -514,20 +531,69 @@ class TableMarginals:
         check_shape(keep, self.model.n_features, "keep", (1,))
         if not keep.any():
             raise ValueError("query marginalizes every feature")
-        return self._read(keep[None], counter)
+        return self._read(keep[None], counter)[0]
 
     def _read(self, keep: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-        """The log-densities of a stack of masks `keep` (batch, n), each
-        keeping a feature, over a table of one row, or of one mask over the
-        table's rows, unchecked."""
+        """The log-densities of every row of the table under each mask of
+        the stack `keep` (masks, n), each keeping a feature, as (masks,
+        rows), unchecked."""
         if self._sizes is None:
-            return self._circuit.masked_log_density(self._leaves, keep, counter)
+            return np.array([self._circuit.masked_log_density(self._leaves, k[None], counter)
+                             for k in keep])
         if self._store is None:
             self._fill(counter)
         codes = (keep @ self._circuit.bits).astype(np.intp) + self._offsets
         if counter is not None:
             counter.add(len(keep) * self._leaves.shape[1], 0)
-        return _add_slots(self._store[codes.T]).ravel()
+        out = self._store[codes[:, 0]]
+        for child in codes.T[1:]:  # in slot order, as `_add_slots` adds
+            out += self._store[child]
+        return out
+
+    def _search_codes(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """For a search that reads the store: the index in the flattened
+        store of each root child's code of each row under its mask `keep`
+        (rows, n), as (children, rows), and each feature's step of those
+        indices, as (children, n). Flipping feature f into a mask adds its
+        step, and flipping it out subtracts it. The store is filled here,
+        uncounted (`_charge` counts it). None for a table without a store."""
+        if self._sizes is None:
+            return None
+        if self._store is None:
+            self._fill(None)
+        rows = self._leaves.shape[1]
+        # the narrowest of the two index types, for the search's temporaries
+        index = np.int32 if self._store.size <= np.iinfo(np.int32).max else np.intp
+        codes = (keep @ self._circuit.bits).astype(index) + self._offsets.astype(index)
+        return ((codes * index(rows) + np.arange(rows, dtype=index)[:, None]).T,
+                (self._circuit.bits.T * rows).astype(index))
+
+    def _gather(self, codes: np.ndarray) -> np.ndarray:
+        """The log-densities of the candidates whose flattened store indices
+        are `codes` (children, ...), their children added in slot order: in
+        one gather for a few candidates, else a child at a time, so that no
+        temporary holds every child of every candidate."""
+        if codes[0].size <= 512:
+            return _add_slots(self._store.take(codes))
+        out = self._store.take(codes[0])
+        for child in codes[1:]:
+            out += self._store.take(child)
+        return out
+
+    def _pass(self, keep: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """One masked pass: the log-density of row rows[i] under mask
+        keep[i], for a search of a table without a store."""
+        return self._circuit.masked_log_density(self._leaves[:, rows], keep)
+
+    def _charge(self, counters: list[EvalCounter], queries: list[int]) -> None:
+        """Count a search's reads of this table, its own: each row's counter
+        gets the row's `queries` and its node evaluations, its part of the
+        store's fill (2^W × (circuit nodes), the fill being run once for the
+        table) or (circuit nodes) a query read by passes."""
+        nodes = self._circuit.n_rows - 1
+        for counter, asked in zip(counters, queries):
+            counter.add(asked, nodes * (asked if self._sizes is None
+                                        else int(self._sizes.max())))
 
     def _fill(self, counter: EvalCounter | None) -> None:
         """The store, by passes of about max(2^W, rows) queries: one of
@@ -536,7 +602,7 @@ class TableMarginals:
         needs one query per code and row, so it tiles the leaf values and
         repeats each code's mask per row."""
         circuit, sizes, rows = self._circuit, self._sizes, self._leaves.shape[1]
-        self._offsets = offsets = np.cumsum(sizes) - sizes
+        offsets = self._offsets
         self._store = store = np.empty((sizes.sum(), rows))
         weights = circuit.bits.sum(axis=1).astype(np.intp)
         codes = np.arange(sizes.max())

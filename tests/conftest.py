@@ -421,6 +421,8 @@ def reference_load_csv(path: str, schema: list[Column] | None = None) -> Dataset
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: empty file, expected a header row")
+    if not records[0]:  # csv.reader's record of a blank line
+        raise DataError(f"{path}:1: blank header row, expected column names")
     header, rows, row_lines = records[0], records[1:], starts[1:-1]
     for lineno, row in zip(row_lines, rows):
         if len(row) != len(header):

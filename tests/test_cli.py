@@ -438,6 +438,49 @@ def test_unreadable_or_malformed_input_exits_with_its_code(inputs, name, failure
     assert len(captured.err.splitlines()) == 1 and path in captured.err
 
 
+@pytest.mark.parametrize("command", ["train", "score", "explain", "bench"])
+def test_csv_of_blank_lines_is_a_data_error(inputs, tmp_path, capsys, command):
+    # it used to load as 2 rows of 0 columns, and `train` exited 2 with the
+    # usage error "dataset has no columns"
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n\n\n")
+    model = str(inputs / "model.json")
+    argv = {"train": ["--data", str(blank), "--seed", "0", "--model", str(tmp_path / "m.json")],
+            "score": ["--model", model, "--data", str(blank)],
+            "explain": ["--model", model, "--data", str(blank), "--rows", "0"],
+            "bench": ["--data", str(blank), "--labels", str(inputs / "labels.json"),
+                      "--seed", "0"]}[command]
+    assert main([command, *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {blank}:1: blank header row, expected column names\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_bad_row_of_a_later_block_writes_no_explanations(inputs, tmp_path, monkeypatch,
+                                                          capsys):
+    # a CSV cannot hold a bad cell, so the loaded table gets one: the second
+    # of three blocks of two rows holds it, and the run writes no file
+    load = cli.load_csv
+
+    def loading(path, schema=None):
+        dataset = load(path, schema)
+        dataset.values[3, 2] = np.inf
+        return dataset
+
+    explain_module = sys.modules["spnexplain.explain"]
+    config = spnexplain.ExplainConfig()
+    monkeypatch.setattr(cli, "load_csv", loading)
+    monkeypatch.setattr(explain_module, "BLOCK_BYTES", 2 * explain_module._row_bytes(
+        load_model(str(inputs / "model.json")), config))
+    out = tmp_path / "expl.jsonl"
+    assert main(["explain", "--model", str(inputs / "model.json"), "--data",
+                 str(inputs / "data.csv"), "--rows", "0,1,2,3,4,5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: sample value inf of feature 2 "
+                                       "(column 'f2') is not finite\n")
+    assert not out.exists()
+
+
 # Each fault of a feature set (of the 4 features of `inputs`) or of a row (of
 # its 200 rows), with the words that follow "<what> <value>" in its error.
 FEATURE_FAULTS = {"empty": ([], " is empty"),

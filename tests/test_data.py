@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -96,6 +97,15 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "e.csv", ""))
         with pytest.raises(DataError, match="no data rows"):
             load_csv(write(tmp_path, "h.csv", "a,b\n"))
+
+    @pytest.mark.parametrize("text", ["\n", "\n\n\n", "\r\n1,2\n", "\n\na,b\n1,2\n"])
+    def test_blank_header_row_is_a_data_error(self, tmp_path, text):
+        # csv.reader reads a blank line as a record of no cells: three blank
+        # lines used to load as 2 rows of 0 columns
+        path = write(tmp_path, "b.csv", text)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:1: blank header row, expected column names")):
+            load_csv(path)
 
     def test_over_long_field_reports_line(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n3," + "4" * 200_000 + "\n")

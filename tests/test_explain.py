@@ -265,6 +265,30 @@ class TestZscoreSelect:
         with pytest.raises(ValueError, match="per_size is empty"):
             zscore_select([], TableMarginals(m, rng.normal(size=(10, 2))))
 
+    @pytest.mark.parametrize("subspace,words", [
+        ((), " is empty"), ((0, True), ": feature True is not an integer"),
+        ((1.5,), ": feature 1.5 is not an integer"), ((0, 2), ": feature 2 outside 0..1"),
+        ((-1,), ": feature -1 outside 0..1"), ((1, 1), " repeats feature 1")])
+    def test_bad_subspace_is_named_by_the_feature_set_rule(self, rng, subspace, words):
+        # all sizes are read at once; a subspace that breaks the rule is named
+        # as `subspace_score_stats` names it, wherever it stands in the list
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        table = TableMarginals(m, rng.normal(size=(10, 2)))
+        per_size = [SizeBest(1, (0,), -1.0), SizeBest(len(subspace), subspace, -2.0)]
+        with pytest.raises(ValueError, match=re.escape(f"subspace {subspace}{words}")):
+            zscore_select(per_size, table)
+        with pytest.raises(ValueError, match=re.escape(f"subspace {subspace}{words}")):
+            subspace_score_stats(table, subspace)
+
+    def test_numpy_integer_features_are_accepted(self, rng):
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        table = TableMarginals(m, rng.normal(size=(10, 2)))
+        per_size = [SizeBest(1, (1,), -4.0), SizeBest(2, (0, 1), -5.0)]
+        numpy_ints = [SizeBest(sb.size, tuple(map(np.int64, sb.subspace)), sb.log_density)
+                      for sb in per_size]
+        assert zscore_select(numpy_ints, table) is numpy_ints[
+            per_size.index(zscore_select(per_size, table))]
+
     def test_subspace_outside_schema_or_other_model_rejected(self, rng):
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         X = rng.normal(size=(10, 2))
@@ -558,22 +582,35 @@ class TestSearchTables:
             m, X, rows = root_shapes[shape]
         n = m.n_features
         circuit = model_module._compile(m)
-        fill, read = TableMarginals._fill, TableMarginals._read
+        fill, gather, read = TableMarginals._fill, TableMarginals._gather, TableMarginals._pass
         filled, reads = [], []
 
         def filling(table, counter):
             filled.append(len(table._leaves[0]))
             return fill(table, counter)
 
-        def reading(table, keep, counter=None):
-            got = read(table, keep, counter)
+        def reading(table, keep, rows):
+            got = read(table, keep, rows)
+            assert got.tobytes() == circuit.masked_log_density(table._leaves,
+                                                               keep).tobytes()
+            reads.append(len(keep))
+            return got
+
+        def gathering(table, codes):
+            # each candidate's mask, from its children's codes in a store of
+            # one row: a feature is kept when its bit is set in its child's code
+            got = gather(table, codes)
+            codes = codes.reshape(len(codes), -1) - table._offsets[:, None]
+            child, bit = circuit.bits.argmax(axis=1), circuit.bits.max(axis=1)
+            keep = (codes[child] & bit.astype(np.intp)[:, None]).T != 0
             assert got.tobytes() == circuit.masked_log_density(table._leaves,
                                                                keep).tobytes()
             reads.append(len(keep))
             return got
 
         monkeypatch.setattr(TableMarginals, "_fill", filling)
-        monkeypatch.setattr(TableMarginals, "_read", reading)
+        monkeypatch.setattr(TableMarginals, "_pass", reading)
+        monkeypatch.setattr(TableMarginals, "_gather", gathering)
         # a sum root, and backward search over children of 11-12 features
         # (2^12 fill queries against 819), read by masked passes
         tabled = shape in ("planted", "mixed", "uneven") or (
@@ -595,6 +632,32 @@ class TestSearchTables:
             queries += counter.queries
         assert filled == ([1] * len(rows) if tabled else [])
         assert sum(reads) == queries
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children"])
+    @pytest.mark.parametrize("strategy", ["backward", "forward"])
+    def test_a_table_of_rows_searches_each_row_as_alone(self, root_shapes, shape,
+                                                        strategy):
+        # a search given a table of rows in place of a sample returns one
+        # list a row and tells one counter a row its queries and its part of
+        # the store's fill, each as the search of that row alone does
+        m, X, rows = root_shapes[shape]
+        n = m.n_features
+        grow = strategy == "forward"
+
+        def search(x, counter):
+            if grow:
+                return forward_beam_search(m, x, n, 3, counter)
+            return backward_elimination(m, x, counter)
+
+        alone = [EvalCounter() for _ in rows]
+        want = [search(X[r], counter) for r, counter in zip(rows, alone)]
+        masks = explain_module._queries(n, grow, n if grow else n - 1, 3 if grow else 1)
+        counters = [EvalCounter() for _ in rows]
+        assert search(TableMarginals(m, X[rows], masks), counters) == want
+        assert counters == alone
+        assert search(TableMarginals(m, X[rows], masks), None) == want
+        with pytest.raises(ValueError, match="^table was built for another model$"):
+            search(TableMarginals(SpnModel(m.nodes, m.root, m.schema), X[rows]), None)
 
 
 class TestExplanationTrace:
@@ -697,7 +760,8 @@ class TestExplainRows:
         # partway through a run, once a candidate was covered by NaN cells,
         # and an infinite cell made its candidates' z-scores NaN
         explained = []
-        monkeypatch.setattr(explain_module, "explain", lambda *args: explained.append(args))
+        monkeypatch.setattr(explain_module, "_greedy_search",
+                            lambda *args: explained.append(args))
         m = random_gaussian_model(rng, 6)
         X = rng.normal(size=(30, 6))
         X[12, 4] = bad
@@ -709,8 +773,8 @@ class TestExplainRows:
     @pytest.mark.parametrize("strategy", ["backward", "forward"])
     def test_searches_are_reached_through_module_names(self, rng, monkeypatch,
                                                        strategy):
-        # perfbench traces the searches by these names; a call that bypassed
-        # them would leave its search spans empty
+        # perfbench traces the searches by these names, one call a block of
+        # rows; a call that bypassed them would leave its search spans empty
         calls = {"backward_elimination": 0, "forward_beam_search": 0}
 
         def counting(name):
@@ -725,9 +789,14 @@ class TestExplainRows:
             monkeypatch.setattr(explain_module, name, counting(name))
         m = random_gaussian_model(rng, 4)
         X = rng.normal(size=(20, 4))
-        explain_rows(m, X, [3, 0, 9], ExplainConfig(strategy=strategy))
         called = "forward_beam_search" if strategy == "forward" else "backward_elimination"
-        assert calls == {name: 3 if name == called else 0 for name in calls}
+        # the three rows fit one block, or take a block each under a budget
+        # of one byte
+        for budget, blocks in ((explain_module.BLOCK_BYTES, 1), (1, 3)):
+            monkeypatch.setattr(explain_module, "BLOCK_BYTES", budget)
+            calls.update(dict.fromkeys(calls, 0))
+            explain_rows(m, X, [3, 0, 9], ExplainConfig(strategy=strategy))
+            assert calls == {name: blocks if name == called else 0 for name in calls}
 
     @pytest.mark.parametrize("strategy", ["backward", "forward"])
     @pytest.mark.parametrize("selection", ["elbow", "zscore"])
@@ -758,9 +827,9 @@ class TestExplainRows:
     @pytest.mark.parametrize("selection", ["elbow", "zscore"])
     def test_explain_phase_masks_leaf_values_and_builds_no_nan_query(
             self, root_shapes, monkeypatch, strategy, selection):
-        # each explained row's leaf values are computed once, and the z-score
-        # table's once; search steps and table fills only mask them, and
-        # never pass a NaN query through the circuit
+        # each block of explained rows' leaf values are computed once, and
+        # the z-score table's once; search steps and table fills only mask
+        # them, and never pass a NaN query through the circuit
         m, X, rows = root_shapes["mixed"]
         config = ExplainConfig(strategy=strategy, selection=selection)
         want = explain_rows(m, X, rows, config)
@@ -779,7 +848,120 @@ class TestExplainRows:
         monkeypatch.setattr(model_module._Circuit, "leaf_log_density", counting)
         assert explain_rows(m, X, rows, config) == want
         tables = 1 if selection == "zscore" else 0
-        assert leaf_rows == [len(X)] * tables + [1] * len(rows)
+        assert leaf_rows == [len(X)] * tables + [len(rows)]  # the rows fit one block
+
+
+def searched_blocks(monkeypatch, model, config, rows_a_block):
+    """Set the block budget to `rows_a_block` rows of the configured search,
+    and return the list that gets the row count of each block searched."""
+    monkeypatch.setattr(explain_module, "BLOCK_BYTES",
+                        rows_a_block * explain_module._row_bytes(model, config))
+    blocks, search = [], explain_module._greedy_search
+
+    def searching(model, x, *args):
+        blocks.append(len(x._leaves[0]))
+        return search(model, x, *args)
+    monkeypatch.setattr(explain_module, "_greedy_search", searching)
+    return blocks
+
+
+class TestBlocks:
+    """`explain_rows` searches its rows in lockstep, in blocks of consecutive
+    rows; each row's trace equals `explain`'s of that row alone, wherever
+    the block edges fall."""
+
+    @staticmethod
+    def check(model, X, rows, config):
+        table = TableMarginals(model, X)
+        want = [explain(model, X[r], config, table) for r in rows]
+        for rows_a_block in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                blocks = searched_blocks(mp, model, config, rows_a_block)
+                assert explain_rows(model, X, rows, config) == want
+            edges = range(0, len(rows), rows_a_block)
+            assert blocks == [len(rows[i:i + rows_a_block]) for i in edges]
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children",
+                                       "uneven"])
+    @pytest.mark.parametrize("config", [
+        ExplainConfig(),
+        ExplainConfig(selection="zscore"),
+        ExplainConfig(strategy="forward", beam_width=1),
+        ExplainConfig(strategy="forward", beam_width=4, max_depth=3, selection="zscore"),
+    ], ids=["bw-elbow", "bw-zscore", "fw1-elbow", "fw4-depth3-zscore"])
+    def test_each_root_shape(self, root_shapes, shape, config):
+        if shape == "uneven":
+            m = uneven_product()
+            X = random_table(np.random.default_rng(5), m, 6)
+            rows = [2, 0, 2, 5, 1]
+        else:
+            m, X, rows = root_shapes[shape]
+            rows = [rows[1], rows[0], rows[1], rows[1], rows[3]]  # repeated rows
+        self.check(m, X, rows, config)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_random_mixed_models(self, seed):
+        r = np.random.default_rng(seed)
+        m = random_mixed_model(r, 6)
+        n = m.n_features
+        X = random_table(r, m, 8)
+        rows = r.integers(0, len(X), 7).tolist()
+        config = ExplainConfig(strategy=("forward", "backward")[int(r.integers(2))],
+                               beam_width=int(r.integers(1, 5)),
+                               max_depth=int(r.integers(1, n + 1)),
+                               selection=("elbow", "zscore")[int(r.integers(2))])
+        self.check(m, X, rows, config)
+
+    @pytest.mark.parametrize("strategy", ["forward", "backward"])
+    def test_ties_stay_lexicographic_within_each_row(self, strategy):
+        # identical leaves and a row of equal cells: all candidates of a
+        # size tie exactly, so each step must pick the lexicographically
+        # smallest flipped set of its own row
+        n = 6
+        m = factorized_model([(0.0, 1.0)] * n)
+        X = np.repeat(np.arange(5.0)[:, None], n, axis=1) / 2
+        rows = [4, 1, 1, 3, 0]
+        lexicographic = ([tuple(range(k)) for k in range(1, n + 1)] if strategy == "forward"
+                         else [tuple(range(n - k, n)) for k in range(1, n)])
+        for beam_width in (1, 2, 4):
+            config = ExplainConfig(strategy=strategy, beam_width=beam_width)
+            want = [reference_explain(m, X[r], config, X) for r in rows]
+            assert all([sb.subspace for sb in t.per_size] == lexicographic for t in want)
+            self.check(m, X, rows, config)
+            assert explain_rows(m, X, rows, config) == want
+
+    @pytest.mark.parametrize("bad,shown", [(np.nan, "NaN"), (np.inf, "inf"), (7.0, None)])
+    def test_first_bad_row_of_a_later_block_raises_before_its_search(
+            self, monkeypatch, bad, shown):
+        # rows 3 and 2 share the second block of two, and are both bad: the
+        # error is row 3's, as `explain` of it alone raises it, and the third
+        # block is never searched
+        m = SpnModel([GaussianLeaf(0, 0.0, 1.0), CategoricalLeaf(1, (0.5, 0.5)),
+                      ProductNode((0, 1))], 2,
+                     [Column("g", "real"), Column("c", "categorical", ("u", "v"))])
+        X = np.array([[0.5, 1.0]] * 8)
+        if shown is None:  # a code outside the column's categories
+            X[3, 1] = bad
+            want = "categorical value out of range for column 'c': sample value 7.0 of feature 1"
+            X[2, 0] = np.nan
+        else:
+            X[3, 0] = bad
+            want = f"sample value {shown} of feature 0 (column 'g') is not finite"
+            X[2, 1] = 7.0
+        with pytest.raises(ValueError, match=re.escape(want)):
+            explain(m, X[3], ExplainConfig())
+        config = ExplainConfig()
+        blocks = searched_blocks(monkeypatch, m, config, 2)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            explain_rows(m, X, [0, 1, 3, 2, 4, 5], config)
+        assert blocks == [2]
+        # under z-score selection the reference table, all of X, fails first
+        blocks.clear()
+        first = "row 2 value NaN" if shown is None else f"row 3 value {shown}"
+        with pytest.raises(ValueError, match=re.escape(first)):
+            explain_rows(m, X, [0, 1, 3, 2, 4, 5], ExplainConfig(selection="zscore"))
+        assert blocks == []
 
 
 @pytest.mark.parametrize("door", ["learn_spn", "detect", "TableMarginals"])
