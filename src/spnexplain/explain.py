@@ -293,16 +293,25 @@ class ScoreStats:
     std: float
 
 
+def _check_reference(reference) -> None:
+    """A z-score reference is a `TableMarginals`; anything else raises
+    ValueError naming its type."""
+    if not isinstance(reference, TableMarginals):
+        raise ValueError(f"reference must be a TableMarginals, got {type(reference).__name__}")
+
+
 def subspace_score_stats(reference: TableMarginals, subspace: Subspace,
                          counter: EvalCounter | None = None) -> ScoreStats:
     """Mean/std of negative log marginal densities of all rows of the
-    reference table in one subspace; a subspace that breaks the
-    feature-set rule (`check_features`) raises ValueError."""
+    reference table in one subspace; a reference that is not a
+    `TableMarginals`, or a subspace that breaks the feature-set rule
+    (`check_features`), raises ValueError."""
+    _check_reference(reference)
     n = reference.model.n_features
     check_features(subspace, n, "subspace")
     keep = np.zeros(n, dtype=bool)
     keep[list(subspace)] = True
-    scores = -reference.log_marginal(keep, counter)
+    scores = -reference._read(keep[None], counter)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an inf score: NaN z-scores
         return ScoreStats(float(scores.mean()), float(scores.std()))
 
@@ -312,8 +321,10 @@ def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
     """Pick the candidate whose score is most extreme relative to the
     score distribution of the reference table in its subspace (ties, and a
     z-score that is NaN for every candidate: the first, smallest size).
-    All subspaces are read in one read of the table; one that breaks the
-    feature-set rule (`check_features`) raises ValueError."""
+    All subspaces are read in one read of the table. A reference that is
+    not a `TableMarginals`, or a subspace that breaks the feature-set rule
+    (`check_features`), raises ValueError."""
+    _check_reference(reference)
     if not per_size:
         raise ValueError("per_size is empty")
     n = reference.model.n_features
@@ -321,10 +332,12 @@ def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
     at = np.repeat(np.arange(len(per_size)), [len(sub) for sub in subspaces])
     features = list(itertools.chain.from_iterable(subspaces))
     keep = np.zeros((len(per_size), n), dtype=bool)
-    if all(subspaces) and {type(d) for d in features} == {int} \
+    nonempty = all(subspaces)
+    if nonempty and {type(d) for d in features} == {int} \
             and 0 <= min(features) and max(features) < n:
         keep[at, features] = True
-    if np.count_nonzero(keep) != len(features):  # only then check each subspace
+    # an empty subspace, or a feature not set once, brings the check of each subspace
+    if not nonempty or np.count_nonzero(keep) != len(features):
         for sub in subspaces:
             check_features(sub, n, "subspace")
         keep[at, np.array(features, dtype=np.intp)] = True  # numpy integers
@@ -395,11 +408,14 @@ def explain(model: SpnModel, x, config: ExplainConfig,
     eval_count is the paper's logical count of marginal queries (z-score
     selection asks one per reference row and subspace), not the node
     evaluations performed to answer them. z-score selection without a
-    reference, or with one built for another model, raises ValueError."""
+    reference, or a reference that is not a `TableMarginals` or was built
+    for another model, raises ValueError."""
     if config.selection == "zscore" and reference is None:
         raise ValueError("zscore selection requires training data")
-    if reference is not None and reference.model is not model:
-        raise ValueError("reference table was built for another model")
+    if reference is not None:
+        _check_reference(reference)
+        if reference.model is not model:
+            raise ValueError("reference table was built for another model")
     counter = EvalCounter()
     return _trace(_search(model, x, config, counter), config, reference, counter)
 

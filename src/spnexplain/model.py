@@ -411,14 +411,6 @@ def _compile(model: SpnModel) -> _Circuit:
     return model._circuit
 
 
-def _as_mask(keep) -> np.ndarray:
-    """`keep` as a boolean array; any other dtype raises ValueError."""
-    keep = np.asarray(keep)
-    if keep.dtype != bool:
-        raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
-    return keep
-
-
 def eval_log_density(model: SpnModel, queries: np.ndarray,
                      counter: EvalCounter | None = None) -> np.ndarray:
     """log p(x_D) for one query (n,) or a batch of queries (rows, n), a
@@ -454,7 +446,9 @@ def log_marginal(model: SpnModel, x, keep,
     out in its leaves' tails. A query that breaks it, or a model that
     `validate` rejects, raises ValueError.
     """
-    keep = _as_mask(keep)
+    keep = np.asarray(keep)
+    if keep.dtype != bool:
+        raise ValueError(f"keep must be a boolean mask, got dtype {keep.dtype}")
     x = np.asarray(x, dtype=np.float64)
     n = model.n_features
     try:
@@ -490,7 +484,9 @@ class TableMarginals:
     the one marginal table of the searches (over the searched rows) and of
     z-score selection (over the reference rows).
 
-    The leaf values over X are computed on construction, and each read only
+    The table has no public read: its one read of masks is `_read`, and
+    the searches step through `_search_codes`, `_gather` and `_pass`. The
+    leaf values over X are computed on construction, and each read only
     masks them. The marginal of a decomposable product is the sum of its
     children's marginals, each on S ∩ scope(child). So on a root product
     whose widest child has W features, where 2^W is below `masks`, the
@@ -522,21 +518,12 @@ class TableMarginals:
         if self._sizes is not None:
             self._offsets = np.cumsum(self._sizes) - self._sizes  # each child's first code
 
-    def log_marginal(self, keep, counter: EvalCounter | None = None) -> np.ndarray:
-        """log p(x_S) for each row of the table, S the features that the
-        boolean mask `keep` (n,) marks True, counted as `EvalCounter` states;
-        a mask of another dtype, or of another shape under the shape rule
-        (`check_shape`), raises ValueError naming `keep`."""
-        keep = _as_mask(keep)
-        check_shape(keep, self.model.n_features, "keep", (1,))
-        if not keep.any():
-            raise ValueError("query marginalizes every feature")
-        return self._read(keep[None], counter)[0]
-
     def _read(self, keep: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
         """The log-densities of every row of the table under each mask of
-        the stack `keep` (masks, n), each keeping a feature, as (masks,
-        rows), unchecked."""
+        the stack `keep` (masks, n), as (masks, rows), counted as
+        `EvalCounter` states. Unchecked: its callers, z-score selection and
+        `subspace_score_stats`, build the boolean masks from subspaces that
+        keep the feature-set rule, so each mask keeps a feature."""
         if self._sizes is None:
             return np.array([self._circuit.masked_log_density(self._leaves, k[None], counter)
                              for k in keep])

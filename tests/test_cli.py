@@ -594,10 +594,6 @@ def _detect(m, X):
     return spnexplain.detect(m, spnexplain.Dataset(m.schema[:X.shape[1]], X), 0.1)
 
 
-def _read_mask(m, X, keep):
-    return spnexplain.TableMarginals(m, X).log_marginal(keep)
-
-
 # door -> {fault: (a call on the model and the 200 x 4 table of `inputs`, the
 # exception it raises, its message)}
 SHAPE_DOORS = {
@@ -635,13 +631,6 @@ SHAPE_DOORS = {
         "width": (lambda m, X: _detect(m, X[:, :3]), ValueError,
                   "dataset has shape (200, 3), expected (rows, 4)"),
         "no rows": (lambda m, X: _detect(m, X[:0]), ValueError, "dataset has no rows")},
-    "TableMarginals.log_marginal": {
-        "width": (lambda m, X: _read_mask(m, X, ONES[:3]), ValueError,
-                  "keep has shape (3,), expected (4,)"),
-        "dimensions": (lambda m, X: _read_mask(m, X, ONES[None]), ValueError,
-                       "keep has shape (1, 4), expected (4,)"),
-        "mask dtype": (lambda m, X: _read_mask(m, X, ONES.astype(np.int64)), ValueError,
-                       "keep must be a boolean mask, got dtype int64")},
 }
 
 

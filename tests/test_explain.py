@@ -271,12 +271,14 @@ class TestZscoreSelect:
         ((-1,), ": feature -1 outside 0..1"), ((1, 1), " repeats feature 1")])
     def test_bad_subspace_is_named_by_the_feature_set_rule(self, rng, subspace, words):
         # all sizes are read at once; a subspace that breaks the rule is named
-        # as `subspace_score_stats` names it, wherever it stands in the list
+        # as `subspace_score_stats` names it, wherever it stands in the list,
+        # and also when it is the only one
         m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
         table = TableMarginals(m, rng.normal(size=(10, 2)))
-        per_size = [SizeBest(1, (0,), -1.0), SizeBest(len(subspace), subspace, -2.0)]
-        with pytest.raises(ValueError, match=re.escape(f"subspace {subspace}{words}")):
-            zscore_select(per_size, table)
+        bad = SizeBest(len(subspace), subspace, -2.0)
+        for per_size in ([SizeBest(1, (0,), -1.0), bad], [bad]):
+            with pytest.raises(ValueError, match=re.escape(f"subspace {subspace}{words}")):
+                zscore_select(per_size, table)
         with pytest.raises(ValueError, match=re.escape(f"subspace {subspace}{words}")):
             subspace_score_stats(table, subspace)
 
@@ -300,6 +302,21 @@ class TestZscoreSelect:
         for config in (ExplainConfig(selection="zscore"), ExplainConfig()):
             with pytest.raises(ValueError, match="another model"):
                 explain(m, X[0], config, TableMarginals(other, X))
+
+    def test_reference_that_is_not_a_table_is_named(self, rng):
+        # the table itself, as callers once passed it, is not a reference
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        X = rng.normal(size=(10, 2))
+        per_size = [SizeBest(1, (0,), -1.0), SizeBest(2, (0, 1), -2.0)]
+        for reference, name in ((X, "ndarray"), (X.tolist(), "list")):
+            want = f"^reference must be a TableMarginals, got {name}$"
+            for config in (ExplainConfig(selection="zscore"), ExplainConfig()):
+                with pytest.raises(ValueError, match=want):
+                    explain(m, X[0], config, reference)
+            with pytest.raises(ValueError, match=want):
+                zscore_select(per_size, reference)
+            with pytest.raises(ValueError, match=want):
+                subspace_score_stats(reference, (0,))
 
     @pytest.mark.parametrize("subspace", [(1.5,), (True,), (0, False), ("0",), (None,)])
     def test_subspace_entry_that_is_not_an_integer_rejected(self, rng, subspace):

@@ -637,6 +637,11 @@ def poison_fill_passes(monkeypatch) -> list[tuple[int, int]]:
     return passes
 
 
+def read(table: TableMarginals, keep: np.ndarray, counter: EvalCounter | None = None):
+    """The table's log-densities of its rows under the one mask `keep`."""
+    return table._read(keep[None], counter)[0]
+
+
 class TestSubsetTables:
     """A `TableMarginals` store of a root product's subset values, filled by
     the circuit's own masked passes, against the masked pass or the
@@ -688,7 +693,7 @@ class TestSubsetTables:
         table = TableMarginals(m, X, 2 ** n)
         for keep in masks:
             want = log_marginal(m, X, keep)
-            assert table.log_marginal(keep).tobytes() == np.atleast_1d(want).tobytes()
+            assert read(table, keep).tobytes() == np.atleast_1d(want).tobytes()
         # passes of about max(2^W, rows) queries: several codes over several
         # rows tile the leaf values, one code broadcasts its mask
         per = max(1, codes // count)
@@ -714,7 +719,7 @@ class TestSubsetTables:
         table = TableMarginals(m, np.zeros((5, n)), 2 ** n)
         counter = EvalCounter()
         for keep in np.eye(n, dtype=bool):
-            table.log_marginal(keep, counter)
+            read(table, keep, counter)
         assert (counter.queries, counter.node_evals) == (5 * n, 2 ** 3 * 5 * len(m.nodes))
         assert table._store.shape == (2 ** 3 + 2 + 2 ** 2, 5)
 
@@ -775,7 +780,7 @@ class TestTableMarginals:
             counter = EvalCounter()
             for keep in masks:
                 want = log_marginal(m, X, keep)
-                assert np.array_equal(table.log_marginal(keep), want, equal_nan=True)
+                assert np.array_equal(read(table, keep), want, equal_nan=True)
                 stats = subspace_score_stats(table, tuple(np.flatnonzero(keep)),
                                              counter)
                 assert np.array_equal([stats.mean, stats.std],
@@ -802,7 +807,7 @@ class TestTableMarginals:
                 want = (len(m.nodes) * len(X) * (2 ** width if i == 0 else 0)
                         if stored else len(m.nodes) * len(X))
                 counter = EvalCounter()
-                table.log_marginal(keep, counter)
+                read(table, keep, counter)
                 assert (counter.queries, counter.node_evals) == (len(X), want)
 
     @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children"])
@@ -812,7 +817,7 @@ class TestTableMarginals:
         m, X, _ = root_shapes[shape]
         table = TableMarginals(m, X)
         counter = EvalCounter()
-        got = table.log_marginal(np.ones(m.n_features, dtype=bool), counter)
+        got = read(table, np.ones(m.n_features, dtype=bool), counter)
         width = max(len(features) for _, _, features in root_children(m))
         fill = 2 ** width if keeps_a_store(m, m.n_features) else 1
         assert (counter.queries, counter.node_evals) == (len(X),
@@ -835,7 +840,7 @@ class TestTableMarginals:
             table = TableMarginals(m, X, len(masks))
             before = tracemalloc.get_traced_memory()[0]
             for keep in masks:
-                table.log_marginal(keep)
+                read(table, keep)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -853,7 +858,7 @@ class TestTableMarginals:
         X = rng.normal(0.0, 3.0, size=(1, n))
         table = TableMarginals(m, X)
         for keep in rng.random((50, n)) < 0.7:
-            assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+            assert np.array_equal(read(table, keep), log_marginal(m, X, keep))
 
     def test_child_wider_than_an_int64_code_reads_by_passes(self, rng):
         # 2^68 masks do not fit an int64: the cost rule compares exact
@@ -867,7 +872,7 @@ class TestTableMarginals:
         keep = rng.random(n) < 0.5
         keep[0] = True
         counter = EvalCounter()
-        assert np.array_equal(table.log_marginal(keep, counter), log_marginal(m, X, keep))
+        assert np.array_equal(read(table, keep, counter), log_marginal(m, X, keep))
         assert counter.node_evals == len(m.nodes) * len(X)
 
     def test_results_and_masks_do_not_alias_the_table(self, rng):
@@ -876,17 +881,17 @@ class TestTableMarginals:
             X = rng.normal(size=(rows, 8))
             table = TableMarginals(m, X)
             keep = np.array([True, False] * 4)
-            got = table.log_marginal(keep)
+            got = read(table, keep)
             want = got.copy()
             for other in rng.random((10, 8)) < 0.5:
                 if other.any():
-                    table.log_marginal(other)
+                    read(table, other)
             assert np.array_equal(got, want)
             assert np.array_equal(got, log_marginal(m, X, keep))
             # nor does the table keep the caller's mask, which may change
-            table.log_marginal(keep)
+            read(table, keep)
             keep[:2] = ~keep[:2]
-            assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+            assert np.array_equal(read(table, keep), log_marginal(m, X, keep))
 
     def test_repeated_and_full_masks_recompute_nothing(self, rng):
         # on a table that keeps a store; without one, each read is a pass
@@ -896,15 +901,15 @@ class TestTableMarginals:
             table = TableMarginals(m, X, 2 ** n)
             per_read = 0 if keeps_a_store(m, 2 ** n) else len(m.nodes) * len(X)
             full = np.ones(n, dtype=bool)
-            table.log_marginal(full)
+            read(table, full)
             for keep in rng.random((10, n)) < 0.5:
                 if not keep.any():
                     continue
-                table.log_marginal(keep)
+                read(table, keep)
                 counter = EvalCounter()
-                table.log_marginal(keep, counter)
+                read(table, keep, counter)
                 assert counter.node_evals == per_read
-                got = table.log_marginal(full, counter)
+                got = read(table, full, counter)
                 assert counter.node_evals == 2 * per_read
                 assert counter.queries == 2 * len(X)
                 assert np.array_equal(got, eval_log_density(m, X))
@@ -917,7 +922,7 @@ class TestTableMarginals:
                       ProductNode((2, 3))], 4, REAL2)
         X = np.array([[0.5, -1.0], [2.0, 3.0], [-1.0, 0.25]])
         keep = np.array([False, True])
-        got = TableMarginals(m, X).log_marginal(keep)
+        got = read(TableMarginals(m, X), keep)
         assert np.array_equal(got, log_marginal(m, X, keep))
         leaf = log_marginal(SpnModel([GaussianLeaf(0, 0.0, 1.0)], 0, REAL2[:1]),
                             X[:, 1:], np.array([True]))
@@ -946,13 +951,12 @@ class TestTableMarginals:
                     f"row 1 value {shown} of feature 1 (column 'g1') is not finite")):
                 TableMarginals(m, Y)
         table = TableMarginals(m, X)
-        for fn in (lambda k: log_marginal(m, X, k), table.log_marginal):
-            with pytest.raises(ValueError, match="marginalizes every feature"):
-                fn(np.zeros(3, dtype=bool))
-            with pytest.raises(ValueError, match="boolean"):
-                fn(np.array([1, 0, 1]))
+        with pytest.raises(ValueError, match="marginalizes every feature"):
+            log_marginal(m, X, np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="boolean"):
+            log_marginal(m, X, np.array([1, 0, 1]))
         keep = np.array([True, False, True])
-        assert np.array_equal(table.log_marginal(keep), log_marginal(m, X, keep))
+        assert np.array_equal(read(table, keep), log_marginal(m, X, keep))
 
 
 class TestValidityGate:
