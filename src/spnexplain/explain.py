@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (POSITIVE, check_config, check_features, check_index, check_rows,
-                   check_shape)
+from .data import (INTEGER, POSITIVE, check_config, check_features, check_index,
+                   check_rows, check_shape, is_a)
 from .model import EvalCounter, SpnModel, TableMarginals, _store_sizes
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
@@ -96,8 +96,11 @@ class ExplanationTrace:
 
 
 # The budget of a block of rows searched in lockstep: the bytes that its
-# rows add (`_row_bytes`), summed over the block's rows.
-BLOCK_BYTES = 1 << 19
+# rows add (`_row_bytes`), summed over the block's rows. A step's work is
+# linear in its candidates, so a larger block only saves numpy calls; 4 MiB
+# holds 37 rows of a forward search of beam width 10 over 40 real and 10
+# categorical features.
+BLOCK_BYTES = 1 << 22
 
 
 def _queries(n: int, grow: bool, steps: int, beam_width: int) -> int:
@@ -142,16 +145,23 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     (`check_shape`) and raises ValueError.
 
     A row's candidates are its hypotheses with each feature they have not
-    flipped, deduplicated, in lexicographic order of their flipped sets;
-    its ties keep that order. When each row holds one hypothesis (every
+    flipped, deduplicated, ranked by log-density, ties in lexicographic
+    order of their flipped sets. When each row holds one hypothesis (every
     backward step, and the first forward one), the candidates come in that
-    order and each row has as many, so one argsort per row orders them.
-    Otherwise one sort by row and by packed complement mask (`_words`)
-    dedupes them, and a stable sort by log-density within each row orders
-    them. On a table with a store, each hypothesis carries its
-    children's codes, and a candidate's are its parent's plus or minus its
-    feature's step (`TableMarginals._search_codes`); a table without one
-    reads each step with one masked pass for the whole block."""
+    order and each row has as many, so one argsort per row ranks them.
+    Otherwise no step sorts them all: the pair rule drops each repeat
+    before it is read (two hypotheses of a row make one candidate exactly
+    when their sets differ by one feature each way), `np.partition` cuts
+    each row at its beam_width-th least log-density, and one sort by row,
+    log-density and packed complement mask (`_words`) ranks the candidates
+    at or below the cut. No log-density is NaN (a leaf's is finite or
+    -inf, and so are the sums and log-sum-exps of such values), so the cut
+    keeps every candidate that argsort's NaN-last order would. On a table
+    with a store, each hypothesis carries its children's codes, and a
+    candidate's are its parent's with its feature's step added to or
+    subtracted from the code of that feature's child
+    (`TableMarginals._search_codes`); a table without one reads each step
+    with one masked pass for the whole block."""
     n = model.n_features
     if isinstance(x, TableMarginals):
         if x.model is not model:
@@ -171,23 +181,33 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     codes = table._search_codes(flipped if grow else ~flipped)
     if codes is not None:
         codes, step = codes[0], (codes[1] if grow else -codes[1])
+        slot = (step != 0).argmax(axis=0)  # each feature's child, whose code its step moves
     clear = ~_words(np.eye(n, dtype=bool))  # clears a feature's bit
     best = np.empty((steps, R, n), dtype=bool)  # each row's best flipped set a step
     best_lp = np.empty((steps, R))
     asked = np.zeros(R, dtype=np.intp)  # each row's queries; `each`, of every row
     each = 0
     for t in range(steps):
-        h, f = np.nonzero(~flipped)  # from each hypothesis, in lexicographic order
         uniform = len(flipped) == R  # one hypothesis a row, with k = len(f) // R
-        if not uniform:
-            # for sets of one size, ascending packed complement masks are
-            # ascending sorted-index tuples
-            words = _words(~flipped)[h] & clear[f]
-            by_set = np.lexsort((*words.T[::-1], owner[h]))  # by row, then by set
-            words, rows_of = words[by_set], owner[h[by_set]]
-            once = np.ones(len(h), dtype=bool)
-            once[1:] = (rows_of[1:] != rows_of[:-1]) | (words[1:] != words[:-1]).any(axis=1)
-            h, f = h[by_set[once]], f[by_set[once]]
+        if uniform:
+            h, f = np.nonzero(~flipped)  # from each hypothesis, in lexicographic order
+        else:
+            # hypothesis j's candidate S_j ∪ {x} repeats hypothesis i's
+            # S_i ∪ {y} exactly when S_i \ S_j = {x} (and S_j \ S_i = {y}),
+            # that is, when the two sets of t features share t - 1: drop it
+            # when i is an earlier hypothesis of j's row
+            count = np.bincount(owner, minlength=R)  # each row's hypotheses
+            start = np.cumsum(count) - count
+            # each row's sets as float rows, padded with all-ones rows,
+            # which share t or n features, never t - 1
+            beams = np.ones((R, count.max(), n), dtype=np.float32)
+            beams[owner, np.arange(len(owner)) - start[owner]] = flipped
+            shared = beams @ beams.transpose(0, 2, 1)
+            r, i, j = np.nonzero(np.triu(shared == t - 1, 1))
+            i, j = start[r] + i, start[r] + j
+            fresh = ~flipped
+            fresh[j, (flipped[i] & ~flipped[j]).argmax(axis=1)] = False
+            h, f = np.nonzero(fresh)
         if codes is None:
             keep = flipped[h]
             keep[np.arange(len(h)), f] = True
@@ -196,8 +216,8 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             if uniform:
                 cand = codes[:, :, None] + step[:, f].reshape(len(codes), R, -1)
             else:
-                cand = codes[:, h]
-                cand += step[:, f]
+                cand, moved = codes[:, h], slot[f]
+                cand[moved, np.arange(len(f))] += step[moved, f]
             lp = table._gather(cand)
         if uniform:
             k = len(f) // R
@@ -218,10 +238,20 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             best[t] = flipped[::b]
         else:
             owner = owner[h]
-            order = np.argsort(lp, kind="stable")
-            order = order[np.argsort(owner[order], kind="stable")]  # by row, then by lp
             count = np.bincount(owner, minlength=R)
             asked += count
+            # each row's beam_width-th least log-density, its row padded
+            # with inf, cuts it: those at or below the cut are sorted
+            at = np.arange(len(h)) - np.repeat(np.cumsum(count) - count, count)
+            padded = np.full((R, max(count.max(), beam_width)), np.inf)
+            padded[owner, at] = lp
+            cut = np.partition(padded, beam_width - 1, axis=1)[:, beam_width - 1]
+            near = np.flatnonzero(lp <= cut[owner])
+            # for sets of one size, ascending packed complement masks are
+            # ascending sorted-index tuples
+            words = _words(~flipped)[h[near]] & clear[f[near]]
+            order = near[np.lexsort((*words.T[::-1], lp[near], owner[near]))]
+            count = np.bincount(owner[near], minlength=R)
             start = np.cumsum(count) - count
             pick = order[np.arange(len(order)) - np.repeat(start, count) < beam_width]
             kept = np.minimum(count, beam_width)
@@ -230,6 +260,7 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             owner = owner[pick]
             if codes is not None:
                 codes = cand[:, pick]
+                del cand  # before the next step builds its own
             flipped = flipped[h[pick]]
             flipped[np.arange(len(pick)), f[pick]] = True
             best[t] = flipped[first]
@@ -252,12 +283,13 @@ def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
     outlying hypotheses per size; records the single best subspace per
     size. `x` is one sample, or a `TableMarginals` of a block of samples
     searched in lockstep, with one result and one counter per row
-    (`_greedy_search`)."""
+    (`_greedy_search`). A max_size or beam_width that is not an integer
+    (a bool is not), or out of its range, raises ValueError."""
     n = model.n_features
-    if not (1 <= max_size <= n):
-        raise ValueError(f"max_size must be in [1, {n}], got {max_size}")
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
+    if not (is_a(max_size, INTEGER) and 1 <= max_size <= n):
+        raise ValueError(f"max_size must be in [1, {n}], got {max_size!r}")
+    if not (is_a(beam_width, INTEGER) and beam_width >= 1):
+        raise ValueError(f"beam_width must be >= 1, got {beam_width!r}")
     return _greedy_search(model, x, True, max_size, beam_width, counter)
 
 
@@ -368,15 +400,20 @@ def _plan(model: SpnModel, config: ExplainConfig) -> tuple[bool, int, int]:
 
 
 def _row_bytes(model: SpnModel, config: ExplainConfig) -> int:
-    """The bytes that one row adds to a block of the configured search: 8
-    for each of its step's candidates (at most beam width × n) and the
-    values each reads (a root child of the store, or a node of a pass),
-    and 8 for each of its store's codes."""
+    """The bytes that one row adds to a block of the configured search:
+    for each of its step's candidates (at most beam width × n), 4 for each
+    of its children's codes (int32, as in a store of under 2^31 values)
+    and 32 for its two indices, its log-density and the gather's addend,
+    or, read by passes, 8 for each node; 8 for each value of its store;
+    and 40 for each feature of the best subspace of each size that its
+    results hold, steps × (steps + 1) / 2 of them."""
     grow, steps, beam_width = _plan(model, config)
+    candidates = beam_width * model.n_features
+    results = 20 * steps * (steps + 1)
     sizes = _store_sizes(model, _queries(model.n_features, grow, steps, beam_width))
     if sizes is None:
-        return 8 * beam_width * model.n_features * len(model.nodes)
-    return 8 * (beam_width * model.n_features * len(sizes) + int(sizes.sum()))
+        return 8 * candidates * len(model.nodes) + results
+    return candidates * (4 * len(sizes) + 32) + 8 * int(sizes.sum()) + results
 
 
 def _search(model: SpnModel, x, config: ExplainConfig,

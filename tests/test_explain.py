@@ -153,6 +153,53 @@ class TestForwardBeamSearch:
         with pytest.raises(ValueError):
             forward_beam_search(m, [0.0, 0.0, 0.0], max_size=2, beam_width=0)
 
+    @pytest.mark.parametrize("argument,value", [
+        ("max_size", 2.0), ("max_size", np.float64(2)), ("beam_width", 2.5),
+        ("beam_width", True)], ids=["float-size", "numpy-float-size", "float-width",
+                                    "bool-width"])
+    def test_non_integer_size_or_width_raises(self, rng, argument, value):
+        m = random_gaussian_model(rng, 3)
+        given = {"max_size": 2, "beam_width": 2, argument: value}
+        with pytest.raises(ValueError, match=re.escape(f"{argument} must be")):
+            forward_beam_search(m, [0.0, 0.0, 0.0], **given)
+
+    def test_a_candidate_of_several_hypotheses_is_read_once(self):
+        # every subspace of a size ties, and a beam of C(n, 2) holds every
+        # subspace of each size, so each candidate of size k is made by k
+        # hypotheses: each subspace is read once, 2^n - 1 in all
+        n = 5
+        m = factorized_model([(0.0, 1.0)] * n)
+        got, want = EvalCounter(), EvalCounter()
+        res = forward_beam_search(m, np.zeros(n), n, math.comb(n, 2), got)
+        assert res == reference_forward_beam_search(m, np.zeros(n), n, math.comb(n, 2), want)
+        assert got.queries == want.queries == 2 ** n - 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_blocks_of_rows_match_tuple_reference_search(self, seed):
+        # cells of 0, 1.5 and 1e200 on a tied model: exactly tied subspaces,
+        # and -inf log-densities wherever a cell of 1e200 is kept. Beam
+        # widths up to 2^n leave rows fewer candidates than the beam, and
+        # one of n(n-1)/2, every pair, makes candidates of three or more
+        # hypotheses
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        m = tied_model(rng, n)
+        X = rng.choice([0.0, 1.5, 1e200], size=(6, n))
+        rows = rng.integers(0, len(X), 5).tolist()
+        for beam_width in sorted({2, 3, n * (n - 1) // 2, 2 ** n}):
+            config = ExplainConfig(strategy="forward", beam_width=beam_width)
+            want = [reference_explain(m, X[r], config, X) for r in rows]
+            for r, trace in zip(rows, want):
+                counter = EvalCounter()
+                assert forward_beam_search(m, X[r], n, beam_width, counter) == trace.per_size
+                assert counter.queries == trace.eval_count
+            assert explain_rows(m, X, rows, config) == want
+            with pytest.MonkeyPatch.context() as mp:
+                blocks = searched_blocks(mp, m, config, 2)
+                assert explain_rows(m, X, rows, config) == want
+            assert blocks == [2, 2, 1]
+
 
 class TestBackwardElimination:
     def test_two_features_keeps_lower_density_one(self):
