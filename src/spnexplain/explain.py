@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import (INTEGER, POSITIVE, check_config, check_features, check_index,
                    check_rows, check_shape, is_a)
-from .model import EvalCounter, SpnModel, TableMarginals, _store_sizes
+from .model import EvalCounter, SpnModel, TableMarginals, _search_bytes
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -98,8 +98,9 @@ class ExplanationTrace:
 # The budget of a block of rows searched in lockstep: the bytes that its
 # rows add (`_row_bytes`), summed over the block's rows. A step's work is
 # linear in its candidates, so a larger block only saves numpy calls; 4 MiB
-# holds 37 rows of a forward search of beam width 10 over 40 real and 10
-# categorical features.
+# holds 42 rows of a forward search of beam width 10 over 40 real and 10
+# categorical features (read from a store), and 14 over the 16 features of
+# one sum root (read by passes).
 BLOCK_BYTES = 1 << 22
 
 
@@ -146,22 +147,23 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
 
     A row's candidates are its hypotheses with each feature they have not
     flipped, deduplicated, ranked by log-density, ties in lexicographic
-    order of their flipped sets. When each row holds one hypothesis (every
-    backward step, and the first forward one), the candidates come in that
-    order and each row has as many, so one argsort per row ranks them.
-    Otherwise no step sorts them all: the pair rule drops each repeat
-    before it is read (two hypotheses of a row make one candidate exactly
-    when their sets differ by one feature each way), `np.partition` cuts
-    each row at its beam_width-th least log-density, and one sort by row,
+    order of their flipped sets. No log-density is NaN (a leaf's is finite
+    or -inf, and so are the sums and log-sum-exps of such values). With a
+    beam of one (every backward step, and every step of a forward beam of
+    1), each row's candidates come in that order and each row has as many,
+    so each row keeps its first least log-density (`argmin`), the first of
+    a stable argsort. Otherwise no step sorts them all: the pair rule drops
+    each repeat before it is read (two hypotheses of a row make one
+    candidate exactly when their sets differ by one feature each way),
+    `np.partition` cuts each row at its beam_width-th least log-density (a
+    row of no more candidates keeps them all), and one sort by row,
     log-density and packed complement mask (`_words`) ranks the candidates
-    at or below the cut. No log-density is NaN (a leaf's is finite or
-    -inf, and so are the sums and log-sum-exps of such values), so the cut
-    keeps every candidate that argsort's NaN-last order would. On a table
-    with a store, each hypothesis carries its children's codes, and a
-    candidate's are its parent's with its feature's step added to or
-    subtracted from the code of that feature's child
-    (`TableMarginals._search_codes`); a table without one reads each step
-    with one masked pass for the whole block."""
+    at or below the cut, which holds every candidate that argsort's
+    NaN-last order would keep. Each hypothesis carries its codes
+    (`TableMarginals._search_codes`): a candidate's are its parent's with
+    its feature's step added to or subtracted from the code of that
+    feature's slot, and one `TableMarginals._gather` a step reads them for
+    the whole block, from the table's store or by one masked pass."""
     n = model.n_features
     if isinstance(x, TableMarginals):
         if x.model is not model:
@@ -178,100 +180,84 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     rows = np.arange(R)
     flipped = np.zeros((R, n), dtype=bool)  # the flipped features of each hypothesis
     owner = rows  # each hypothesis's row, ascending
-    codes = table._search_codes(flipped if grow else ~flipped)
-    if codes is not None:
-        codes, step = codes[0], (codes[1] if grow else -codes[1])
-        slot = (step != 0).argmax(axis=0)  # each feature's child, whose code its step moves
+    codes, step = table._search_codes(flipped if grow else ~flipped)
+    step = step if grow else -step
+    slot = (step != 0).argmax(axis=0)  # each feature's slot, whose code its step moves
     clear = ~_words(np.eye(n, dtype=bool))  # clears a feature's bit
-    best = np.empty((steps, R, n), dtype=bool)  # each row's best flipped set a step
+    best = np.empty((steps, R, n), dtype=bool)  # each row's best subspace a step
     best_lp = np.empty((steps, R))
-    asked = np.zeros(R, dtype=np.intp)  # each row's queries; `each`, of every row
-    each = 0
+    asked = np.zeros(R, dtype=np.intp)  # each row's queries
     for t in range(steps):
-        uniform = len(flipped) == R  # one hypothesis a row, with k = len(f) // R
-        if uniform:
-            h, f = np.nonzero(~flipped)  # from each hypothesis, in lexicographic order
-        else:
-            # hypothesis j's candidate S_j ∪ {x} repeats hypothesis i's
-            # S_i ∪ {y} exactly when S_i \ S_j = {x} (and S_j \ S_i = {y}),
-            # that is, when the two sets of t features share t - 1: drop it
-            # when i is an earlier hypothesis of j's row
-            count = np.bincount(owner, minlength=R)  # each row's hypotheses
-            start = np.cumsum(count) - count
-            # each row's sets as float rows, padded with all-ones rows,
-            # which share t or n features, never t - 1
-            beams = np.ones((R, count.max(), n), dtype=np.float32)
-            beams[owner, np.arange(len(owner)) - start[owner]] = flipped
-            shared = beams @ beams.transpose(0, 2, 1)
-            r, i, j = np.nonzero(np.triu(shared == t - 1, 1))
-            i, j = start[r] + i, start[r] + j
-            fresh = ~flipped
-            fresh[j, (flipped[i] & ~flipped[j]).argmax(axis=1)] = False
-            h, f = np.nonzero(fresh)
-        if codes is None:
-            keep = flipped[h]
-            keep[np.arange(len(h)), f] = True
-            lp = table._pass(keep if grow else ~keep, owner[h])
-        else:
-            if uniform:
-                cand = codes[:, :, None] + step[:, f].reshape(len(codes), R, -1)
-            else:
-                cand, moved = codes[:, h], slot[f]
-                cand[moved, np.arange(len(f))] += step[moved, f]
-            lp = table._gather(cand)
-        if uniform:
+        if beam_width == 1:
+            # one hypothesis a row: its candidates, in lexicographic order
+            h, f = np.nonzero(~flipped)
             k = len(f) // R
-            lp = lp.reshape(R, k)
-            order = np.argsort(lp, axis=1, kind="stable")[:, :beam_width]
-            b = order.shape[1]
-            pick = (rows[:, None], order)
-            each += k
-            best_lp[t] = lp[rows, order[:, 0]]
-            f = f.reshape(R, k)[pick].ravel()
-            if codes is not None:
-                codes = cand.reshape(-1, R, k)[(slice(None),) + pick].reshape(-1, R * b)
-            if b > 1:
-                flipped, owner = np.repeat(flipped, b, axis=0), np.repeat(rows, b)
-                flipped[np.arange(R * b), f] = True
-            else:
-                flipped[rows, f] = True
-            best[t] = flipped[::b]
-        else:
-            owner = owner[h]
-            count = np.bincount(owner, minlength=R)
-            asked += count
-            # each row's beam_width-th least log-density, its row padded
-            # with inf, cuts it: those at or below the cut are sorted
-            at = np.arange(len(h)) - np.repeat(np.cumsum(count) - count, count)
-            padded = np.full((R, max(count.max(), beam_width)), np.inf)
-            padded[owner, at] = lp
-            cut = np.partition(padded, beam_width - 1, axis=1)[:, beam_width - 1]
-            near = np.flatnonzero(lp <= cut[owner])
-            # for sets of one size, ascending packed complement masks are
-            # ascending sorted-index tuples
-            words = _words(~flipped)[h[near]] & clear[f[near]]
-            order = near[np.lexsort((*words.T[::-1], lp[near], owner[near]))]
-            count = np.bincount(owner[near], minlength=R)
-            start = np.cumsum(count) - count
-            pick = order[np.arange(len(order)) - np.repeat(start, count) < beam_width]
-            kept = np.minimum(count, beam_width)
-            first = np.cumsum(kept) - kept
-            best_lp[t] = lp[pick[first]]
-            owner = owner[pick]
-            if codes is not None:
-                codes = cand[:, pick]
-                del cand  # before the next step builds its own
-            flipped = flipped[h[pick]]
-            flipped[np.arange(len(pick)), f[pick]] = True
-            best[t] = flipped[first]
+            cand = codes[:, :, None] + step[:, f].reshape(len(codes), R, k)
+            lp = table._gather(cand, h)
+            asked += k
+            # the first least log-density, as a stable argsort ranks it
+            pick = lp.argmin(axis=1)
+            best_lp[t] = lp[rows, pick]
+            codes = cand[:, rows, pick]
+            flipped[rows, f.reshape(R, k)[rows, pick]] = True
+            best[t] = flipped if grow else ~flipped
+            continue
+        # hypothesis j's candidate S_j ∪ {x} repeats hypothesis i's
+        # S_i ∪ {y} exactly when S_i \ S_j = {x} (and S_j \ S_i = {y}),
+        # that is, when the two sets of t features share t - 1: drop it
+        # when i is an earlier hypothesis of j's row
+        count = np.bincount(owner, minlength=R)  # each row's hypotheses
+        start = np.cumsum(count) - count
+        # each row's sets as float rows, padded with all-ones rows,
+        # which share t or n features, never t - 1
+        beams = np.ones((R, count.max(), n), dtype=np.float32)
+        beams[owner, np.arange(len(owner)) - start[owner]] = flipped
+        shared = beams @ beams.transpose(0, 2, 1)
+        r, i, j = np.nonzero(np.triu(shared == t - 1, 1))
+        i, j = start[r] + i, start[r] + j
+        fresh = ~flipped
+        fresh[j, (flipped[i] & ~flipped[j]).argmax(axis=1)] = False
+        h, f = np.nonzero(fresh)
+        cand, moved = codes[:, h], slot[f]
+        cand[moved, np.arange(len(f))] += step[moved, f]
+        owner = owner[h]
+        lp = table._gather(cand, owner)
+        count = np.bincount(owner, minlength=R)
+        asked += count
+        # each row's beam_width-th least log-density, its row padded with
+        # inf, cuts it: those at or below the cut are sorted. A row holds
+        # all of its candidates when they are beam_width or fewer
+        at = np.arange(len(h)) - np.repeat(np.cumsum(count) - count, count)
+        padded = np.full((R, count.max()), np.inf)
+        padded[owner, at] = lp
+        width = min(beam_width, padded.shape[1])
+        cut = np.partition(padded, width - 1, axis=1)[:, width - 1]
+        near = np.flatnonzero(lp <= cut[owner])
+        # for sets of one size, ascending packed complement masks are
+        # ascending sorted-index tuples
+        words = _words(~flipped)[h[near]] & clear[f[near]]
+        order = near[np.lexsort((*words.T[::-1], lp[near], owner[near]))]
+        count = np.bincount(owner[near], minlength=R)
+        start = np.cumsum(count) - count
+        pick = order[np.arange(len(order)) - np.repeat(start, count) < beam_width]
+        kept = np.minimum(count, beam_width)
+        first = np.cumsum(kept) - kept
+        best_lp[t] = lp[pick[first]]
+        owner = owner[pick]
+        codes = cand[:, pick]
+        del cand  # before the next step builds its own
+        flipped = flipped[h[pick]]
+        flipped[np.arange(len(pick)), f[pick]] = True
+        best[t] = flipped[first]
     if counters is not None:
-        table._charge(counters, (asked + each).tolist())
+        table._charge(counters, asked.tolist())
     sizes = range(1, steps + 1) if grow else range(n - 1, n - 1 - steps, -1)
     ends = list(itertools.accumulate(sizes))  # of each step's subspace in a row's run
-    features = np.nonzero((best if grow else ~best).transpose(1, 0, 2))[2].tolist()
     results = []
-    for at, lps in zip(range(0, len(features), ends[-1]), best_lp.T.tolist()):
-        per_size = [SizeBest(k, tuple(features[at + end - k:at + end]), lp)
+    for mask, lps in zip(best.transpose(1, 0, 2), best_lp.T.tolist()):
+        # the row's subspaces, size by size, as flat indices of its masks
+        features = (np.flatnonzero(mask) % n).tolist()
+        per_size = [SizeBest(k, tuple(features[end - k:end]), lp)
                     for k, end, lp in zip(sizes, ends, lps)]
         results.append(per_size if grow else per_size[::-1])
     return results if table is x else results[0]
@@ -401,19 +387,21 @@ def _plan(model: SpnModel, config: ExplainConfig) -> tuple[bool, int, int]:
 
 def _row_bytes(model: SpnModel, config: ExplainConfig) -> int:
     """The bytes that one row adds to a block of the configured search:
-    for each of its step's candidates (at most beam width × n), 4 for each
-    of its children's codes (int32, as in a store of under 2^31 values)
-    and 32 for its two indices, its log-density and the gather's addend,
-    or, read by passes, 8 for each node; 8 for each value of its store;
-    and 40 for each feature of the best subspace of each size that its
-    results hold, steps × (steps + 1) / 2 of them."""
+    what its table holds for the row; for each of a step's candidates,
+    what the table's read holds for it (`_search_bytes`) and 56 for the
+    step's own seven 8-byte values of it (hypothesis, feature, slot, row,
+    position, log-density and padded log-density), for n candidates of
+    each hypothesis and at most beam width hypotheses, no more than the
+    C(n, t) sets of t features that a step can hold; and what its results
+    hold, 8 for each feature of the best subspace of each size (steps ×
+    (steps + 1) / 2 of them) and, for each size, its mask of n features
+    and 144 for its log-density, tuple, `SizeBest` and list entries."""
     grow, steps, beam_width = _plan(model, config)
-    candidates = beam_width * model.n_features
-    results = 20 * steps * (steps + 1)
-    sizes = _store_sizes(model, _queries(model.n_features, grow, steps, beam_width))
-    if sizes is None:
-        return 8 * candidates * len(model.nodes) + results
-    return candidates * (4 * len(sizes) + 32) + 8 * int(sizes.sum()) + results
+    n = model.n_features
+    table, candidate = _search_bytes(model, _queries(n, grow, steps, beam_width))
+    candidates = n * min(beam_width, math.comb(n, min(steps - 1, n // 2)))
+    return (table + candidates * (candidate + 56) + 4 * steps * (steps + 1)
+            + (n + 144) * steps)
 
 
 def _search(model: SpnModel, x, config: ExplainConfig,

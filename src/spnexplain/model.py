@@ -352,8 +352,9 @@ class _Circuit:
         or one row's (leaves, 1) broadcasts against the masks, and a mask of
         one row (1, n) against the rows; a marginalized leaf reads log 1 =
         0. The counter gets one query and one evaluation of every node, a
-        masked leaf included, per query. The result is a row of the pass's
-        value matrix, or the value rows `rows` when given."""
+        masked leaf included, per query. The result is a copy of the root's
+        row of the pass's value matrix, so that it does not keep the matrix
+        alive, or the value rows `rows` when given."""
         observed = keep.T[self.leaf_feature]
         batch = np.broadcast_shapes(observed.shape, leaves.shape)[1]
         if counter is not None:
@@ -365,7 +366,7 @@ class _Circuit:
             stack = vals[idx]
             vals[lo:lo + idx.shape[1]] = (_add_slots(stack) if log_w is None
                                          else _logsumexp(stack + log_w))
-        return vals[self.root if rows is None else rows]
+        return vals[self.root].copy() if rows is None else vals[rows]
 
 
 def _add_slots(stack: np.ndarray) -> np.ndarray:
@@ -479,15 +480,37 @@ def _store_sizes(model: SpnModel, masks: int | None = None) -> np.ndarray | None
     return None
 
 
+def _search_bytes(model: SpnModel, masks: int) -> tuple[int, int]:
+    """The bytes that a search's `TableMarginals` of the model, asked
+    `masks` masks a row, holds for one row, and that `_gather` holds for
+    one candidate. With a store: 8 a store value of the row; a candidate's
+    int32 code of each child, and 16 for the gather's sum and addend. Read
+    by passes: 8 a leaf value of the row; a candidate's int8 code and
+    boolean mask of each feature, its leaf values and the mask of its
+    leaves (9 a leaf), its column of the value matrix (8 a node), and the
+    most that the pass holds besides at once: the leaf values that it
+    copies into the value matrix (8 a leaf), a product group's stack (8 a
+    slot), or a sum group's stack with `_logsumexp`'s weighted stack,
+    maximum mask and two stacks of shifted terms (33 a slot)."""
+    sizes = _store_sizes(model, masks)
+    if sizes is not None:
+        return 8 * int(sizes.sum()), 4 * len(sizes) + 16
+    circuit = _compile(model)
+    leaves = len(circuit.leaf_feature)
+    widest = max([8 * leaves] + [(8 if log_w is None else 33) * idx.size
+                                 for _, idx, log_w in circuit.groups])
+    return 8 * leaves, 2 * model.n_features + 9 * leaves + 8 * circuit.n_rows + widest
+
+
 class TableMarginals:
     """log p(x_S) of every row x of one fixed table X, for many subspaces S:
     the one marginal table of the searches (over the searched rows) and of
     z-score selection (over the reference rows).
 
     The table has no public read: its one read of masks is `_read`, and
-    the searches step through `_search_codes`, `_gather` and `_pass`. The
-    leaf values over X are computed on construction, and each read only
-    masks them. The marginal of a decomposable product is the sum of its
+    the searches step through `_search_codes` and `_gather`. The leaf
+    values over X are computed on construction, and each read only masks
+    them. The marginal of a decomposable product is the sum of its
     children's marginals, each on S ∩ scope(child). So on a root product
     whose widest child has W features, where 2^W is below `masks`, the
     count of masks its caller will ask of a row (n, one selection's worth,
@@ -496,15 +519,17 @@ class TableMarginals:
     of k features. The fill runs the circuit's own masked passes, where
     query j keeps, in every child at once, the features whose bit is set in
     j. A read of masks then takes one matmul for their children's codes and
-    adds each child's gather into one accumulator in slot order; a search
-    instead carries its hypotheses' codes and steps them a feature at a
-    time (`_search_codes`). Otherwise (a sum root, or children too wide)
-    each read is one masked pass of the leaf values, and nothing is kept.
-    Both equal `log_marginal(model, X, keep)` bit for bit. The `table`
-    keeps the row rule of `check_rows` (a (rows, n) table with a row, under
-    the shape rule), so no cell is marginalized but by the mask; a table
-    that breaks it raises ValueError. The searches build their table of the
-    searched samples here, so this is their one check of its cells.
+    adds each child's gather into one accumulator in slot order. Otherwise
+    (a sum root, or children too wide) each read is one masked pass of the
+    leaf values, and nothing is kept. A search does not tell the two
+    apart: it carries its hypotheses' codes and steps them a feature at a
+    time (`_search_codes`), and `_gather` reads them from the store or by
+    one pass. Both equal `log_marginal(model, X, keep)` bit for bit. The
+    `table` keeps the row rule of `check_rows` (a (rows, n) table with a
+    row, under the shape rule), so no cell is marginalized but by the
+    mask; a table that breaks it raises ValueError. The searches build
+    their table of the searched samples here, so this is their one check
+    of its cells.
     """
 
     def __init__(self, model: SpnModel, X, masks: int | None = None):
@@ -537,15 +562,17 @@ class TableMarginals:
             out += self._store[child]
         return out
 
-    def _search_codes(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """For a search that reads the store: the index in the flattened
-        store of each root child's code of each row under its mask `keep`
-        (rows, n), as (children, rows), and each feature's step of those
-        indices, as (children, n). Flipping feature f into a mask adds its
-        step, and flipping it out subtracts it. The store is filled here,
-        uncounted (`_charge` counts it). None for a table without a store."""
+    def _search_codes(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A search's codes of each row under its mask `keep` (rows, n), as
+        (slots, rows), and each feature's step of those codes, as (slots,
+        n). Flipping feature f into a mask adds its step, and flipping it
+        out subtracts it. With a store, a slot is a root child and its code
+        the child's index in the flattened store, of the narrowest index
+        type that holds it; the store is filled here, uncounted (`_charge`
+        counts it). Without one, a slot is a feature, its code the
+        feature's keep bit (int8) and its step 1."""
         if self._sizes is None:
-            return None
+            return keep.T.astype(np.int8), np.eye(keep.shape[1], dtype=np.int8)
         if self._store is None:
             self._fill(None)
         rows = self._leaves.shape[1]
@@ -555,22 +582,24 @@ class TableMarginals:
         return ((codes * index(rows) + np.arange(rows, dtype=index)[:, None]).T,
                 (self._circuit.bits.T * rows).astype(index))
 
-    def _gather(self, codes: np.ndarray) -> np.ndarray:
-        """The log-densities of the candidates whose flattened store indices
-        are `codes` (children, ...), their children added in slot order: in
-        one gather for a few candidates, else a child at a time, so that no
-        temporary holds every child of every candidate."""
+    def _gather(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The log-densities of the candidates whose `_search_codes` are
+        `codes` (slots, ...), of the table rows `rows` (one a candidate, in
+        their order), in the shape of one slot's codes. With a store, each
+        slot's gather is added in slot order: in one gather for a few
+        candidates, else a slot at a time, so that no temporary holds every
+        slot of every candidate. Without one, one masked pass keeps the
+        features whose code is not 0, over the leaf values of the rows."""
+        if self._sizes is None:
+            keep = (codes != 0).reshape(len(codes), -1).T
+            out = self._circuit.masked_log_density(self._leaves[:, rows], keep)
+            return out.reshape(codes.shape[1:])
         if codes[0].size <= 512:
             return _add_slots(self._store.take(codes))
         out = self._store.take(codes[0])
         for child in codes[1:]:
             out += self._store.take(child)
         return out
-
-    def _pass(self, keep: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """One masked pass: the log-density of row rows[i] under mask
-        keep[i], for a search of a table without a store."""
-        return self._circuit.masked_log_density(self._leaves[:, rows], keep)
 
     def _charge(self, counters: list[EvalCounter], queries: list[int]) -> None:
         """Count a search's reads of this table, its own: each row's counter

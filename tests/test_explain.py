@@ -174,6 +174,23 @@ class TestForwardBeamSearch:
         assert res == reference_forward_beam_search(m, np.zeros(n), n, math.comb(n, 2), want)
         assert got.queries == want.queries == 2 ** n - 1
 
+    def test_a_beam_wider_than_any_step_costs_no_memory(self):
+        # no step of 6 features holds more than C(6, 3) = 20 hypotheses, so
+        # a beam of 10^6 searches as a beam of 64 does, in the same memory
+        labeled = generate(GenConfig(n_features=6, n_samples=300, n_outliers=5, seed=0))
+        m = learn_spn(labeled.dataset, LearnConfig(seed=0))
+        x = labeled.dataset.values[labeled.outlier_rows[0]]
+        want, got = EvalCounter(), EvalCounter()
+        res = forward_beam_search(m, x, 6, 64, want)
+        tracemalloc.start()
+        try:
+            assert forward_beam_search(m, x, 6, 10 ** 6, got) == res
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_blocks_of_rows_match_tuple_reference_search(self, seed):
@@ -646,34 +663,31 @@ class TestSearchTables:
             m, X, rows = root_shapes[shape]
         n = m.n_features
         circuit = model_module._compile(m)
-        fill, gather, read = TableMarginals._fill, TableMarginals._gather, TableMarginals._pass
+        fill, gather = TableMarginals._fill, TableMarginals._gather
         filled, reads = [], []
 
         def filling(table, counter):
             filled.append(len(table._leaves[0]))
             return fill(table, counter)
 
-        def reading(table, keep, rows):
-            got = read(table, keep, rows)
-            assert got.tobytes() == circuit.masked_log_density(table._leaves,
-                                                               keep).tobytes()
-            reads.append(len(keep))
-            return got
-
-        def gathering(table, codes):
-            # each candidate's mask, from its children's codes in a store of
-            # one row: a feature is kept when its bit is set in its child's code
-            got = gather(table, codes)
-            codes = codes.reshape(len(codes), -1) - table._offsets[:, None]
-            child, bit = circuit.bits.argmax(axis=1), circuit.bits.max(axis=1)
-            keep = (codes[child] & bit.astype(np.intp)[:, None]).T != 0
+        def gathering(table, codes, rows):
+            # each candidate's mask: from its children's codes in a store of
+            # one row, a feature is kept when its bit is set in its child's
+            # code; without a store, when its own code is not 0
+            got = gather(table, codes, rows)
+            codes = codes.reshape(len(codes), -1)
+            if table._sizes is None:
+                keep = codes.T != 0
+            else:
+                codes = codes - table._offsets[:, None]
+                child, bit = circuit.bits.argmax(axis=1), circuit.bits.max(axis=1)
+                keep = (codes[child] & bit.astype(np.intp)[:, None]).T != 0
             assert got.tobytes() == circuit.masked_log_density(table._leaves,
                                                                keep).tobytes()
             reads.append(len(keep))
             return got
 
         monkeypatch.setattr(TableMarginals, "_fill", filling)
-        monkeypatch.setattr(TableMarginals, "_pass", reading)
         monkeypatch.setattr(TableMarginals, "_gather", gathering)
         # a sum root, and backward search over children of 11-12 features
         # (2^12 fill queries against 819), read by masked passes
@@ -696,6 +710,61 @@ class TestSearchTables:
             queries += counter.queries
         assert filled == ([1] * len(rows) if tabled else [])
         assert sum(reads) == queries
+
+    @staticmethod
+    def search_both_tables(m, X, strategy, beam_width):
+        # a table forced to passes (1 mask a row) and one forced to a store
+        # (2^30): equal results and equal queries
+        n = m.n_features
+        results = []
+        for masks in (1, 2 ** 30):
+            table = TableMarginals(m, X, masks)
+            counters = [EvalCounter() for _ in X]
+            if strategy == "backward":
+                got = backward_elimination(m, table, counters)
+            else:
+                got = forward_beam_search(m, table, min(n, 4), beam_width, counters)
+            results.append((got, [c.queries for c in counters], table._sizes is None))
+        (passes, asked, no_store), (stored, asked_stored, _) = results
+        assert no_store
+        assert passes == stored
+        assert asked == asked_stored
+
+    @pytest.mark.parametrize("shape", ["planted", "mixed"])
+    @pytest.mark.parametrize("strategy,beam_width", [
+        ("backward", 1), ("forward", 1), ("forward", 3)])
+    def test_passes_and_a_store_search_alike(self, root_shapes, shape, strategy,
+                                             beam_width):
+        m, X, rows = root_shapes[shape]
+        assert TableMarginals(m, X[rows], 2 ** 30)._sizes is not None
+        self.search_both_tables(m, X[rows], strategy, beam_width)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_passes_and_a_store_search_alike_on_random_mixed_models(self, seed):
+        r = np.random.default_rng(seed)
+        m = random_mixed_model(r, 6)
+        assume(m.n_features >= 2)  # backward elimination's least
+        X = random_table(r, m, 4)
+        for strategy, beam_width in (("backward", 1), ("forward", 1), ("forward", 3)):
+            self.search_both_tables(m, X, strategy, beam_width)
+
+    def test_a_forward_block_on_passes_peaks_within_its_row_bytes(self, root_shapes):
+        # the sum root reads each step by one masked pass; its value
+        # matrix, group stacks and log-sum-exp temporaries are counted
+        m, X, rows = root_shapes["sum_root"]
+        config = ExplainConfig(strategy="forward")
+        masks = explain_module._queries(m.n_features, *explain_module._plan(m, config))
+        forward_beam_search(m, TableMarginals(m, X[rows], masks), m.n_features, 10)
+        table = TableMarginals(m, X[rows], masks)
+        assert table._sizes is None
+        tracemalloc.start()
+        try:
+            forward_beam_search(m, table, m.n_features, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(rows) * explain_module._row_bytes(m, config)
 
     @pytest.mark.parametrize("shape", ["planted", "mixed", "sum_root", "wide_children"])
     @pytest.mark.parametrize("strategy", ["backward", "forward"])
