@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import (INTEGER, POSITIVE, check_config, check_features, check_index,
                    check_rows, check_shape, is_a)
-from .model import EvalCounter, SpnModel, TableMarginals, _search_bytes
+from .model import EvalCounter, SpnModel, TableMarginals, _search_bytes, _store_sizes
 
 Subspace = tuple[int, ...]  # canonical: sorted, deduplicated feature indices
 
@@ -100,7 +100,9 @@ class ExplanationTrace:
 # linear in its candidates, so a larger block only saves numpy calls; 4 MiB
 # holds 42 rows of a forward search of beam width 10 over 40 real and 10
 # categorical features (read from a store), and 14 over the 16 features of
-# one sum root (read by passes).
+# one sum root (read by passes). A beam of one over a store reads a window
+# of steps in each row's share of the budget (`_beam_of_one`): one row
+# alone reads its whole search at once.
 BLOCK_BYTES = 1 << 22
 
 
@@ -131,6 +133,159 @@ def _words(masks: np.ndarray) -> np.ndarray:
     return packed.view(">u8").astype(np.uint64)
 
 
+def _speculate(table: TableMarginals, codes: np.ndarray, flipped: np.ndarray,
+               step: np.ndarray) -> np.ndarray:
+    """Each row's guess of the order in which a beam of one flips its
+    features not yet flipped, from the rows' codes (slots, rows) in their
+    store table and the flips `flipped` (rows, n), as (rows, n) whose first
+    entries of a row are those features. On a root product a subspace's
+    log-density is the sum of its children's terms, so a step picks the
+    child whose best flip changes its own term least, and moves only that
+    child's term: in exact arithmetic the greedy order merges the
+    children's own greedy chains, in which a child flips its feature of
+    least term (the first, on a tie), then the next, and so on. Each chain
+    is read from the store (`TableMarginals._values`), all chains a step
+    of theirs at a time. The merge that takes the least next change of any
+    chain first takes each chain's changes in ascending order of the
+    chain's running maximum, its own order kept on a tie; a chain's steps
+    past its end come last."""
+    R, n = flipped.shape
+    slots = len(step)
+    slot = (step != 0).argmax(axis=0)
+    count = np.bincount(slot, minlength=slots)
+    # each child's features in ascending order, padded with feature n,
+    # flipped in every row and of step 0
+    members = np.full((slots, count.max()), n)
+    by_slot = np.argsort(slot, kind="stable")
+    members[slot[by_slot], np.arange(n) - (np.cumsum(count) - count)[slot[by_slot]]] = by_slot
+    moves = np.append(step[slot, np.arange(n)], 0)[members]
+    free = ~np.hstack([flipped, np.ones((R, 1), dtype=bool)])[:, members]
+    at, ends, rows = codes.T.copy(), np.arange(slots), np.arange(R)[:, None]
+    terms = np.empty((members.shape[1] + 1, R, slots))  # each chain's term a step
+    terms[0] = table._values(at)
+    picks = np.empty((members.shape[1], R, slots), dtype=np.intp)
+    for j, pick in enumerate(picks):
+        term = np.where(free, table._values(at[:, :, None] + moves * free), np.inf)
+        pick[:] = term.argmin(axis=2)
+        terms[j + 1] = term[rows, ends, pick]  # +inf past the chain's end
+        at += np.where(terms[j + 1] < np.inf, moves[ends, pick], 0)
+        free[rows, ends, pick] = False
+    with np.errstate(invalid="ignore"):  # -inf less -inf, or +inf less +inf
+        change = np.diff(terms, axis=0)
+    change[np.isnan(change)] = np.inf
+    change[terms[1:] == np.inf] = np.nan  # sorts last
+    order = np.argsort(np.maximum.accumulate(change, axis=0).transpose(1, 2, 0)
+                       .reshape(R, -1), axis=1, kind="stable")[:, :n]
+    return members[ends, picks].transpose(1, 2, 0).reshape(R, -1)[rows, order]
+
+
+def _beam_of_one(table: TableMarginals, grow: bool, flipped: np.ndarray,
+                 codes: np.ndarray, step: np.ndarray, best: np.ndarray,
+                 best_lp: np.ndarray, asked: np.ndarray) -> None:
+    """The steps of a beam of one, each row's `best` and `best_lp` written a
+    step at a time and its queries added to `asked`. A row's candidates are
+    its features not yet flipped, in ascending order, and it keeps its
+    first least log-density (`argmin`), the first of a stable argsort.
+
+    Over a store a row reads a window of steps at a time. The window's
+    steps take the picks that `_speculate` guesses, and one `_gather` reads
+    the candidates of every step of every row's window. A row keeps each
+    step up to the first whose own least candidate is not the guessed pick,
+    and there it takes that candidate: each kept step reads its candidates
+    as the step alone reads them, so the result does not depend on the
+    guess. After a miss the row guesses again from its state. What a row
+    reads past the steps that it keeps comes out of a spare of one search's
+    candidates, and a window reads steps past its first only while the
+    spare covers them: a row whose guesses hold reads its whole search in
+    one window, and however wrong its guesses, a row reads at most twice
+    its search's candidates. Each row's window is also held to its share of
+    `BLOCK_BYTES`, and is at least one step. Without a store each step is a
+    window of one, and nothing is guessed."""
+    steps, R, n = best.shape
+    slot = (step != 0).argmax(axis=0)  # each feature's slot, whose code its step moves
+    moved = step[slot, np.arange(n)]  # and the step of that code
+    done = np.zeros(R, dtype=np.intp)  # each row's steps
+    stored = table._sizes is not None
+    if stored:
+        # a window's steps: the row's share of BLOCK_BYTES, less what the
+        # row holds through the search (its table, best masks and
+        # log-densities, and guess), over what a step's n candidates hold
+        # (`_row_bytes`)
+        held, candidate = _search_bytes(table.model, table._sizes)
+        held += (n + 8) * steps + 16 * n
+        room = max(1, (BLOCK_BYTES // R - held) // (n * (candidate + 56)))
+        guess, at = _speculate(table, codes, flipped, step), np.zeros(R, dtype=np.intp)
+        # what each row may read past the steps that it keeps: the
+        # candidates of its search
+        spare = np.full(R, steps * n - steps * (steps - 1) // 2)
+    while (a := np.flatnonzero(done < steps)).size:
+        t, A, k = done[a], len(a), n - done[a]
+        w = np.ones(A, dtype=np.intp)
+        if stored:
+            # a window's first step, and each next one whose candidates and
+            # those of the steps between the spare covers, to the row's room
+            # and last step
+            ahead = np.arange(min(room, steps - t.min()))
+            past = np.cumsum(k[:, None] - ahead, axis=1) - k[:, None]
+            w = np.minimum((past <= spare[a, None]).sum(axis=1), np.minimum(room, steps - t))
+        s = np.arange(w.max())
+        inside = s < w[:, None]  # the steps of each row's window
+        hyp = codes[:, a, None]  # each step's hypothesis codes
+        # the step at which each feature is guessed flipped: -1 before the
+        # window, len(s) never
+        guessed = np.where(flipped[a], -1, len(s))
+        if stored:
+            # each row's guessed picks, its last one past its window
+            picks = guess[a[:, None], at[a, None] + np.minimum(s, w[:, None] - 1)]
+            r, j = np.nonzero(inside)
+            guessed[r, picks[r, j]] = j
+            moves = step[:, picks]
+            hyp = np.cumsum(moves, axis=2, dtype=codes.dtype) - moves + hyp
+        # a step's candidates: the features not flipped before it
+        fresh = (guessed[:, None] >= s[:, None]) & inside[:, :, None]  # (rows, steps, n)
+        # each candidate's codes: its step's hypothesis codes, one slot
+        # moved, built in place so that a read holds what `_row_bytes`
+        # counts of it
+        at_flat = np.flatnonzero(fresh)
+        count = fresh.sum(axis=2)  # each step's candidates
+        cand = np.repeat(hyp.reshape(len(hyp), -1), count.ravel(), axis=1)
+        f = at_flat % n
+        moving = slot[f]  # each candidate's moved code, in the flat codes
+        moving *= len(f)
+        moving += np.arange(len(f))
+        cand.reshape(-1)[moving] += moved[f]
+        del f, moving
+        read = table._gather(cand, np.repeat(a, count.sum(axis=1)))
+        del cand
+        lp = np.full(fresh.shape, np.inf)
+        lp.reshape(-1)[at_flat] = read
+        del read, at_flat
+        pick = lp.argmin(axis=2)  # each step's own first least candidate
+        kept = w
+        if stored:
+            # the steps guessed right, from the first
+            hit = np.logical_and.accumulate((pick == picks) & inside, axis=1).sum(axis=1)
+            kept = np.minimum(hit + 1, w)
+        r, j = np.nonzero(s < kept[:, None])
+        best_lp[t[r] + j, a[r]] = lp[r, j, pick[r, j]]
+        taken = np.where(flipped[a], -1, len(s))  # as `guessed`, for the kept picks
+        taken[r, pick[r, j]] = j
+        after = taken[r] <= j[:, None]
+        best[t[r] + j, a[r]] = after if grow else ~after
+        flipped[a] = taken < len(s)
+        last = np.arange(A), kept - 1
+        codes[:, a] = hyp[:, last[0], last[1]] + step[:, pick[last]]
+        asked[a] += kept * k - kept * (kept - 1) // 2
+        done[a] += kept
+        if stored:
+            spare[a] -= (w - kept) * k - (w * (w - 1) - kept * (kept - 1)) // 2
+            at[a] += kept
+            again = a[(hit < w) & (done[a] < steps)]
+            if again.size:
+                guess[again] = _speculate(table, codes[:, again], flipped[again], step)
+                at[again] = 0
+
+
 def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
                    counter: EvalCounter | list[EvalCounter] | None) -> list:
     """The one greedy step loop of both strategies, run in lockstep over a
@@ -150,9 +305,10 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
     order of their flipped sets. No log-density is NaN (a leaf's is finite
     or -inf, and so are the sums and log-sum-exps of such values). With a
     beam of one (every backward step, and every step of a forward beam of
-    1), each row's candidates come in that order and each row has as many,
-    so each row keeps its first least log-density (`argmin`), the first of
-    a stable argsort. Otherwise no step sorts them all: the pair rule drops
+    1), each row's candidates come in that order, so each row keeps its
+    first least log-density (`argmin`), the first of a stable argsort, and
+    over a store reads a window of its steps at a time (`_beam_of_one`).
+    Otherwise no step sorts them all: the pair rule drops
     each repeat before it is read (two hypotheses of a row make one
     candidate exactly when their sets differ by one feature each way),
     `np.partition` cuts each row at its beam_width-th least log-density (a
@@ -177,78 +333,66 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
         table = _search_table(model, x[None], _queries(n, grow, steps, beam_width))
         counters = None if counter is None else [counter]
     R = table._leaves.shape[1]
-    rows = np.arange(R)
     flipped = np.zeros((R, n), dtype=bool)  # the flipped features of each hypothesis
-    owner = rows  # each hypothesis's row, ascending
     codes, step = table._search_codes(flipped if grow else ~flipped)
     step = step if grow else -step
-    slot = (step != 0).argmax(axis=0)  # each feature's slot, whose code its step moves
-    clear = ~_words(np.eye(n, dtype=bool))  # clears a feature's bit
     best = np.empty((steps, R, n), dtype=bool)  # each row's best subspace a step
     best_lp = np.empty((steps, R))
     asked = np.zeros(R, dtype=np.intp)  # each row's queries
-    for t in range(steps):
-        if beam_width == 1:
-            # one hypothesis a row: its candidates, in lexicographic order
-            h, f = np.nonzero(~flipped)
-            k = len(f) // R
-            cand = codes[:, :, None] + step[:, f].reshape(len(codes), R, k)
-            lp = table._gather(cand, h)
-            asked += k
-            # the first least log-density, as a stable argsort ranks it
-            pick = lp.argmin(axis=1)
-            best_lp[t] = lp[rows, pick]
-            codes = cand[:, rows, pick]
-            flipped[rows, f.reshape(R, k)[rows, pick]] = True
-            best[t] = flipped if grow else ~flipped
-            continue
-        # hypothesis j's candidate S_j ∪ {x} repeats hypothesis i's
-        # S_i ∪ {y} exactly when S_i \ S_j = {x} (and S_j \ S_i = {y}),
-        # that is, when the two sets of t features share t - 1: drop it
-        # when i is an earlier hypothesis of j's row
-        count = np.bincount(owner, minlength=R)  # each row's hypotheses
-        start = np.cumsum(count) - count
-        # each row's sets as float rows, padded with all-ones rows,
-        # which share t or n features, never t - 1
-        beams = np.ones((R, count.max(), n), dtype=np.float32)
-        beams[owner, np.arange(len(owner)) - start[owner]] = flipped
-        shared = beams @ beams.transpose(0, 2, 1)
-        r, i, j = np.nonzero(np.triu(shared == t - 1, 1))
-        i, j = start[r] + i, start[r] + j
-        fresh = ~flipped
-        fresh[j, (flipped[i] & ~flipped[j]).argmax(axis=1)] = False
-        h, f = np.nonzero(fresh)
-        cand, moved = codes[:, h], slot[f]
-        cand[moved, np.arange(len(f))] += step[moved, f]
-        owner = owner[h]
-        lp = table._gather(cand, owner)
-        count = np.bincount(owner, minlength=R)
-        asked += count
-        # each row's beam_width-th least log-density, its row padded with
-        # inf, cuts it: those at or below the cut are sorted. A row holds
-        # all of its candidates when they are beam_width or fewer
-        at = np.arange(len(h)) - np.repeat(np.cumsum(count) - count, count)
-        padded = np.full((R, count.max()), np.inf)
-        padded[owner, at] = lp
-        width = min(beam_width, padded.shape[1])
-        cut = np.partition(padded, width - 1, axis=1)[:, width - 1]
-        near = np.flatnonzero(lp <= cut[owner])
-        # for sets of one size, ascending packed complement masks are
-        # ascending sorted-index tuples
-        words = _words(~flipped)[h[near]] & clear[f[near]]
-        order = near[np.lexsort((*words.T[::-1], lp[near], owner[near]))]
-        count = np.bincount(owner[near], minlength=R)
-        start = np.cumsum(count) - count
-        pick = order[np.arange(len(order)) - np.repeat(start, count) < beam_width]
-        kept = np.minimum(count, beam_width)
-        first = np.cumsum(kept) - kept
-        best_lp[t] = lp[pick[first]]
-        owner = owner[pick]
-        codes = cand[:, pick]
-        del cand  # before the next step builds its own
-        flipped = flipped[h[pick]]
-        flipped[np.arange(len(pick)), f[pick]] = True
-        best[t] = flipped[first]
+    if beam_width == 1:
+        _beam_of_one(table, grow, flipped, codes, step, best, best_lp, asked)
+    else:
+        owner = np.arange(R)  # each hypothesis's row, ascending
+        slot = (step != 0).argmax(axis=0)  # each feature's slot, whose code its step moves
+        clear = ~_words(np.eye(n, dtype=bool))  # clears a feature's bit
+        for t in range(steps):
+            # hypothesis j's candidate S_j ∪ {x} repeats hypothesis i's
+            # S_i ∪ {y} exactly when S_i \ S_j = {x} (and S_j \ S_i = {y}),
+            # that is, when the two sets of t features share t - 1: drop it
+            # when i is an earlier hypothesis of j's row
+            count = np.bincount(owner, minlength=R)  # each row's hypotheses
+            start = np.cumsum(count) - count
+            # each row's sets as float rows, padded with all-ones rows,
+            # which share t or n features, never t - 1
+            beams = np.ones((R, count.max(), n), dtype=np.float32)
+            beams[owner, np.arange(len(owner)) - start[owner]] = flipped
+            shared = beams @ beams.transpose(0, 2, 1)
+            r, i, j = np.nonzero(np.triu(shared == t - 1, 1))
+            i, j = start[r] + i, start[r] + j
+            fresh = ~flipped
+            fresh[j, (flipped[i] & ~flipped[j]).argmax(axis=1)] = False
+            h, f = np.nonzero(fresh)
+            cand, moved = codes[:, h], slot[f]
+            cand[moved, np.arange(len(f))] += step[moved, f]
+            owner = owner[h]
+            lp = table._gather(cand, owner)
+            count = np.bincount(owner, minlength=R)
+            asked += count
+            # each row's beam_width-th least log-density, its row padded with
+            # inf, cuts it: those at or below the cut are sorted. A row holds
+            # all of its candidates when they are beam_width or fewer
+            at = np.arange(len(h)) - np.repeat(np.cumsum(count) - count, count)
+            padded = np.full((R, count.max()), np.inf)
+            padded[owner, at] = lp
+            width = min(beam_width, padded.shape[1])
+            cut = np.partition(padded, width - 1, axis=1)[:, width - 1]
+            near = np.flatnonzero(lp <= cut[owner])
+            # for sets of one size, ascending packed complement masks are
+            # ascending sorted-index tuples
+            words = _words(~flipped)[h[near]] & clear[f[near]]
+            order = near[np.lexsort((*words.T[::-1], lp[near], owner[near]))]
+            count = np.bincount(owner[near], minlength=R)
+            start = np.cumsum(count) - count
+            pick = order[np.arange(len(order)) - np.repeat(start, count) < beam_width]
+            kept = np.minimum(count, beam_width)
+            first = np.cumsum(kept) - kept
+            best_lp[t] = lp[pick[first]]
+            owner = owner[pick]
+            codes = cand[:, pick]
+            del cand  # before the next step builds its own
+            flipped = flipped[h[pick]]
+            flipped[np.arange(len(pick)), f[pick]] = True
+            best[t] = flipped[first]
     if counters is not None:
         table._charge(counters, asked.tolist())
     sizes = range(1, steps + 1) if grow else range(n - 1, n - 1 - steps, -1)
@@ -395,10 +539,14 @@ def _row_bytes(model: SpnModel, config: ExplainConfig) -> int:
     C(n, t) sets of t features that a step can hold; and what its results
     hold, 8 for each feature of the best subspace of each size (steps ×
     (steps + 1) / 2 of them) and, for each size, its mask of n features
-    and 144 for its log-density, tuple, `SizeBest` and list entries."""
+    and 144 for its log-density, tuple, `SizeBest` and list entries. A
+    window of a beam of one holds as much for each of its steps' n
+    candidates, its own values in place of the step's seven, and is held
+    to what the row's share of the block leaves."""
     grow, steps, beam_width = _plan(model, config)
     n = model.n_features
-    table, candidate = _search_bytes(model, _queries(n, grow, steps, beam_width))
+    table, candidate = _search_bytes(model, _store_sizes(model, _queries(n, grow, steps,
+                                                                         beam_width)))
     candidates = n * min(beam_width, math.comb(n, min(steps - 1, n // 2)))
     return (table + candidates * (candidate + 56) + 4 * steps * (steps + 1)
             + (n + 144) * steps)

@@ -89,7 +89,11 @@ class EvalCounter:
     block of rows fills its table's store once for the block, and keeps
     one counter per row: each gets its row's queries and its row's part
     of the fill, 2^W × (circuit nodes), as a search of that row alone
-    counts them."""
+    counts them. A search with a beam of one may read a window of its
+    steps at once and then keep only some of them (`explain`'s
+    `_beam_of_one`): `queries` stays the logical count, the candidates of
+    the steps it keeps, and the candidates read past them are physical
+    work that neither field counts."""
 
     queries: int = 0
     node_evals: int = 0
@@ -480,11 +484,12 @@ def _store_sizes(model: SpnModel, masks: int | None = None) -> np.ndarray | None
     return None
 
 
-def _search_bytes(model: SpnModel, masks: int) -> tuple[int, int]:
-    """The bytes that a search's `TableMarginals` of the model, asked
-    `masks` masks a row, holds for one row, and that `_gather` holds for
-    one candidate. With a store: 8 a store value of the row; a candidate's
-    int32 code of each child, and 16 for the gather's sum and addend. Read
+def _search_bytes(model: SpnModel, sizes: np.ndarray | None) -> tuple[int, int]:
+    """The bytes that a search's `TableMarginals` of the model, of store
+    `sizes` (`_store_sizes`, None without a store), holds for one row, and
+    that `_gather` holds for one candidate. With a store: 8 a store value
+    of the row; a candidate's int32 code of each child, and 16 for the
+    gather's sum and addend. Read
     by passes: 8 a leaf value of the row; a candidate's int8 code and
     boolean mask of each feature, its leaf values and the mask of its
     leaves (9 a leaf), its column of the value matrix (8 a node), and the
@@ -492,7 +497,6 @@ def _search_bytes(model: SpnModel, masks: int) -> tuple[int, int]:
     copies into the value matrix (8 a leaf), a product group's stack (8 a
     slot), or a sum group's stack with `_logsumexp`'s weighted stack,
     maximum mask and two stacks of shifted terms (33 a slot)."""
-    sizes = _store_sizes(model, masks)
     if sizes is not None:
         return 8 * int(sizes.sum()), 4 * len(sizes) + 16
     circuit = _compile(model)
@@ -581,6 +585,11 @@ class TableMarginals:
         codes = (keep @ self._circuit.bits).astype(index) + self._offsets.astype(index)
         return ((codes * index(rows) + np.arange(rows, dtype=index)[:, None]).T,
                 (self._circuit.bits.T * rows).astype(index))
+
+    def _values(self, codes: np.ndarray) -> np.ndarray:
+        """Each slot's own term of the search codes `codes` of a store
+        table: the store values that `_gather` adds, in their shape."""
+        return self._store.take(codes)
 
     def _gather(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The log-densities of the candidates whose `_search_codes` are

@@ -493,6 +493,13 @@ def planted20():
 
 
 @pytest.fixture(scope="session")
+def planted100():
+    """The planted n = 100, seed 0 table and the model learned from it."""
+    labeled = generate(GenConfig(n_features=100, seed=0))
+    return labeled, learn_spn(labeled.dataset, LearnConfig(seed=0))
+
+
+@pytest.fixture(scope="session")
 def root_shapes(planted20):
     """Learned models of four root shapes, each with its table and five of
     its planted outlier rows: a root product of narrow children (planted

@@ -793,6 +793,102 @@ class TestSearchTables:
             search(TableMarginals(SpnModel(m.nodes, m.root, m.schema), X[rows]), None)
 
 
+def counted_reads(monkeypatch) -> list:
+    """Count the candidates of each `TableMarginals._gather` call: the list
+    that gets each read's count."""
+    reads, gather = [], TableMarginals._gather
+
+    def gathering(table, codes, rows):
+        reads.append(codes[0].size)
+        return gather(table, codes, rows)
+    monkeypatch.setattr(TableMarginals, "_gather", gathering)
+    return reads
+
+
+class TestWindows:
+    """A beam of one over a store reads a window of steps at a time, the
+    steps taking the picks that `_speculate` guesses, and keeps each step
+    up to the first whose own least candidate is not the guess. A guess
+    changes what is read, never what is found."""
+
+    def test_a_row_over_a_store_takes_a_handful_of_reads(self, planted100, monkeypatch):
+        # n - 1 backward steps and n forward steps of n = 100 features,
+        # each a read of its own without windows
+        labeled, m = planted100
+        n = m.n_features
+        reads = counted_reads(monkeypatch)
+        for r in labeled.outlier_rows[:5]:
+            x = labeled.dataset.values[r]
+            for search in (lambda: backward_elimination(m, x),
+                           lambda: forward_beam_search(m, x, n, 1)):
+                reads.clear()
+                search()
+                assert 1 <= len(reads) <= 5
+
+    @pytest.mark.parametrize("wrong", ["reversed", "swapped"])
+    @pytest.mark.parametrize("shape", ["planted", "mixed"])
+    def test_a_wrong_guess_costs_reads_not_results(self, root_shapes, monkeypatch, shape,
+                                                   wrong):
+        # each guess reversed misses a window's first step; each guess with
+        # its second and third picks swapped misses its second step
+        m, X, rows = root_shapes[shape]
+        n = m.n_features
+        speculate = explain_module._speculate
+
+        def guessing(table, codes, flipped, step):
+            order = speculate(table, codes, flipped, step)
+            for guess, k in zip(order, (~flipped).sum(axis=1)):
+                if wrong == "reversed":
+                    guess[:k] = guess[:k][::-1].copy()
+                elif k >= 3:
+                    guess[1:3] = guess[2:0:-1].copy()
+            return order
+
+        monkeypatch.setattr(explain_module, "_speculate", guessing)
+        reads = counted_reads(monkeypatch)
+        for r in rows:
+            for grow in (False, True):
+                got, want = EvalCounter(), EvalCounter()
+                reads.clear()
+                if grow:
+                    res = forward_beam_search(m, X[r], n, 1, got)
+                    assert res == reference_forward_beam_search(m, X[r], n, 1, want)
+                else:
+                    res = backward_elimination(m, X[r], got)
+                    assert [(sb.subspace, sb.log_density) for sb in res] == \
+                        greedy_backward_oracle(m, X[r], want)
+                    assert got.queries == n * (n + 1) // 2 - 1
+                assert got.queries == want.queries
+                # a miss reads past the steps kept, at most as many again
+                assert got.queries < sum(reads) <= 2 * got.queries
+
+    @pytest.mark.parametrize("divisor", [1, 8])
+    def test_windows_keep_a_search_within_its_budget(self, planted100, monkeypatch,
+                                                     divisor):
+        # a row alone reads its whole search in one window, and each row of
+        # a block within its share of the budget: either search peaks
+        # within the budget besides its table's store
+        labeled, m = planted100
+        n = m.n_features
+        X, rows = labeled.dataset.values, list(labeled.outlier_rows)
+        config = ExplainConfig()
+        budget = explain_module.BLOCK_BYTES // divisor
+        monkeypatch.setattr(explain_module, "BLOCK_BYTES", budget)
+        block = rows[:budget // explain_module._row_bytes(m, config)]
+        store = 8 * int(model_module._store_sizes(m, n * (n + 1) // 2 - 1).sum())  # a row's
+        explain(m, X[rows[0]], config)  # the model's circuit is compiled
+        for search, stored in ((lambda: backward_elimination(m, X[rows[0]]), store),
+                               (lambda: explain_rows(m, X, block, config),
+                                len(block) * store)):
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget + stored
+
+
 class TestExplanationTrace:
     """A trace keeps packed masks and a float array, and rebuilds its
     per-size list on each access."""
