@@ -105,6 +105,13 @@ class ExplanationTrace:
 # alone reads its whole search at once.
 BLOCK_BYTES = 1 << 22
 
+# The fewest steps of a beam of one that are read in windows. A guess and
+# a window's bookkeeping take about a hundred numpy calls, a step read
+# alone about a dozen: a planted row of n features, searched alone, read
+# 1.1-1.6 times slower in windows at n = 10-20 and 0.7-0.98 times at
+# n = 25-40.
+WINDOW_STEPS = 24
+
 
 def _queries(n: int, grow: bool, steps: int, beam_width: int) -> int:
     """A search's own query count of one row, for its table's cost rule:
@@ -199,48 +206,58 @@ def _beam_of_one(table: TableMarginals, grow: bool, flipped: np.ndarray,
     spare covers them: a row whose guesses hold reads its whole search in
     one window, and however wrong its guesses, a row reads at most twice
     its search's candidates. Each row's window is also held to its share of
-    `BLOCK_BYTES`, and is at least one step. Without a store each step is a
-    window of one, and nothing is guessed."""
+    `BLOCK_BYTES`, and is at least one step. Without a store, or for fewer
+    than WINDOW_STEPS steps, each step is read alone and nothing is
+    guessed."""
     steps, R, n = best.shape
+    if table._sizes is None or steps < WINDOW_STEPS:
+        rows = np.arange(R)
+        for t in range(steps):
+            # the row's candidates, in lexicographic order
+            h, f = np.nonzero(~flipped)
+            k = len(f) // R
+            cand = codes[:, :, None] + step[:, f].reshape(len(codes), R, k)
+            lp = table._gather(cand, h)
+            asked += k
+            pick = lp.argmin(axis=1)
+            best_lp[t] = lp[rows, pick]
+            codes = cand[:, rows, pick]
+            flipped[rows, f.reshape(R, k)[rows, pick]] = True
+            best[t] = flipped if grow else ~flipped
+        return
     slot = (step != 0).argmax(axis=0)  # each feature's slot, whose code its step moves
     moved = step[slot, np.arange(n)]  # and the step of that code
     done = np.zeros(R, dtype=np.intp)  # each row's steps
-    stored = table._sizes is not None
-    if stored:
-        # a window's steps: the row's share of BLOCK_BYTES, less what the
-        # row holds through the search (its table, best masks and
-        # log-densities, and guess), over what a step's n candidates hold
-        # (`_row_bytes`)
-        held, candidate = _search_bytes(table.model, table._sizes)
-        held += (n + 8) * steps + 16 * n
-        room = max(1, (BLOCK_BYTES // R - held) // (n * (candidate + 56)))
-        guess, at = _speculate(table, codes, flipped, step), np.zeros(R, dtype=np.intp)
-        # what each row may read past the steps that it keeps: the
-        # candidates of its search
-        spare = np.full(R, steps * n - steps * (steps - 1) // 2)
+    # a window's steps: the row's share of BLOCK_BYTES, less what the row
+    # holds through the search (its table, best masks and log-densities,
+    # and guess), over what a step's n candidates hold (`_row_bytes`)
+    held, candidate = _search_bytes(table.model, table._sizes)
+    held += (n + 8) * steps + 16 * n
+    room = max(1, (BLOCK_BYTES // R - held) // (n * (candidate + 56)))
+    guess, at = _speculate(table, codes, flipped, step), np.zeros(R, dtype=np.intp)
+    # what each row may read past the steps that it keeps: the candidates
+    # of its search
+    spare = np.full(R, steps * n - steps * (steps - 1) // 2)
     while (a := np.flatnonzero(done < steps)).size:
         t, A, k = done[a], len(a), n - done[a]
-        w = np.ones(A, dtype=np.intp)
-        if stored:
-            # a window's first step, and each next one whose candidates and
-            # those of the steps between the spare covers, to the row's room
-            # and last step
-            ahead = np.arange(min(room, steps - t.min()))
-            past = np.cumsum(k[:, None] - ahead, axis=1) - k[:, None]
-            w = np.minimum((past <= spare[a, None]).sum(axis=1), np.minimum(room, steps - t))
+        # a window's first step, and each next one whose candidates and
+        # those of the steps between the spare covers, to the row's room
+        # and last step
+        ahead = np.arange(min(room, steps - t.min()))
+        past = np.cumsum(k[:, None] - ahead, axis=1) - k[:, None]
+        w = np.minimum((past <= spare[a, None]).sum(axis=1), np.minimum(room, steps - t))
         s = np.arange(w.max())
         inside = s < w[:, None]  # the steps of each row's window
-        hyp = codes[:, a, None]  # each step's hypothesis codes
-        # the step at which each feature is guessed flipped: -1 before the
+        # each row's guessed picks, its last one past its window, and the
+        # step at which each feature is guessed flipped: -1 before the
         # window, len(s) never
+        picks = guess[a[:, None], at[a, None] + np.minimum(s, w[:, None] - 1)]
         guessed = np.where(flipped[a], -1, len(s))
-        if stored:
-            # each row's guessed picks, its last one past its window
-            picks = guess[a[:, None], at[a, None] + np.minimum(s, w[:, None] - 1)]
-            r, j = np.nonzero(inside)
-            guessed[r, picks[r, j]] = j
-            moves = step[:, picks]
-            hyp = np.cumsum(moves, axis=2, dtype=codes.dtype) - moves + hyp
+        r, j = np.nonzero(inside)
+        guessed[r, picks[r, j]] = j
+        # each step's hypothesis codes: the row's, moved by the picks before it
+        moves = step[:, picks]
+        hyp = np.cumsum(moves, axis=2, dtype=codes.dtype) - moves + codes[:, a, None]
         # a step's candidates: the features not flipped before it
         fresh = (guessed[:, None] >= s[:, None]) & inside[:, :, None]  # (rows, steps, n)
         # each candidate's codes: its step's hypothesis codes, one slot
@@ -261,11 +278,9 @@ def _beam_of_one(table: TableMarginals, grow: bool, flipped: np.ndarray,
         lp.reshape(-1)[at_flat] = read
         del read, at_flat
         pick = lp.argmin(axis=2)  # each step's own first least candidate
-        kept = w
-        if stored:
-            # the steps guessed right, from the first
-            hit = np.logical_and.accumulate((pick == picks) & inside, axis=1).sum(axis=1)
-            kept = np.minimum(hit + 1, w)
+        # the steps guessed right, from the first
+        hit = np.logical_and.accumulate((pick == picks) & inside, axis=1).sum(axis=1)
+        kept = np.minimum(hit + 1, w)
         r, j = np.nonzero(s < kept[:, None])
         best_lp[t[r] + j, a[r]] = lp[r, j, pick[r, j]]
         taken = np.where(flipped[a], -1, len(s))  # as `guessed`, for the kept picks
@@ -277,13 +292,12 @@ def _beam_of_one(table: TableMarginals, grow: bool, flipped: np.ndarray,
         codes[:, a] = hyp[:, last[0], last[1]] + step[:, pick[last]]
         asked[a] += kept * k - kept * (kept - 1) // 2
         done[a] += kept
-        if stored:
-            spare[a] -= (w - kept) * k - (w * (w - 1) - kept * (kept - 1)) // 2
-            at[a] += kept
-            again = a[(hit < w) & (done[a] < steps)]
-            if again.size:
-                guess[again] = _speculate(table, codes[:, again], flipped[again], step)
-                at[again] = 0
+        spare[a] -= (w - kept) * k - (w * (w - 1) - kept * (kept - 1)) // 2
+        at[a] += kept
+        again = a[(hit < w) & (done[a] < steps)]
+        if again.size:
+            guess[again] = _speculate(table, codes[:, again], flipped[again], step)
+            at[again] = 0
 
 
 def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,

@@ -845,6 +845,7 @@ class TestWindows:
             return order
 
         monkeypatch.setattr(explain_module, "_speculate", guessing)
+        monkeypatch.setattr(explain_module, "WINDOW_STEPS", 1)  # windows on these tables
         reads = counted_reads(monkeypatch)
         for r in rows:
             for grow in (False, True):
@@ -861,6 +862,34 @@ class TestWindows:
                 assert got.queries == want.queries
                 # a miss reads past the steps kept, at most as many again
                 assert got.queries < sum(reads) <= 2 * got.queries
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), tied=st.booleans())
+    def test_windows_read_what_steps_read(self, seed, tied):
+        # windows from the first step on, over a store, against a step a
+        # read: exactly tied subspaces and -inf log-densities (cells of
+        # 1e200) make guesses miss
+        rng = np.random.default_rng(seed)
+        if tied:
+            m = tied_model(rng, int(rng.integers(2, 8)))
+            X = rng.choice([0.0, 1.5, 1e200], size=(6, m.n_features))
+        else:
+            m = random_mixed_model(rng, max_features=6)
+            X = random_table(rng, m, 6)
+        assume(m.n_features > 1 and TableMarginals(m, X, 2 ** 30)._sizes is not None)
+        n = m.n_features
+        for grow in (False, True):
+            found = []
+            for windows in (10 ** 9, 1):
+                counters = [EvalCounter() for _ in X]
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(explain_module, "WINDOW_STEPS", windows)
+                    table = TableMarginals(m, X, 2 ** 30)
+                    res = (forward_beam_search(m, table, n, 1, counters) if grow
+                           else backward_elimination(m, table, counters))
+                found.append(([[(sb.subspace, sb.log_density.hex()) for sb in per_size]
+                               for per_size in res], counters))
+            assert found[0] == found[1]
 
     @pytest.mark.parametrize("divisor", [1, 8])
     def test_windows_keep_a_search_within_its_budget(self, planted100, monkeypatch,
