@@ -2,7 +2,7 @@
 
 from .data import Column, Dataset, load_csv, save_csv
 from .datagen import GenConfig, LabeledDataset, generate, read_labels, write_labels
-from .explain import (ExplainConfig, ExplanationTrace, SizeBest,
+from .explain import (ExplainConfig, ExplanationTrace, PerSize, SizeBest,
                       backward_elimination, elbow_select, explain, explain_rows,
                       forward_beam_search, zscore_select)
 from .learn import LearnConfig, learn_spn, rdc
@@ -14,7 +14,7 @@ from .model import (CategoricalLeaf, EvalCounter, GaussianLeaf, ProductNode,
 __all__ = [
     "Column", "Dataset", "load_csv", "save_csv",
     "GenConfig", "LabeledDataset", "generate", "read_labels", "write_labels",
-    "ExplainConfig", "ExplanationTrace", "SizeBest", "backward_elimination",
+    "ExplainConfig", "ExplanationTrace", "PerSize", "SizeBest", "backward_elimination",
     "elbow_select", "explain", "explain_rows", "forward_beam_search", "zscore_select",
     "LearnConfig", "learn_spn", "rdc",
     "EvalReport", "detect", "f1_dims", "run_benchmark",

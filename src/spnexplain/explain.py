@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,28 +46,77 @@ class SizeBest:
     log_density: float
 
 
-class ExplanationTrace:
-    """One row's explanation: the best subspace of each searched size, the
-    selected one, and the count of marginal queries asked. Each size's
-    subspace is kept as a mask packed with `np.packbits` and the
-    log-densities as one float array, so a trace holds O(n) bytes, not
-    O(n^2) in tuples. `per_size` rebuilds the list of `SizeBest` on every
-    access; each access gives a new list, equal to the one given when each
-    subspace is canonical and each size its length, as the searches make
-    them."""
+class PerSize(Sequence):
+    """The best subspace of each searched size, in ascending size, kept
+    packed: each size's subspace as a mask packed with `np.packbits` (sizes,
+    ⌈n/8⌉) and the log-densities as one float array (sizes,), so that it
+    holds O(n) bytes, not O(n^2) in tuples. A `Sequence` of `SizeBest`: an
+    index decodes its one item, iteration decodes all items at once, and a
+    slice is a `PerSize` of those sizes. Each item's size is its subspace's
+    length. It compares equal to a list of the same `SizeBest`s, either way
+    round, and its repr is that list's."""
 
-    __slots__ = ("_masks", "_log_densities", "selected", "selected_size", "eval_count",
-                 "strategy", "selection")
+    __slots__ = ("_masks", "_log_densities")
 
-    def __init__(self, per_size: list[SizeBest], selected: Subspace, selected_size: int,
-                 eval_count: int, strategy: str = "backward", selection: str = "elbow"):
+    def __init__(self, masks: np.ndarray, log_densities: np.ndarray):
+        self._masks = masks
+        self._log_densities = log_densities
+
+    @classmethod
+    def of(cls, per_size: PerSize | list[SizeBest]) -> PerSize:
+        """per_size itself if it is a `PerSize`, else its list packed."""
+        if isinstance(per_size, PerSize):
+            return per_size
         sizes = [len(sb.subspace) for sb in per_size]
         features = np.fromiter(itertools.chain.from_iterable(sb.subspace for sb in per_size),
                                dtype=np.intp, count=sum(sizes))
         masks = np.zeros((len(per_size), 1 + features.max(initial=0)), dtype=bool)
         masks[np.repeat(np.arange(len(per_size)), sizes), features] = True
-        self._masks = np.packbits(masks, axis=1)
-        self._log_densities = np.array([sb.log_density for sb in per_size], dtype=float)
+        return cls(np.packbits(masks, axis=1),
+                   np.array([sb.log_density for sb in per_size], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self._log_densities)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PerSize(self._masks[i].copy(), self._log_densities[i].copy())
+        i = operator.index(i)
+        subspace = tuple(np.flatnonzero(np.unpackbits(self._masks[i])).tolist())
+        return SizeBest(len(subspace), subspace, float(self._log_densities[i]))
+
+    def __iter__(self):
+        rows, features = np.nonzero(np.unpackbits(self._masks, axis=1))
+        sizes = np.bincount(rows, minlength=len(self)).tolist()
+        features = features.tolist()
+        for k, end, lp in zip(sizes, itertools.accumulate(sizes),
+                              self._log_densities.tolist()):
+            yield SizeBest(k, tuple(features[end - k:end]), lp)
+
+    def __eq__(self, other):
+        if isinstance(other, (PerSize, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class ExplanationTrace:
+    """One row's explanation: the best subspace of each searched size, the
+    selected one, and the count of marginal queries asked. The sizes are
+    kept as a `PerSize`: one given is kept as it is, and a list is packed
+    once. `per_size` builds a new list of `SizeBest` on every access, equal
+    to the one given when each subspace is canonical and each size its
+    length, as the searches make them."""
+
+    __slots__ = ("_per_size", "selected", "selected_size", "eval_count", "strategy",
+                 "selection")
+
+    def __init__(self, per_size: PerSize | list[SizeBest], selected: Subspace,
+                 selected_size: int, eval_count: int, strategy: str = "backward",
+                 selection: str = "elbow"):
+        self._per_size = PerSize.of(per_size)
         self.selected = selected
         self.selected_size = selected_size
         self.eval_count = eval_count
@@ -74,10 +125,7 @@ class ExplanationTrace:
 
     @property
     def per_size(self) -> list[SizeBest]:
-        subspaces = (tuple(np.flatnonzero(mask).tolist())
-                     for mask in np.unpackbits(self._masks, axis=1))
-        return [SizeBest(len(sub), sub, lp)
-                for sub, lp in zip(subspaces, self._log_densities.tolist())]
+        return list(self._per_size)
 
     def _fields(self) -> tuple:
         return (self.per_size, self.selected, self.selected_size, self.eval_count,
@@ -98,7 +146,7 @@ class ExplanationTrace:
 # The budget of a block of rows searched in lockstep: the bytes that its
 # rows add (`_row_bytes`), summed over the block's rows. A step's work is
 # linear in its candidates, so a larger block only saves numpy calls; 4 MiB
-# holds 42 rows of a forward search of beam width 10 over 40 real and 10
+# holds 50 rows of a forward search of beam width 10 over 40 real and 10
 # categorical features (read from a store), and 14 over the 16 features of
 # one sum root (read by passes). A beam of one over a store reads a window
 # of steps in each row's share of the budget (`_beam_of_one`): one row
@@ -301,18 +349,20 @@ def _beam_of_one(table: TableMarginals, grow: bool, flipped: np.ndarray,
 
 
 def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
-                   counter: EvalCounter | list[EvalCounter] | None) -> list:
+                   counter: EvalCounter | list[EvalCounter] | None
+                   ) -> PerSize | list[PerSize]:
     """The one greedy step loop of both strategies, run in lockstep over a
     block of rows. Each step flips one not-yet-flipped feature of every
     hypothesis (adds it to the subspace when `grow`, else drops it from
     the full set), keeps each row's beam_width most outlying candidates and
-    records its best; results in ascending size. `x` is one sample (n,),
-    whose result is its list and whose `counter` is one EvalCounter, or a
-    `TableMarginals` of the model over a block of samples, with one list
-    and one counter per row. A sample is read through a table of its own,
-    told the search's own query count (`_queries`) for its cost rule. A
-    `sample` x that is not an (n,) vector breaks the shape rule
-    (`check_shape`) and raises ValueError.
+    records its best mask and log-density; a row's result is one `PerSize`
+    of them in ascending size, packed from those arrays. `x` is one sample
+    (n,), whose result is its `PerSize` and whose `counter` is one
+    EvalCounter, or a `TableMarginals` of the model over a block of
+    samples, with a list of one `PerSize` and one counter per row. A
+    sample is read through a table of its own, told the search's own query
+    count (`_queries`) for its cost rule. A `sample` x that is not an (n,)
+    vector breaks the shape rule (`check_shape`) and raises ValueError.
 
     A row's candidates are its hypotheses with each feature they have not
     flipped, deduplicated, ranked by log-density, ties in lexicographic
@@ -376,7 +426,8 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             fresh = ~flipped
             fresh[j, (flipped[i] & ~flipped[j]).argmax(axis=1)] = False
             h, f = np.nonzero(fresh)
-            cand, moved = codes[:, h], slot[f]
+            # slot-major, as `_gather` reads a slot at a time
+            cand, moved = codes.take(h, axis=1), slot[f]
             cand[moved, np.arange(len(f))] += step[moved, f]
             owner = owner[h]
             lp = table._gather(cand, owner)
@@ -402,33 +453,29 @@ def _greedy_search(model: SpnModel, x, grow: bool, steps: int, beam_width: int,
             first = np.cumsum(kept) - kept
             best_lp[t] = lp[pick[first]]
             owner = owner[pick]
-            codes = cand[:, pick]
+            codes = cand.take(pick, axis=1)
             del cand  # before the next step builds its own
             flipped = flipped[h[pick]]
             flipped[np.arange(len(pick)), f[pick]] = True
             best[t] = flipped[first]
     if counters is not None:
         table._charge(counters, asked.tolist())
-    sizes = range(1, steps + 1) if grow else range(n - 1, n - 1 - steps, -1)
-    ends = list(itertools.accumulate(sizes))  # of each step's subspace in a row's run
-    results = []
-    for mask, lps in zip(best.transpose(1, 0, 2), best_lp.T.tolist()):
-        # the row's subspaces, size by size, as flat indices of its masks
-        features = (np.flatnonzero(mask) % n).tolist()
-        per_size = [SizeBest(k, tuple(features[end - k:end]), lp)
-                    for k, end, lp in zip(sizes, ends, lps)]
-        results.append(per_size if grow else per_size[::-1])
+    ascending = slice(None) if grow else slice(None, None, -1)  # the steps, by size
+    results = [PerSize(np.packbits(best[ascending, r], axis=1),
+                       best_lp[ascending, r].copy()) for r in range(R)]
     return results if table is x else results[0]
 
 
 def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
-                        counter: EvalCounter | list[EvalCounter] | None = None) -> list:
+                        counter: EvalCounter | list[EvalCounter] | None = None
+                        ) -> PerSize | list[PerSize]:
     """Greedy bottom-up subspace growth keeping the beam_width most
-    outlying hypotheses per size; records the single best subspace per
-    size. `x` is one sample, or a `TableMarginals` of a block of samples
-    searched in lockstep, with one result and one counter per row
-    (`_greedy_search`). A max_size or beam_width that is not an integer
-    (a bool is not), or out of its range, raises ValueError."""
+    outlying hypotheses per size; returns the single best subspace of each
+    size 1..max_size as a `PerSize`. `x` is one sample, or a
+    `TableMarginals` of a block of samples searched in lockstep, with a
+    list of one `PerSize` and one counter per row (`_greedy_search`). A
+    max_size or beam_width that is not an integer (a bool is not), or out
+    of its range, raises ValueError."""
     n = model.n_features
     if not (is_a(max_size, INTEGER) and 1 <= max_size <= n):
         raise ValueError(f"max_size must be in [1, {n}], got {max_size!r}")
@@ -438,29 +485,38 @@ def forward_beam_search(model: SpnModel, x, max_size: int, beam_width: int,
 
 
 def backward_elimination(model: SpnModel, x,
-                         counter: EvalCounter | list[EvalCounter] | None = None) -> list:
+                         counter: EvalCounter | list[EvalCounter] | None = None
+                         ) -> PerSize | list[PerSize]:
     """Top-down greedy removal, one feature a step, keeping the remainder
     of lowest marginal density (the most outlying one); returns the best
-    subspaces of sizes 1..n-1. `x` is one sample, or a `TableMarginals` of
-    a block of samples searched in lockstep, with one result and one
-    counter per row (`_greedy_search`)."""
+    subspaces of sizes 1..n-1 as a `PerSize`. `x` is one sample, or a
+    `TableMarginals` of a block of samples searched in lockstep, with a
+    list of one `PerSize` and one counter per row (`_greedy_search`)."""
     if model.n_features < 2:
         raise ValueError("backward elimination needs at least 2 features")
     return _greedy_search(model, x, False, model.n_features - 1, 1, counter)
 
 
-def elbow_select(per_size: list[SizeBest], kappa: float) -> SizeBest:
+def elbow_select(per_size: PerSize | list[SizeBest], kappa: float) -> SizeBest:
     """Pick the size just after the first log-density drop exceeding kappa;
-    fall back to the single most outlying feature when no drop qualifies."""
-    if not per_size:
+    fall back to the single most outlying feature when no drop qualifies.
+    per_size is a `PerSize`, or a list of `SizeBest` whose chosen item
+    itself is returned; either is read once, at this door, into its sizes,
+    which must run 1, 2, ..., and its log-densities."""
+    if isinstance(per_size, PerSize):
+        sizes = np.unpackbits(per_size._masks, axis=1).sum(axis=1).tolist()
+        log_densities = per_size._log_densities
+    else:
+        sizes = [sb.size for sb in per_size]
+        log_densities = np.array([sb.log_density for sb in per_size], dtype=float)
+    if not sizes:
         raise ValueError("per_size is empty")
-    sizes = [sb.size for sb in per_size]
-    if sizes != list(range(1, len(per_size) + 1)):
+    if sizes != list(range(1, len(sizes) + 1)):
         raise ValueError(f"per_size sizes must be contiguous from 1, got {sizes}")
-    for prev, nxt in zip(per_size, per_size[1:]):
-        if prev.log_density - nxt.log_density > kappa:
-            return nxt
-    return per_size[0]
+    # -inf less -inf is NaN, which never exceeds kappa
+    with np.errstate(invalid="ignore", over="ignore"):
+        drops = np.flatnonzero(log_densities[:-1] - log_densities[1:] > kappa)
+    return per_size[int(drops[0]) + 1 if drops.size else 0]
 
 
 @dataclass(slots=True)
@@ -492,18 +548,19 @@ def subspace_score_stats(reference: TableMarginals, subspace: Subspace,
         return ScoreStats(float(scores.mean()), float(scores.std()))
 
 
-def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
-                  counter: EvalCounter | None = None) -> SizeBest:
-    """Pick the candidate whose score is most extreme relative to the
-    score distribution of the reference table in its subspace (ties, and a
-    z-score that is NaN for every candidate: the first, smallest size).
-    All subspaces are read in one read of the table. A reference that is
-    not a `TableMarginals`, or a subspace that breaks the feature-set rule
-    (`check_features`), raises ValueError."""
-    _check_reference(reference)
-    if not per_size:
-        raise ValueError("per_size is empty")
-    n = reference.model.n_features
+def _zscore_door(per_size: PerSize | list[SizeBest],
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks (sizes, n) and log-densities of per_size, a `PerSize` or a
+    list of `SizeBest`, for z-score selection among n features. Each
+    subspace keeps the feature-set rule (`check_features`), or the first
+    that breaks it raises ValueError, named as a list names it."""
+    if isinstance(per_size, PerSize):
+        keep = np.unpackbits(per_size._masks, axis=1, count=n).view(bool)
+        # no size empty, and none of a feature past n
+        if keep.any(axis=1).all() and \
+                np.count_nonzero(keep) == np.count_nonzero(np.unpackbits(per_size._masks)):
+            return keep, per_size._log_densities
+        per_size = list(per_size)
     subspaces = [sb.subspace for sb in per_size]
     at = np.repeat(np.arange(len(per_size)), [len(sub) for sub in subspaces])
     features = list(itertools.chain.from_iterable(subspaces))
@@ -517,9 +574,26 @@ def zscore_select(per_size: list[SizeBest], reference: TableMarginals,
         for sub in subspaces:
             check_features(sub, n, "subspace")
         keep[at, np.array(features, dtype=np.intp)] = True  # numpy integers
+    return keep, np.array([sb.log_density for sb in per_size], dtype=float)
+
+
+def zscore_select(per_size: PerSize | list[SizeBest], reference: TableMarginals,
+                  counter: EvalCounter | None = None) -> SizeBest:
+    """Pick the candidate whose score is most extreme relative to the
+    score distribution of the reference table in its subspace (ties, and a
+    z-score that is NaN for every candidate: the first, smallest size).
+    per_size is a `PerSize`, or a list of `SizeBest` whose chosen item
+    itself is returned; either is read once, at this door, into its masks
+    and log-densities (`_zscore_door`), and all masks are read in one read
+    of the table. A reference that is not a `TableMarginals`, or a
+    subspace that breaks the feature-set rule (`check_features`), raises
+    ValueError."""
+    _check_reference(reference)
+    if not len(per_size):
+        raise ValueError("per_size is empty")
+    keep, log_densities = _zscore_door(per_size, reference.model.n_features)
     scores = reference._read(keep, counter)  # (sizes, rows), negated in place
     np.negative(scores, out=scores)
-    log_densities = np.array([sb.log_density for sb in per_size])
     # an inf score makes a NaN z-score, and a NaN z-score never wins
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean = scores.mean(axis=1)
@@ -551,23 +625,22 @@ def _row_bytes(model: SpnModel, config: ExplainConfig) -> int:
     position, log-density and padded log-density), for n candidates of
     each hypothesis and at most beam width hypotheses, no more than the
     C(n, t) sets of t features that a step can hold; and what its results
-    hold, 8 for each feature of the best subspace of each size (steps ×
-    (steps + 1) / 2 of them) and, for each size, its mask of n features
-    and 144 for its log-density, tuple, `SizeBest` and list entries. A
-    window of a beam of one holds as much for each of its steps' n
-    candidates, its own values in place of the step's seven, and is held
-    to what the row's share of the block leaves."""
+    hold for each size: its mask of n features and its 8-byte log-density
+    in the search's arrays, and its mask packed into ⌈n/8⌉ bytes and its
+    log-density again in the row's `PerSize`. A window of a beam of one
+    holds as much for each of its steps' n candidates, its own values in
+    place of the step's seven, and is held to what the row's share of the
+    block leaves."""
     grow, steps, beam_width = _plan(model, config)
     n = model.n_features
     table, candidate = _search_bytes(model, _store_sizes(model, _queries(n, grow, steps,
                                                                          beam_width)))
     candidates = n * min(beam_width, math.comb(n, min(steps - 1, n // 2)))
-    return (table + candidates * (candidate + 56) + 4 * steps * (steps + 1)
-            + (n + 144) * steps)
+    return table + candidates * (candidate + 56) + (n + 16 + (n + 7) // 8) * steps
 
 
 def _search(model: SpnModel, x, config: ExplainConfig,
-            counter: EvalCounter | list[EvalCounter]) -> list:
+            counter: EvalCounter | list[EvalCounter]) -> PerSize | list[PerSize]:
     """The configured search of x, a sample or a table of samples, called
     through the module names that perfbench traces."""
     grow, steps, beam_width = _plan(model, config)
@@ -576,7 +649,7 @@ def _search(model: SpnModel, x, config: ExplainConfig,
     return backward_elimination(model, x, counter)
 
 
-def _trace(per_size: list[SizeBest], config: ExplainConfig,
+def _trace(per_size: PerSize, config: ExplainConfig,
            reference: TableMarginals | None, counter: EvalCounter) -> ExplanationTrace:
     """The explanation of one searched row: its selected size and its
     trace, its eval_count the row's queries."""

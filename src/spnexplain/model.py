@@ -595,15 +595,17 @@ class TableMarginals:
         """The log-densities of the candidates whose `_search_codes` are
         `codes` (slots, ...), of the table rows `rows` (one a candidate, in
         their order), in the shape of one slot's codes. With a store, each
-        slot's gather is added in slot order: in one gather for a few
-        candidates, else a slot at a time, so that no temporary holds every
-        slot of every candidate. Without one, one masked pass keeps the
-        features whose code is not 0, over the leaf values of the rows."""
+        slot's gather is added in slot order: in one gather for a few codes
+        (at most 512 of all slots, 8 KB of values and as many of sums),
+        else a slot at a time, so that no temporary holds every slot of
+        every candidate, as `_search_bytes` counts. Without one, one masked
+        pass keeps the features whose code is not 0, over the leaf values of
+        the rows."""
         if self._sizes is None:
             keep = (codes != 0).reshape(len(codes), -1).T
             out = self._circuit.masked_log_density(self._leaves[:, rows], keep)
             return out.reshape(codes.shape[1:])
-        if codes[0].size <= 512:
+        if codes.size <= 512:
             return _add_slots(self._store.take(codes))
         out = self._store.take(codes[0])
         for child in codes[1:]:

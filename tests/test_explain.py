@@ -15,7 +15,7 @@ from conftest import (greedy_backward_oracle, log_marginal_subspace, per_size_op
                       uneven_product)
 from spnexplain.data import Column, Dataset
 from spnexplain.datagen import GenConfig, generate
-from spnexplain.explain import (ExplainConfig, ExplanationTrace, SizeBest,
+from spnexplain.explain import (ExplainConfig, ExplanationTrace, PerSize, SizeBest,
                                 backward_elimination, elbow_select, explain,
                                 explain_rows, forward_beam_search,
                                 subspace_score_stats, zscore_select)
@@ -969,6 +969,108 @@ class TestExplanationTrace:
             tracemalloc.stop()
         assert all(len(trace.per_size) == 99 for trace in traces)
         assert held <= 10 * 4096
+
+
+class TestPerSize:
+    """A search's result stays packed, one `PerSize` a row, until a caller
+    reads a subspace; as a sequence it is the list of `SizeBest` that it
+    packs, and the selections pick from it what they pick from that list."""
+
+    @staticmethod
+    def searched(seed, tied):
+        # cells of 0, 1.5 and 1e200: exactly tied subspaces on a tied model,
+        # and -inf log-densities wherever a cell of 1e200 is kept; the
+        # sample is the first row of the table
+        rng = np.random.default_rng(seed)
+        if tied:
+            m = tied_model(rng, int(rng.integers(2, 8)))
+        else:
+            m = random_mixed_model(rng, max_features=6)
+        assume(m.n_features > 1)
+        X = np.array([rng.choice([0.0, 1.5, 1e200], 6) if c.kind == "real"
+                      else rng.integers(0, len(c.categories), 6).astype(float)
+                      for c in m.schema]).T
+        n = m.n_features
+        backward = [SizeBest(len(sub), sub, lp) for sub, lp in greedy_backward_oracle(m, X[0])]
+        searches = [(backward_elimination(m, X[0]), backward)]
+        searches += [(forward_beam_search(m, X[0], n, width),
+                      reference_forward_beam_search(m, X[0], n, width)) for width in (1, 3)]
+        return m, X, searches
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), tied=st.booleans())
+    def test_a_search_is_its_tuple_reference_as_a_sequence(self, seed, tied):
+        _, _, searches = self.searched(seed, tied)
+        for got, want in searches:
+            assert isinstance(got, PerSize)
+            assert got == want and want == got and not (got != want or want != got)
+            assert got == PerSize.of(want) and PerSize.of(got) is got
+            assert got != want[1:] and got != tuple(want)
+            assert repr(got) == repr(want)
+            assert len(got) == len(want) and list(got) == want
+            assert [got[i] for i in range(-len(want), len(want))] == want + want
+            assert got[np.int64(-1)] == want[-1] and list(reversed(got)) == want[::-1]
+            for cut in (slice(1, None), slice(None, None, -2), slice(0, 0)):
+                assert isinstance(got[cut], PerSize) and got[cut] == want[cut]
+            for outside in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    got[outside]
+            assert all(type(d) is int for sb in got for d in sb.subspace)
+            assert all(type(sb.log_density) is float for sb in got)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), tied=st.booleans())
+    def test_traces_and_selections_read_it_as_its_list(self, seed, tied):
+        # consecutive -inf sizes make NaN drops, which never qualify, and
+        # reference cells of 1e200 make NaN z-scores, which never win
+        m, X, searches = self.searched(seed, tied)
+        table = TableMarginals(m, X)
+        for got, want in searches:
+            fields = ((0,), 1, 7, "forward", "zscore")
+            assert ExplanationTrace(got, *fields) == ExplanationTrace(list(got), *fields)
+            assert repr(ExplanationTrace(got, *fields)) == \
+                repr(ExplanationTrace(list(got), *fields))
+            for chosen, from_list in (
+                    *((elbow_select(got, kappa), elbow_select(want, kappa))
+                      for kappa in (0.5, math.e, 40.0)),
+                    (zscore_select(got, table), zscore_select(want, table))):
+                assert chosen == from_list
+                assert any(from_list is sb for sb in want)  # the list's own item
+
+    def test_a_size_breaking_a_rule_is_named_as_in_its_list(self, rng):
+        m = factorized_model([(0.0, 1.0), (1.0, 2.0)])
+        table = TableMarginals(m, rng.normal(size=(10, 2)))
+        for per_size, words in (
+                ([SizeBest(1, (0,), -1.0), SizeBest(0, (), -2.0)], "subspace () is empty"),
+                ([SizeBest(1, (5,), -1.0)], "subspace (5,): feature 5 outside 0..1"),
+                ([SizeBest(2, (1, 9), -1.0)], "subspace (1, 9): feature 9 outside 0..1")):
+            for given in (per_size, PerSize.of(per_size)):
+                with pytest.raises(ValueError, match=re.escape(words)):
+                    zscore_select(given, table)
+        gapped = [SizeBest(1, (0,), -1.0), SizeBest(3, (0, 1, 2), -5.0)]
+        for given in (gapped, PerSize.of(gapped)):
+            with pytest.raises(ValueError, match=re.escape("contiguous from 1, got [1, 3]")):
+                elbow_select(given, math.e)
+        for empty in ([], PerSize.of([])):
+            with pytest.raises(ValueError, match="per_size is empty"):
+                elbow_select(empty, math.e)
+            with pytest.raises(ValueError, match="per_size is empty"):
+                zscore_select(empty, table)
+
+    def test_results_at_n100_own_their_packed_arrays(self, planted100):
+        # perfbench keeps every trace, so a row's result keeps no view of
+        # its search's arrays, and holds a packed mask and a float a size
+        labeled, m = planted100
+        n = m.n_features
+        X, rows = labeled.dataset.values, list(labeled.outlier_rows[:4])
+        config = ExplainConfig()
+        kept = [backward_elimination(m, X[rows[0]]), explain(m, X[rows[0]], config)._per_size]
+        kept += [trace._per_size for trace in explain_rows(m, X, rows, config)]
+        for per_size in kept:
+            arrays = (per_size._masks, per_size._log_densities)
+            assert len(per_size) == n - 1
+            assert all(a.base is None for a in arrays)
+            assert sum(a.nbytes for a in arrays) <= len(per_size) * (-(-n // 8) + 8)
 
 
 class TestExplainRows:
